@@ -8,10 +8,18 @@ variant additionally corrects each local u-direction by c - c_i and
 refreshes (c_i, c) from the realized local progress, which removes the
 client-drift bias caused by gradient dissimilarity.
 
+Client state is held as arrays: V (n, d_v) of personal blocks and, for the
+corrected variant, C (n, d_u) of client control variates. A round gathers
+the sampled rows, runs all their local steps in one oracle block call with
+the correction rows Corr = C[ids] - c (zeros for fedavg_p), and writes the
+merged rows back; merge, aggregation and the control update are one array
+expression each. Metrics come from one oracle pass over all n clients.
+
 Determinism: every draw comes from a stream keyed by (seed, tag, t, i), so
-a run is a pure function of (inputs, seed) and per-client results do not
-depend on execution order. Results for sampled clients are accumulated in
-ascending client order before any reduction.
+a run is a pure function of (inputs, seed). Each sampled client still draws
+from its own ("local", t, i) stream, in ascending client order, and every
+batched expression performs per row the same floating-point operations, in
+the same order, as a per-client loop would, so batching changes no bit.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,14 +85,26 @@ class HyperParams:
 class ServerState:
     u: np.ndarray
     c: np.ndarray | None = None  # control-variate mean, corrected variant only
-    round: int = 0
+
+
+class ClientRow(NamedTuple):
+    v: np.ndarray
+    c_i: np.ndarray | None
 
 
 @dataclass
-class ClientState:
-    v: np.ndarray
-    c_i: np.ndarray | None = None
-    shard: object | None = None
+class ClientStates:
+    """All n clients' state as rows: V (n, d_v), C (n, d_u) or None.
+
+    Iterating yields per-client `ClientRow` views into the arrays.
+    """
+
+    V: np.ndarray
+    C: np.ndarray | None = None
+
+    def __iter__(self):
+        C = [None] * len(self.V) if self.C is None else self.C
+        return (ClientRow(v, c_i) for v, c_i in zip(self.V, C))
 
 
 @dataclass(frozen=True)
@@ -101,15 +122,15 @@ class RoundTrace:
 class TrainingResult:
     traces: list[RoundTrace]
     server: ServerState
-    clients: list[ClientState]
+    clients: ClientStates
 
     @property
     def u(self) -> np.ndarray:
         return self.server.u
 
     @property
-    def v_all(self) -> list[np.ndarray]:
-        return [c.v for c in self.clients]
+    def v_all(self) -> np.ndarray:
+        return self.clients.V
 
 
 def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,18 +149,6 @@ def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def local_steps_fedavgp(u_init, v_init, oracle, i, hp: HyperParams, rng):
-    """K local steps, lines 5-8: plain stochastic gradients on u and v."""
-    return oracle.local_steps(i, u_init, v_init, hp.K, hp.gamma_u, hp.gamma_v, rng)
-
-
-def local_steps_scaffoldp(u_init, v_init, c_i, c, oracle, i, hp: HyperParams, rng):
-    """K local steps with the u-direction corrected to g - c_i + c."""
-    return oracle.local_steps(
-        i, u_init, v_init, hp.K, hp.gamma_u, hp.gamma_v, rng, corr_u=c_i - c
-    )
-
-
 def merge_personal(v_old, v_K, eta_v: float):
     """v^{t+1} = (1 - eta_v) v^t + eta_v v_K (eta_v may exceed 1)."""
     if v_old.shape != v_K.shape:
@@ -156,23 +165,24 @@ def aggregate_shared(u_old, returned, eta_u: float, m: int):
 
 
 def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
-    """c_i = (1/K) sum of K fresh stochastic u-gradients at (u0, v0_i); c = mean c_i.
+    """C rows c_i = (1/K) sum of K fresh stochastic u-gradients at (u0, v0_i);
+    c = mean c_i. Returns (C, c).
 
-    Each client draws from its own ("cv_init", i) stream, consuming one
-    stoch_grad draw per averaged gradient.
+    Each client draws one (K, .) block from its own ("cv_init", i) stream,
+    value-identical to K stoch_grad draws; the K gradients are summed left
+    to right for all clients at once.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    c_list = []
-    for i in range(oracle.n):
-        g = stream(seed, "cv_init", i)
-        acc = np.zeros(oracle.d_u)
-        for _ in range(K):
-            g_u, _ = oracle.stoch_grad(i, u0, v0_all[i], g)
-            acc = acc + g_u
-        c_list.append(acc / K)
-    c = np.stack(c_list).mean(axis=0)
-    return c_list, c
+    G = np.stack([
+        oracle.stoch_grads(i, u0, v0_all[i], K, stream(seed, "cv_init", i))[0]
+        for i in range(oracle.n)
+    ])
+    acc = np.zeros((oracle.n, oracle.d_u))
+    for k in range(K):
+        acc = acc + G[:, k]
+    C = acc / K
+    return C, C.mean(axis=0)
 
 
 def update_client_control(c_i, c, u_t, u_i_next, K: int, gamma_u: float):
@@ -190,11 +200,21 @@ def update_server_control(c, deltas, n: int):
     return c + deltas.sum(axis=0) / n
 
 
-def run_round(algorithm: str, server: ServerState, clients: list[ClientState],
-              oracle, hp: HyperParams, seed: int, t: int) -> RoundTrace:
-    """One outer round, mutating server and sampled clients in place.
+def _check_finite(t: int, **blocks) -> None:
+    for name, x in blocks.items():
+        if x is not None and not np.isfinite(x).all():
+            raise FloatingPointError(
+                f"non-finite {name} after round {t}; step sizes too large?"
+            )
 
-    Metrics are computed on the post-round state over all n clients.
+
+def run_round(algorithm: str, server: ServerState, clients: ClientStates,
+              oracle, hp: HyperParams, seed: int, t: int) -> RoundTrace:
+    """One outer round, mutating server and the sampled client rows in place.
+
+    Metrics are computed on the post-round state over all n clients. Raises
+    FloatingPointError naming the first non-finite block among u, v, c and
+    c_i, or f.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -202,38 +222,24 @@ def run_round(algorithm: str, server: ServerState, clients: list[ClientState],
     t0 = time.perf_counter()
     n = oracle.n
     ids = sample_clients(n, hp.m, stream(seed, "sample", t))
+    rngs = [stream(seed, "local", t, int(i)) for i in ids]
 
-    returned_u = np.empty((hp.m, oracle.d_u))
-    deltas = np.empty((hp.m, oracle.d_u)) if corrected else None
-    for pos, i in enumerate(ids):
-        i = int(i)
-        g = stream(seed, "local", t, i)
-        cl = clients[i]
-        if corrected:
-            u_K, v_K = local_steps_scaffoldp(
-                server.u, cl.v, cl.c_i, server.c, oracle, i, hp, g
-            )
-            c_i_next = update_client_control(
-                cl.c_i, server.c, server.u, u_K, hp.K, hp.gamma_u
-            )
-            deltas[pos] = c_i_next - cl.c_i
-            cl.c_i = c_i_next
-        else:
-            u_K, v_K = local_steps_fedavgp(server.u, cl.v, oracle, i, hp, g)
-        returned_u[pos] = u_K
-        cl.v = merge_personal(cl.v, v_K, hp.eta_v)
-
-    server.u = aggregate_shared(server.u, returned_u, hp.eta_u, hp.m)
+    V_old = clients.V[ids]
+    C_old = clients.C[ids] if corrected else None
+    Corr = C_old - server.c if corrected else np.zeros((hp.m, oracle.d_u))
+    U_K, V_K = oracle.local_steps_block(
+        ids, server.u, V_old, Corr, hp.K, hp.gamma_u, hp.gamma_v, rngs
+    )
+    clients.V[ids] = merge_personal(V_old, V_K, hp.eta_v)
     if corrected:
-        server.c = update_server_control(server.c, deltas, n)
-    server.round = t + 1
+        C_next = update_client_control(C_old, server.c, server.u, U_K, hp.K, hp.gamma_u)
+        clients.C[ids] = C_next
+        server.c = update_server_control(server.c, C_next - C_old, n)
+    server.u = aggregate_shared(server.u, U_K, hp.eta_u, hp.m)
+    _check_finite(t, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
 
-    v_all = [c.v for c in clients]
-    f = metrics.function_value(oracle, server.u, v_all)
-    g_u = metrics.grad_norm_shared(oracle, server.u, v_all)
-    g_v, g_v_hat = metrics.grad_norm_personal(oracle, server.u, v_all, hp.m, n)
-    if not (math.isfinite(f) and np.isfinite(server.u).all()):
-        raise FloatingPointError(f"non-finite state after round {t}; step sizes too large?")
+    f, g_u, g_v, g_v_hat = metrics.round_metrics(oracle, server.u, clients.V, hp.m)
+    _check_finite(t, f=f)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return RoundTrace(
         t=t, f_value=f, grad_norm_u=g_u, grad_norm_v=g_v, grad_norm_v_hat=g_v_hat,
@@ -242,24 +248,20 @@ def run_round(algorithm: str, server: ServerState, clients: list[ClientState],
 
 
 def init_states(algorithm: str, oracle, hp: HyperParams, seed: int,
-                u0=None, v0_all=None, shards=None):
-    """Fresh (server, clients) at the standard all-zeros initial point."""
-    u0 = np.zeros(oracle.d_u) if u0 is None else np.asarray(u0, dtype=np.float64).copy()
-    if v0_all is None:
-        v0_all = [np.zeros(oracle.d_v) for _ in range(oracle.n)]
-    else:
-        v0_all = [np.asarray(v, dtype=np.float64).copy() for v in v0_all]
-    shards = shards if shards is not None else getattr(oracle, "shards", None)
-    clients = [
-        ClientState(v=v0_all[i], shard=shards[i] if shards else None)
-        for i in range(oracle.n)
-    ]
+                u0=None, v0_all=None):
+    """Fresh (server, clients) at the given (default all-zeros) start.
+
+    Copies the start and checks its shapes: u0 (d_u,), v0_all (n, d_v).
+    """
+    u0 = np.zeros(oracle.d_u) if u0 is None else np.array(u0, dtype=np.float64)
+    V = np.zeros((oracle.n, oracle.d_v)) if v0_all is None else np.array(v0_all, dtype=np.float64)
+    if u0.shape != (oracle.d_u,) or V.shape != (oracle.n, oracle.d_v):
+        raise ValueError(f"start shapes u0 {u0.shape}, v0_all {V.shape}; expected "
+                         f"({oracle.d_u},), ({oracle.n}, {oracle.d_v})")
     server = ServerState(u=u0)
+    clients = ClientStates(V=V)
     if algorithm == SCAFFOLD_P:
-        c_list, c = init_control_variates(u0, v0_all, oracle, hp.K, seed)
-        for cl, c_i in zip(clients, c_list):
-            cl.c_i = c_i
-        server.c = c
+        clients.C, server.c = init_control_variates(u0, V, oracle, hp.K, seed)
     return server, clients
 
 

@@ -17,8 +17,7 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -316,6 +315,12 @@ class SweepSpec:
             raise ValidationError("values", "values must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds", "seeds must be non-empty")
+        for name in ("values", "seeds"):
+            # equal entries would share one trace file and one summary mean
+            items = getattr(self, name)
+            dups = sorted({repr(x) for j, x in enumerate(items) if x in items[:j]})
+            if dups:
+                raise ValidationError(name, f"duplicate {name}: {', '.join(dups)}")
         if not isinstance(self.base, dict):
             raise ValidationError("base", "base must be a config mapping")
 
@@ -353,34 +358,16 @@ def cell_config(spec: SweepSpec, value, seed: int) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
-def _max_workers(n_cells: int) -> int:
-    raw = os.environ.get("FEDPART_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_cells))
-
-
 def run_sweep(spec: SweepSpec) -> str:
     """Run all (value, seed) cells; write per-cell traces and a summary CSV.
 
     Summary rows: one per cell plus one aggregate row per axis value
-    (seed column "mean"). Cells run in parallel up to FEDPART_THREADS
-    workers (0 = auto); rows are emitted in input order regardless of
-    completion order, so the summary is deterministic.
+    (seed column "mean"). Cells run one after another in input order; each
+    is a pure function of its config, so the summary is deterministic.
     """
     cells = [(value, seed) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in cells]
-
-    def one(cfg: ExperimentConfig):
-        _, result = run_experiment(cfg)
-        return result.traces
-
-    with ThreadPoolExecutor(max_workers=_max_workers(len(cells))) as pool:
-        all_traces = list(pool.map(one, configs))
+    all_traces = [run_experiment(cfg)[1].traces for cfg in configs]
 
     lines = ["axis,value,seed,floor,rounds_to_threshold,trace_file"]
     by_value: dict = {}

@@ -1,17 +1,18 @@
-"""Local-step kernels, written so numba can compile the same source.
+"""Local-step kernels: K simultaneous SGD steps on (u, v) for a block of
+sampled clients at once.
 
-These are the hot loops: K simultaneous SGD steps on (u, v) for one client.
 All randomness is pre-drawn by the caller (noise rows / minibatch indices),
-which keeps the kernels pure and lets the numba and numpy paths consume
-identical streams. `corr_u` is the control-variate correction c_i - c
-(zeros for the uncorrected algorithm); the u-direction is g - corr_u.
+which keeps the kernels pure. Every client starts from the same shared
+`u0` and its own row of `V0`; `Corr` holds one control-variate correction
+c_i - c per row (zeros for the uncorrected algorithm), and the u-direction
+is g - corr.
 
-The quadratic kernel is purely elementwise, so the compiled and plain paths
-produce bitwise-identical iterates. The logistic kernel gathers each step's
-batch rows A[idx[k]], B[idx[k]] and forms all margins and both gradient sums
-as matrix-vector products. Those reassociate sums, so it agrees with a
-row-by-row loop and with the compiled path to roundoff (~1e-12 relative),
-not bitwise.
+The quadratic kernel is purely elementwise on (m, d) arrays, so it gives
+bitwise the iterates of m separate per-client loops. The logistic kernel
+runs the clients one after another; per step it gathers the batch rows
+A[idx[k]], B[idx[k]] and forms all margins and both gradient sums as
+matrix-vector products. Those reassociate sums, so it agrees with a
+row-by-row loop to roundoff (~1e-12 relative), not bitwise.
 """
 
 from __future__ import annotations
@@ -19,44 +20,52 @@ from __future__ import annotations
 import numpy as np
 
 
-def quad_local_steps(u0, v0, a_i, b_i, gamma_u, gamma_v, noise_u, noise_v, corr_u):
-    """K steps of u -= gamma_u*(u - a_i + noise - corr), v -= gamma_v*(v - b_i + noise)."""
-    u = u0.copy()
-    v = v0.copy()
-    for k in range(noise_u.shape[0]):
-        g_u = (u - a_i) + noise_u[k] - corr_u
-        g_v = (v - b_i) + noise_v[k]
-        u = u - gamma_u * g_u
-        v = v - gamma_v * g_v
-    return u, v
+def quad_local_steps(u0, V0, A, B, gamma_u, gamma_v, noise_u, noise_v, Corr):
+    """K steps of U -= gamma_u*(U - A + noise - Corr), V -= gamma_v*(V - B + noise).
 
-
-def logistic_local_steps(u0, v0, A, B, y, rho, gamma_u, gamma_v, idx, corr_u):
-    """K minibatch steps on the regularized logistic loss of one shard.
-
-    idx has shape (K, batch); row k holds the shard rows of step k's batch.
-    Loss per row: log(1 + exp(-y * (a.u + b.v))); the smooth non-convex
-    regularizer rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)) is added per step.
+    A, B, Corr and V0 have one row per client; noise_u, noise_v have shape
+    (K, m, d). Returns the (m, d_u) and (m, d_v) end points.
     """
-    u = u0.copy()
-    v = v0.copy()
-    K, batch = idx.shape
-    for k in range(K):
-        r = idx[k]
-        Ar = A[r]
-        Br = B[r]
-        yr = y[r]
-        margin = yr * (Ar @ u + Br @ v)
-        # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
-        t = np.exp(-np.abs(margin))
-        sig = np.where(margin <= 0.0, 1.0, t) / (1.0 + t)
-        w = -yr * sig
-        su = np.dot(u, u)
-        sv = np.dot(v, v)
-        cu = 2.0 * rho / ((1.0 + su) * (1.0 + su))
-        cv = 2.0 * rho / ((1.0 + sv) * (1.0 + sv))
-        g_u = (w @ Ar) / batch + cu * u - corr_u
-        g_v = (w @ Br) / batch + cv * v
-        u = u - gamma_u * g_u
-        v = v - gamma_v * g_v
-    return u, v
+    U, V = u0, V0
+    for k in range(noise_u.shape[0]):
+        G_u = (U - A) + noise_u[k] - Corr
+        G_v = (V - B) + noise_v[k]
+        U = U - gamma_u * G_u
+        V = V - gamma_v * G_v
+    return U, V
+
+
+def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr):
+    """K minibatch steps on the regularized logistic loss, client by client.
+
+    shards[j] = (A, B, y) of the j-th sampled client; idx[j] has shape
+    (K, batch), row k holding the shard rows of step k's batch. Loss per
+    row: log(1 + exp(-y * (a.u + b.v))); the smooth non-convex regularizer
+    rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)) is added per step.
+    """
+    U = np.empty_like(Corr)
+    V = np.empty_like(V0)
+    for j, ((A, B, y), steps, corr_u) in enumerate(zip(shards, idx, Corr)):
+        u = u0
+        v = V0[j]
+        batch = steps.shape[1]
+        for r in steps:
+            Ar = A[r]
+            Br = B[r]
+            yr = y[r]
+            margin = yr * (Ar @ u + Br @ v)
+            # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
+            t = np.exp(-np.abs(margin))
+            sig = np.where(margin <= 0.0, 1.0, t) / (1.0 + t)
+            w = -yr * sig
+            su = np.dot(u, u)
+            sv = np.dot(v, v)
+            cu = 2.0 * rho / ((1.0 + su) * (1.0 + su))
+            cv = 2.0 * rho / ((1.0 + sv) * (1.0 + sv))
+            g_u = (w @ Ar) / batch + cu * u - corr_u
+            g_v = (w @ Br) / batch + cv * v
+            u = u - gamma_u * g_u
+            v = v - gamma_v * g_v
+        U[j] = u
+        V[j] = v
+    return U, V

@@ -1,7 +1,7 @@
 """Reported quantities and constant estimation.
 
 Per-round metrics (all from exact full-batch gradients over every client,
-sampled or not):
+sampled or not, taken from one `value_and_grads_all` pass):
 
     G_u  = |(1/n) sum_i grad_u f_i(u, v_i)|^2
     G_v  = (1/n) sum_i |grad_v f_i(u, v_i)|^2
@@ -27,25 +27,27 @@ class ConstantEstimates:
     F0: float
 
 
+def round_metrics(oracle, u, v_all, m: int):
+    """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass."""
+    vals, G_u, G_v = oracle.value_and_grads_all(u, v_all)
+    gbar = G_u.mean(axis=0)
+    g_v = float(np.square(G_v).sum(axis=1).mean())
+    return float(vals.mean()), float(gbar @ gbar), g_v, (m / oracle.n) * g_v
+
+
 def function_value(oracle, u, v_all) -> float:
     """f(u, v) = (1/n) sum_i f_i(u, v_i)."""
-    vals = np.array([oracle.value(i, u, v_all[i]) for i in range(oracle.n)])
-    return float(vals.mean())
+    return round_metrics(oracle, u, v_all, oracle.n)[0]
 
 
 def grad_norm_shared(oracle, u, v_all) -> float:
     """|grad_u f(u, v)|^2 with grad_u f = (1/n) sum_i grad_u f_i."""
-    g = np.stack([oracle.grad_u(i, u, v_all[i]) for i in range(oracle.n)])
-    gbar = g.mean(axis=0)
-    return float(gbar @ gbar)
+    return round_metrics(oracle, u, v_all, oracle.n)[1]
 
 
 def grad_norm_personal(oracle, u, v_all, m: int, n: int):
     """(G_v, G_v_hat): mean squared per-client v-gradient norm and its m/n scaling."""
-    sq = np.array(
-        [float(np.square(oracle.grad_v(i, u, v_all[i])).sum()) for i in range(oracle.n)]
-    )
-    g_v = float(sq.mean())
+    g_v = round_metrics(oracle, u, v_all, oracle.n)[2]
     return g_v, (m / n) * g_v
 
 
@@ -55,7 +57,7 @@ def estimate_dissimilarity(oracle, u, v_all) -> float:
     By the variance identity this is nonnegative (up to roundoff); for the
     synthetic quadratic it equals (1/n) sum_i |a_i - abar|^2 at every point.
     """
-    g = np.stack([oracle.grad_u(i, u, v_all[i]) for i in range(oracle.n)])
+    _, g, _ = oracle.value_and_grads_all(u, v_all)
     gbar = g.mean(axis=0)
     return float(np.square(g).sum(axis=1).mean() - gbar @ gbar)
 
@@ -102,14 +104,12 @@ def estimate_initial_gap(oracle, u0, v_all0, iters: int = 500, lr: float | None 
     if lr is None:
         lr = 0.5 / max(estimate_smoothness(oracle, 30, 1.0, np.random.default_rng(0)), 1e-12)
     u = u0.copy()
-    v = [v_all0[i].copy() for i in range(oracle.n)]
+    V = np.array(v_all0, dtype=np.float64)
     best = f0
     for _ in range(iters):
-        g = np.stack([oracle.grad_u(i, u, v[i]) for i in range(oracle.n)])
-        u = u - lr * g.mean(axis=0)
-        for i in range(oracle.n):
-            v[i] = v[i] - lr * oracle.grad_v(i, u, v[i])
-        best = min(best, function_value(oracle, u, v))
+        u = u - lr * oracle.value_and_grads_all(u, V)[1].mean(axis=0)
+        V = V - lr * oracle.value_and_grads_all(u, V)[2]
+        best = min(best, function_value(oracle, u, V))
     return f0 - best
 
 

@@ -1,8 +1,8 @@
 """Objectives over a shared variable u and per-client personal variables v_i.
 
 The global objective is f(u, v) = (1/n) * sum_i f_i(u, v_i). An oracle
-exposes, per client i: exact value and gradients, and a stochastic gradient
-realizing one draw of (grad_u F, grad_v F)(u, v_i; xi). Two concrete
+exposes, per client i: exact value and gradients, and K stochastic gradients
+realizing K draws of (grad_u F, grad_v F)(u, v_i; xi). Two concrete
 objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
@@ -12,6 +12,12 @@ objectives are provided:
 - LogisticObjective: per-shard mean of log(1 + exp(-c * (a.u + b.v)))
   plus a smooth non-convex regularizer
   rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)).
+
+Two block methods work on the client state held as arrays:
+`value_and_grads_all` evaluates all n clients in one pass and
+`local_steps_block` runs the local steps of a round's sampled clients in one
+kernel call. They trust the shapes checked once at run start; only the
+per-client methods check dimensions on every call.
 
 Oracles are immutable after construction; every stochastic evaluation takes
 its generator as an explicit argument.
@@ -26,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import expit
 
-from . import backend
+from . import kernels
 
 if TYPE_CHECKING:
     from .dataio import ClientShard
@@ -42,11 +48,11 @@ def _check_dims(u: np.ndarray, v: np.ndarray, d_u: int, d_v: int) -> None:
 class ObjectiveOracle:
     """Oracle contract plus a generic reference implementation of local steps.
 
-    Subclasses must provide n, d_u, d_v and the four evaluation methods.
-    `local_steps` here is the straightforward per-step loop over stoch_grad;
-    concrete objectives override it with batched kernel calls that consume
-    the generator in exactly the same order, so both paths draw identical
-    randomness.
+    Subclasses must provide n, d_u, d_v, value, grads, stoch_grads and the
+    two block methods. `local_steps` here is the straightforward per-step
+    loop over stoch_grad for one client; `local_steps_block` consumes each
+    client's generator in exactly the same order, so both paths draw
+    identical randomness.
     """
 
     n: int
@@ -65,7 +71,24 @@ class ObjectiveOracle:
     def grad_v(self, i: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.grads(i, u, v)[1]
 
+    def stoch_grads(self, i: int, u: np.ndarray, v: np.ndarray, K: int,
+                    rng: np.random.Generator):
+        """(K, d_u) and (K, d_v) stacks of K independent stochastic gradients
+        at (u, v), one batched draw value-identical to K single draws."""
+        raise NotImplementedError
+
     def stoch_grad(self, i: int, u: np.ndarray, v: np.ndarray, rng: np.random.Generator):
+        _check_dims(u, v, self.d_u, self.d_v)
+        g_u, g_v = self.stoch_grads(i, u, v, 1, rng)
+        return g_u[0], g_v[0]
+
+    def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
+        """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at (u, V)."""
+        raise NotImplementedError
+
+    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+        """`local_steps` for clients ids (ascending) from (u, V[j]) with
+        corr_u = Corr[j] and generator rngs[j]; returns (U_K, V_K) rows."""
         raise NotImplementedError
 
     def local_steps(
@@ -100,7 +123,7 @@ class ObjectiveOracle:
 class QuadraticObjective(ObjectiveOracle):
     """f_i(u, v_i) = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2.
 
-    stoch_grad adds independent zero-mean Gaussian noise with per-coordinate
+    stoch_grads adds independent zero-mean Gaussian noise with per-coordinate
     std sigma_u/sqrt(d_u) (resp. sigma_v/sqrt(d_v)), so the total noise
     second moment is exactly sigma_u^2 (sigma_v^2). The generator is
     consumed identically whether sigma is zero or not.
@@ -145,25 +168,26 @@ class QuadraticObjective(ObjectiveOracle):
         _check_dims(u, v, self.d_u, self.d_v)
         return u - self.centers_u[i], v - self.centers_v[i]
 
-    def stoch_grad(self, i, u, v, rng):
+    def stoch_grads(self, i, u, v, K, rng):
         g_u, g_v = self.grads(i, u, v)
-        z_u = rng.standard_normal(self.d_u)
-        z_v = rng.standard_normal(self.d_v)
-        g_u = g_u + (self.sigma_u / math.sqrt(self.d_u)) * z_u
-        g_v = g_v + (self.sigma_v / math.sqrt(self.d_v)) * z_v
+        z = rng.standard_normal((K, self.d_u + self.d_v))
+        g_u = g_u + (self.sigma_u / math.sqrt(self.d_u)) * z[:, : self.d_u]
+        g_v = g_v + (self.sigma_v / math.sqrt(self.d_v)) * z[:, self.d_u :]
         return g_u, g_v
 
-    def local_steps(self, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
-        _check_dims(u0, v0, self.d_u, self.d_v)
-        # one batched draw, value-for-value identical to K per-step draws
-        z = rng.standard_normal((K, self.d_u + self.d_v))
-        noise_u = z[:, : self.d_u] * (self.sigma_u / math.sqrt(self.d_u))
-        noise_v = z[:, self.d_u :] * (self.sigma_v / math.sqrt(self.d_v))
-        if corr_u is None:
-            corr_u = np.zeros(self.d_u)
-        return backend.quad_local_steps(
-            u0, v0, self.centers_u[i], self.centers_v[i],
-            gamma_u, gamma_v, noise_u, noise_v, corr_u,
+    def value_and_grads_all(self, u, V):
+        DU = u - self.centers_u
+        DV = np.asarray(V) - self.centers_v
+        return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
+
+    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+        # per client the draw of stoch_grads, stacked to (K, m, d_u + d_v)
+        z = np.stack([g.standard_normal((K, self.d_u + self.d_v)) for g in rngs], axis=1)
+        noise_u = z[..., : self.d_u] * (self.sigma_u / math.sqrt(self.d_u))
+        noise_v = z[..., self.d_u :] * (self.sigma_v / math.sqrt(self.d_v))
+        return kernels.quad_local_steps(
+            u, V, self.centers_u[ids], self.centers_v[ids],
+            gamma_u, gamma_v, noise_u, noise_v, Corr,
         )
 
     def dissimilarity_b2(self) -> float:
@@ -174,6 +198,11 @@ class QuadraticObjective(ObjectiveOracle):
     def infimum(self) -> float:
         """inf f: attained at u = abar, v_i = b_i; equals b^2 / 2."""
         return 0.5 * self.dissimilarity_b2()
+
+
+def _row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row, bitwise equal to the per-row `x @ x`."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
 def _reg_value(u: np.ndarray, v: np.ndarray) -> float:
@@ -220,44 +249,48 @@ class LogisticObjective(ObjectiveOracle):
         self.d_u = d_u
         self.d_v = d_v
 
-    def value(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
+    def _value_and_grads(self, i, u, v):
+        # one margin pass feeds both the value and the gradients
         s = self.shards[i]
         margins = s.y * (s.A @ u + s.B @ v)
-        loss = float(np.logaddexp(0.0, -margins).mean())
-        return loss + self.rho * _reg_value(u, v)
-
-    def grads(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        s = self.shards[i]
-        margins = s.y * (s.A @ u + s.B @ v)
+        value = float(np.logaddexp(0.0, -margins).mean()) + self.rho * _reg_value(u, v)
         w = -s.y * expit(-margins)
         inv_n = 1.0 / s.y.shape[0]
         cu, cv = _reg_coeffs(u, v)
         g_u = inv_n * (s.A.T @ w) + (self.rho * cu) * u
         g_v = inv_n * (s.B.T @ w) + (self.rho * cv) * v
-        return g_u, g_v
+        return value, g_u, g_v
 
-    def stoch_grad(self, i, u, v, rng):
+    def value(self, i, u, v):
         _check_dims(u, v, self.d_u, self.d_v)
-        s = self.shards[i]
-        rows = rng.integers(0, s.y.shape[0], size=self.batch_size)
-        A = s.A[rows]
-        B = s.B[rows]
-        y = s.y[rows]
-        margins = y * (A @ u + B @ v)
-        w = -y * expit(-margins)
-        cu, cv = _reg_coeffs(u, v)
-        g_u = (A.T @ w) / self.batch_size + (self.rho * cu) * u
-        g_v = (B.T @ w) / self.batch_size + (self.rho * cv) * v
-        return g_u, g_v
+        return self._value_and_grads(i, u, v)[0]
 
-    def local_steps(self, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
-        _check_dims(u0, v0, self.d_u, self.d_v)
+    def grads(self, i, u, v):
+        _check_dims(u, v, self.d_u, self.d_v)
+        return self._value_and_grads(i, u, v)[1:]
+
+    def value_and_grads_all(self, u, V):
+        vals, G_u, G_v = zip(*(self._value_and_grads(i, u, v) for i, v in enumerate(V)))
+        return np.array(vals), np.stack(G_u), np.stack(G_v)
+
+    def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]
-        idx = rng.integers(0, s.y.shape[0], size=(K, self.batch_size))
-        if corr_u is None:
-            corr_u = np.zeros(self.d_u)
-        return backend.logistic_local_steps(
-            u0, v0, s.A, s.B, s.y, self.rho, gamma_u, gamma_v, idx, corr_u
+        G_u, G_v = [], []
+        for rows in rng.integers(0, s.y.shape[0], size=(K, self.batch_size)):
+            A = s.A[rows]
+            B = s.B[rows]
+            y = s.y[rows]
+            margins = y * (A @ u + B @ v)
+            w = -y * expit(-margins)
+            cu, cv = _reg_coeffs(u, v)
+            G_u.append((A.T @ w) / self.batch_size + (self.rho * cu) * u)
+            G_v.append((B.T @ w) / self.batch_size + (self.rho * cv) * v)
+        return np.stack(G_u), np.stack(G_v)
+
+    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+        shards = [self.shards[i] for i in ids]
+        idx = [g.integers(0, s.y.shape[0], size=(K, self.batch_size))
+               for s, g in zip(shards, rngs)]
+        return kernels.logistic_local_steps(
+            u, V, [(s.A, s.B, s.y) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr
         )

@@ -1,4 +1,4 @@
-"""Shared fixtures: an on-disk digit corpus and kernel warmup.
+"""Shared fixture: an on-disk digit corpus.
 
 By default the corpus is synthesized: 3000 28x28 uint8 images, 300 per
 digit, written as gzipped IDX files. Digits 2j and 2j+1 share one two-blob
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import idxbytes
-from fedpart import backend
 from fedpart.rng import stream
 
 
@@ -76,16 +75,3 @@ def mnist_paths(tmp_path_factory):
     idxbytes.write_idx(lp, idxbytes.labels_bytes(labels), compress=True)
     return ip, lp
 
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Trigger kernel compilation so timed tests measure runtime, not JIT."""
-    backend.quad_local_steps(
-        np.zeros(2), np.zeros(2), np.ones(2), np.ones(2),
-        0.1, 0.1, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(2),
-    )
-    backend.logistic_local_steps(
-        np.zeros(2), np.zeros(2), np.ones((4, 2)), np.ones((4, 2)),
-        np.ones(4), 0.01, 0.1, 0.1, np.zeros((3, 2), dtype=np.int64), np.zeros(2),
-    )
-    return backend.USING_NUMBA

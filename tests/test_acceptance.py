@@ -56,7 +56,7 @@ def hetero_instance():
     return obj
 
 
-def test_criterion_01_heterogeneity_elimination(warm_kernels):
+def test_criterion_01_heterogeneity_elimination():
     obj = hetero_instance()
     t0 = time.perf_counter()
     res_f = run_training("fedavg_p", obj,
@@ -300,7 +300,7 @@ def test_criterion_08_gradient_correctness():
     assert ok, line
 
 
-def test_criterion_09_corpus_trends(mnist_paths, warm_kernels):
+def test_criterion_09_corpus_trends(mnist_paths):
     images_path, labels_path = mnist_paths
     base = dict(objective="logistic_mnist", images_path=images_path,
                 labels_path=labels_path, n=10, m=9, gamma=0.001,

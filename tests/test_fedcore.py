@@ -14,14 +14,11 @@ import pytest
 
 from fedpart import dataio, fedcore, metrics
 from fedpart.fedcore import (
-    ClientState,
     HyperParams,
     ServerState,
     aggregate_shared,
     init_control_variates,
     init_states,
-    local_steps_fedavgp,
-    local_steps_scaffoldp,
     merge_personal,
     recommended_step_sizes,
     run_round,
@@ -30,7 +27,7 @@ from fedpart.fedcore import (
     update_client_control,
     update_server_control,
 )
-from fedpart.objectives import QuadraticObjective
+from fedpart.objectives import LogisticObjective, QuadraticObjective
 from fedpart.rng import stream
 
 
@@ -45,6 +42,15 @@ def quad(centers_u, centers_v, **kw):
 def hp_of(gamma_u=0.1, gamma_v=0.1, eta_u=1.0, eta_v=1.0, K=1, T=1, m=1):
     return HyperParams(gamma_u=gamma_u, gamma_v=gamma_v, eta_u=eta_u,
                        eta_v=eta_v, K=K, T=T, m=m)
+
+
+def client_steps(u0, v0, obj, i, hp, rng, c_i=None, c=None):
+    """Client i's local steps through the one-row block call; the
+    correction c_i - c applies when both are given."""
+    corr = np.zeros(obj.d_u) if c_i is None else c_i - c
+    U, V = obj.local_steps_block(np.array([i]), u0, v0[None], corr[None],
+                                 hp.K, hp.gamma_u, hp.gamma_v, [rng])
+    return U[0], V[0]
 
 
 # -------------------------------------------------------------- hyperparams
@@ -124,11 +130,11 @@ def test_sample_rejects_bad_m():
 
 def test_local_steps_hand_trace():
     obj = quad([[1.0]], [[0.0]])
-    u1, _ = local_steps_fedavgp(np.array([0.0]), np.array([0.0]), obj, 0,
-                                hp_of(gamma_u=0.5, K=1), stream(0, "local", 0, 0))
+    u1, _ = client_steps(np.array([0.0]), np.array([0.0]), obj, 0,
+                         hp_of(gamma_u=0.5, K=1), stream(0, "local", 0, 0))
     assert u1 == pytest.approx([0.5], abs=0)
-    u2, _ = local_steps_fedavgp(np.array([0.0]), np.array([0.0]), obj, 0,
-                                hp_of(gamma_u=0.5, K=2), stream(0, "local", 0, 0))
+    u2, _ = client_steps(np.array([0.0]), np.array([0.0]), obj, 0,
+                         hp_of(gamma_u=0.5, K=2), stream(0, "local", 0, 0))
     assert u2 == pytest.approx([0.75], abs=0)
 
 
@@ -136,8 +142,8 @@ def test_local_steps_zero_step_is_identity():
     obj = quad([[1.0, 2.0]], [[3.0]], sigma_u=1.0, sigma_v=1.0)
     u0 = np.array([0.5, -0.5])
     v0 = np.array([0.25])
-    u, v = local_steps_fedavgp(u0, v0, obj, 0, hp_of(gamma_u=0.0, gamma_v=0.0, K=4),
-                               stream(1, "local", 0, 0))
+    u, v = client_steps(u0, v0, obj, 0, hp_of(gamma_u=0.0, gamma_v=0.0, K=4),
+                        stream(1, "local", 0, 0))
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
 
 
@@ -149,8 +155,8 @@ def test_scaffold_steps_equal_fedavg_when_correction_cancels():
     v0 = rng.standard_normal(2)
     c = rng.standard_normal(3)
     hp = hp_of(gamma_u=0.1, gamma_v=0.2, K=6)
-    a = local_steps_fedavgp(u0, v0, obj, 1, hp, stream(7, "local", 0, 1))
-    b = local_steps_scaffoldp(u0, v0, c, c, obj, 1, hp, stream(7, "local", 0, 1))
+    a = client_steps(u0, v0, obj, 1, hp, stream(7, "local", 0, 1))
+    b = client_steps(u0, v0, obj, 1, hp, stream(7, "local", 0, 1), c, c)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -160,9 +166,9 @@ def test_scaffold_step_pulls_toward_mean_center():
     obj = quad(a, np.zeros((2, 1)))
     abar = a.mean(axis=0)
     u0 = np.array([5.0, -1.0])
-    u1, _ = local_steps_scaffoldp(
-        u0, np.zeros(1), -a[0], -abar, obj, 0, hp_of(gamma_u=0.25, K=1),
-        stream(0, "local", 0, 0),
+    u1, _ = client_steps(
+        u0, np.zeros(1), obj, 0, hp_of(gamma_u=0.25, K=1),
+        stream(0, "local", 0, 0), -a[0], -abar,
     )
     assert np.allclose(u1, u0 - 0.25 * (u0 - abar), atol=1e-15)
 
@@ -228,6 +234,42 @@ def test_init_control_variates_deterministic_and_averaged():
         init_control_variates(np.zeros(3), v0, obj, K=0, seed=5)
 
 
+def _per_draw_control_variates(u0, v0, oracle, K, seed):
+    """The per-draw loop init_control_variates batches: one stoch_grad call
+    per averaged gradient, accumulated left to right, client by client."""
+    c_list = []
+    for i in range(oracle.n):
+        g = stream(seed, "cv_init", i)
+        acc = np.zeros(oracle.d_u)
+        for _ in range(K):
+            g_u, _ = oracle.stoch_grad(i, u0, v0[i], g)
+            acc = acc + g_u
+        c_list.append(acc / K)
+    return np.stack(c_list), np.stack(c_list).mean(axis=0)
+
+
+def test_init_control_variates_match_per_draw_loop():
+    rng = stream(66, "probe")
+    obj = quad(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
+               sigma_u=0.9, sigma_v=0.4)
+    u0 = rng.standard_normal(3)
+    v0 = rng.standard_normal((4, 2))
+    for K in (1, 3, 10):
+        C, c = init_control_variates(u0, v0, obj, K=K, seed=K)
+        C_ref, c_ref = _per_draw_control_variates(u0, v0, obj, K, seed=K)
+        assert np.array_equal(C, C_ref) and np.array_equal(c, c_ref)
+    shards = [dataio.ClientShard(client_id=i + 1, A=rng.standard_normal((9, 3)),
+                                 B=rng.standard_normal((9, 2)),
+                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0))
+              for i in range(3)]
+    logit = LogisticObjective(shards, rho=0.05, batch_size=5)
+    v0 = rng.standard_normal((3, 2))
+    C, c = init_control_variates(u0, v0, logit, K=7, seed=1)
+    C_ref, c_ref = _per_draw_control_variates(u0, v0, logit, 7, seed=1)
+    assert np.allclose(C, C_ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(c, c_ref, rtol=1e-12, atol=1e-14)
+
+
 def test_update_client_control():
     z = np.zeros(2)
     assert np.array_equal(update_client_control(z, z, np.ones(2), np.ones(2), 3, 0.1), z)
@@ -248,8 +290,8 @@ def test_update_client_control_recovers_fresh_gradient():
     v = rng.standard_normal(2)
     c_i = rng.standard_normal(3)
     c = rng.standard_normal(3)
-    u1, _ = local_steps_scaffoldp(u, v, c_i, c, obj, 0, hp_of(gamma_u=0.3, K=1),
-                                  stream(2, "local", 0, 0))
+    u1, _ = client_steps(u, v, obj, 0, hp_of(gamma_u=0.3, K=1),
+                         stream(2, "local", 0, 0), c_i, c)
     g = obj.grad_u(0, u, v)
     got = update_client_control(c_i, c, u, u1, 1, 0.3)
     assert np.allclose(got, g, atol=1e-13)
@@ -345,6 +387,43 @@ def test_run_round_raises_on_divergence():
             run_round("fedavg_p", server, clients, obj, hp, seed=0, t=t)
 
 
+@pytest.mark.parametrize("block,gamma_u,gamma_v", [("u", 1e8, 0.1), ("v", 0.1, 1e8)],
+                         ids=["u", "v"])
+def test_run_round_names_non_finite_iterate_block(block, gamma_u, gamma_v):
+    # 50 steps grow the block by 1e8 each: it overflows within round 0
+    obj = quad([[1.0]], [[1.0]])
+    hp = hp_of(gamma_u=gamma_u, gamma_v=gamma_v, K=50, m=1)
+    server, clients = init_states("fedavg_p", obj, hp, seed=0)
+    with pytest.raises(FloatingPointError, match=f"non-finite {block} after round 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_round("fedavg_p", server, clients, obj, hp, seed=0, t=0)
+    other = clients.V if block == "u" else server.u
+    assert np.isfinite(other).all()
+
+
+def test_run_round_names_non_finite_server_control():
+    # 1/(K gamma_u) overflows: u barely moves, the control refresh is inf
+    obj = quad([[1.0], [-2.0]], [[0.0], [0.0]])
+    hp = hp_of(gamma_u=1e-320, gamma_v=0.1, K=1, m=2)
+    server, clients = init_states("scaffold_p", obj, hp, seed=0)
+    with pytest.raises(FloatingPointError, match="non-finite c after round 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_round("scaffold_p", server, clients, obj, hp, seed=0, t=0)
+    assert np.isfinite(server.u).all() and np.isfinite(clients.V).all()
+
+
+def test_run_round_names_non_finite_client_control():
+    # a corrupted unsampled c_i is caught although the round never reads it
+    obj = quad(np.arange(3.0).reshape(3, 1), np.zeros((3, 1)))
+    hp = hp_of(gamma_u=0.1, gamma_v=0.1, K=2, m=1)
+    server, clients = init_states("scaffold_p", obj, hp, seed=5)
+    (sampled,) = sample_clients(3, 1, stream(5, "sample", 0))
+    clients.C[(sampled + 1) % 3] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite c_i after round 0"):
+        run_round("scaffold_p", server, clients, obj, hp, seed=5, t=0)
+    assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
+
+
 # ------------------------------------------------------------- run_training
 
 
@@ -386,6 +465,14 @@ def test_run_training_validates_m_against_oracle():
     obj = quad([[0.0]], [[0.0]])
     with pytest.raises(ValueError, match="exceeds"):
         run_training("fedavg_p", obj, hp_of(m=2), seed=0)
+
+
+def test_run_training_checks_start_shapes():
+    obj = quad([[1.0, 0.0], [0.0, 1.0]], [[1.0], [2.0]])
+    with pytest.raises(ValueError, match="start shapes"):
+        run_training("fedavg_p", obj, hp_of(T=1), seed=0, u0=np.zeros(3))
+    with pytest.raises(ValueError, match="start shapes"):
+        run_training("fedavg_p", obj, hp_of(T=1), seed=0, v0_all=[np.zeros(1)])
 
 
 def test_run_training_custom_start_is_copied():

@@ -256,6 +256,16 @@ def test_sweep_spec_validation(tmp_path):
         load_sweep_spec(str(p))
 
 
+@pytest.mark.parametrize("axis,values", [("gamma", [0.01, 0.02, 0.01]),
+                                         ("m", [3, 3]), ("K", [5, 10, 5.0])])
+def test_sweep_spec_rejects_duplicate_cells(axis, values):
+    # equal cells would share one trace file and skew the per-value mean
+    with pytest.raises(ValidationError, match="duplicate values"):
+        SweepSpec(base={}, axis=axis, values=values, seeds=[0])
+    with pytest.raises(ValidationError, match="duplicate seeds: 1"):
+        SweepSpec(base={}, axis=axis, values=values[:1], seeds=[1, 2, 1])
+
+
 def test_cell_config_naming(tmp_path):
     spec = SweepSpec(base=dict(TINY), axis="gamma", values=[0.05], seeds=[3],
                      out_dir=str(tmp_path / "sw"))
@@ -309,16 +319,6 @@ def test_sweep_larger_k_raises_floor(tmp_path):
     assert means == sorted(means) and len(set(means)) == 3
     for seed, floors in per_seed.items():
         assert floors[0] < floors[1] < floors[2], (seed, floors)
-
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.setenv("FEDPART_THREADS", "2")
-    assert harness._max_workers(8) == 2
-    assert harness._max_workers(1) == 1
-    monkeypatch.setenv("FEDPART_THREADS", "0")
-    assert harness._max_workers(4) >= 1
-    monkeypatch.setenv("FEDPART_THREADS", "banana")
-    assert harness._max_workers(4) >= 1
 
 
 # ---------------------------------------------------------------------- CLI

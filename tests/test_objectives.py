@@ -297,29 +297,36 @@ def test_logistic_single_row_batches_average_to_full_gradient():
 # -------------------------------------------------------- local-step kernels
 
 
+def block_and_reference(obj, ids, u0, V0, Corr, K, gamma_u, gamma_v, seed):
+    """local_steps_block over rows ids and the per-client reference loop
+    ObjectiveOracle.local_steps, each client on its own ("local", 0, i) stream."""
+    fast = obj.local_steps_block(np.asarray(ids), u0, V0, Corr, K, gamma_u, gamma_v,
+                                 [stream(seed, "local", 0, i) for i in ids])
+    ref = [ObjectiveOracle.local_steps(obj, i, u0, V0[j], K, gamma_u, gamma_v,
+                                       stream(seed, "local", 0, i), Corr[j])
+           for j, i in enumerate(ids)]
+    return fast, (np.stack([r[0] for r in ref]), np.stack([r[1] for r in ref]))
+
+
 def test_quad_local_steps_match_reference_loop_bitwise():
     rng = stream(10, "probe")
-    obj = quad(rng.standard_normal((2, 3)), rng.standard_normal((2, 2)),
+    obj = quad(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)),
                sigma_u=0.7, sigma_v=0.3)
     u0 = rng.standard_normal(3)
-    v0 = rng.standard_normal(2)
-    corr = rng.standard_normal(3)
-    ref = ObjectiveOracle.local_steps(obj, 1, u0, v0, 9, 0.1, 0.2,
-                                      stream(10, "local", 0, 1), corr)
-    fast = obj.local_steps(1, u0, v0, 9, 0.1, 0.2, stream(10, "local", 0, 1), corr)
+    V0 = rng.standard_normal((3, 2))
+    Corr = rng.standard_normal((3, 3))
+    fast, ref = block_and_reference(obj, [0, 1, 3], u0, V0, Corr, 9, 0.1, 0.2, seed=10)
     assert np.array_equal(ref[0], fast[0])
     assert np.array_equal(ref[1], fast[1])
 
 
 def test_logistic_local_steps_match_reference_loop():
     rng = stream(11, "probe")
-    obj = random_logistic(rng, n=1, rows=12, d_u=4, d_v=3, rho=0.05, batch_size=3)
+    obj = random_logistic(rng, n=3, rows=12, d_u=4, d_v=3, rho=0.05, batch_size=3)
     u0 = rng.standard_normal(4)
-    v0 = rng.standard_normal(3)
-    corr = rng.standard_normal(4)
-    ref = ObjectiveOracle.local_steps(obj, 0, u0, v0, 8, 0.2, 0.1,
-                                      stream(11, "local", 0, 0), corr)
-    fast = obj.local_steps(0, u0, v0, 8, 0.2, 0.1, stream(11, "local", 0, 0), corr)
+    V0 = rng.standard_normal((2, 3))
+    Corr = rng.standard_normal((2, 4))
+    fast, ref = block_and_reference(obj, [0, 2], u0, V0, Corr, 8, 0.2, 0.1, seed=11)
     assert np.allclose(ref[0], fast[0], rtol=1e-12, atol=1e-14)
     assert np.allclose(ref[1], fast[1], rtol=1e-12, atol=1e-14)
 
@@ -336,9 +343,7 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     margins = scaled.y * (scaled.A @ u0 + scaled.B @ v0)
     # past the point where math.exp(|margin|) overflows, on both signs
     assert margins.max() > 800.0 and margins.min() < -800.0
-    ref = ObjectiveOracle.local_steps(obj, 0, u0, v0, 8, 0.2, 0.1,
-                                      stream(13, "local", 0, 0), corr)
-    fast = obj.local_steps(0, u0, v0, 8, 0.2, 0.1, stream(13, "local", 0, 0), corr)
+    fast, ref = block_and_reference(obj, [0], u0, v0[None], corr[None], 8, 0.2, 0.1, seed=13)
     assert np.all(np.isfinite(fast[0])) and np.all(np.isfinite(fast[1]))
     assert np.allclose(ref[0], fast[0], rtol=1e-12, atol=1e-14)
     assert np.allclose(ref[1], fast[1], rtol=1e-12, atol=1e-14)
@@ -346,8 +351,39 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
 
 def test_local_steps_zero_gamma_is_identity():
     rng = stream(12, "probe")
-    obj = quad(rng.standard_normal((1, 2)), rng.standard_normal((1, 2)), sigma_u=1.0)
+    obj = quad(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), sigma_u=1.0)
     u0 = rng.standard_normal(2)
-    v0 = rng.standard_normal(2)
-    u, v = obj.local_steps(0, u0, v0, 5, 0.0, 0.0, stream(12, "local", 0, 0))
-    assert np.array_equal(u, u0) and np.array_equal(v, v0)
+    V0 = rng.standard_normal((2, 2))
+    U, V = obj.local_steps_block(np.array([0, 1]), u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0,
+                                 [stream(12, "local", 0, i) for i in (0, 1)])
+    assert np.array_equal(U, np.stack([u0, u0])) and np.array_equal(V, V0)
+
+
+# ------------------------------------------------------------- block passes
+
+
+def test_value_and_grads_all_match_per_client_calls_bitwise():
+    rng = stream(14, "probe")
+    for obj in (quad(rng.standard_normal((5, 3)), rng.standard_normal((5, 4))),
+                random_logistic(rng, n=4, rows=9, d_u=3, d_v=4, rho=0.05)):
+        u = rng.standard_normal(3)
+        V = rng.standard_normal((obj.n, 4))
+        vals, G_u, G_v = obj.value_and_grads_all(u, V)
+        for i in range(obj.n):
+            g_u, g_v = obj.grads(i, u, V[i])
+            assert vals[i] == obj.value(i, u, V[i])
+            assert np.array_equal(G_u[i], g_u) and np.array_equal(G_v[i], g_v)
+
+
+def test_stoch_grads_block_equals_single_draws_bitwise():
+    rng = stream(15, "probe")
+    for obj in (quad(rng.standard_normal((2, 3)), rng.standard_normal((2, 2)),
+                     sigma_u=0.8, sigma_v=0.4),
+                random_logistic(rng, n=2, rows=11, d_u=3, d_v=2, batch_size=5)):
+        u = rng.standard_normal(3)
+        v = rng.standard_normal(2)
+        G_u, G_v = obj.stoch_grads(1, u, v, 7, stream(15, "cv_init", 1))
+        single = stream(15, "cv_init", 1)
+        for k in range(7):
+            g_u, g_v = obj.stoch_grad(1, u, v, single)
+            assert np.array_equal(G_u[k], g_u) and np.array_equal(G_v[k], g_v)
