@@ -89,7 +89,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self._check_enums()
-        self._check_ints()
+        self._check_numbers()
         if self.n < 1:
             raise ValidationError("n", "n >= 1 required")
         if self.m < 1:
@@ -115,11 +115,20 @@ class ExperimentConfig:
         if self.partition not in PARTITIONS:
             raise ValidationError("partition", f"must be one of {PARTITIONS}")
 
-    def _check_ints(self):
-        for name in ("n", "m", "K", "T", "seed", "batch_size", "per_client_cap"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, int):
-                raise ValidationError(name, f"must be an integer, got {val!r}")
+    def _check_numbers(self):
+        # int fields take ints; float fields take ints or finite floats; a
+        # field whose default is None may also be None
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if f.type.startswith("int"):
+                ok, want = isinstance(val, int), "an integer"
+            elif f.type.startswith("float"):
+                ok = isinstance(val, (int, float)) and math.isfinite(val)
+                want = "a finite number"
+            else:
+                continue
+            if (isinstance(val, bool) or not ok) and not (val is None and f.default is None):
+                raise ValidationError(f.name, f"must be {want}, got {val!r}")
 
     def _resolve_steps(self):
         if self.gamma is not None and (self.gamma_u is not None or self.gamma_v is not None):

@@ -1,5 +1,6 @@
 """Local-step kernels: K simultaneous SGD steps on (u, v) for a block of
-sampled clients at once.
+sampled clients at once, and the one regularized logistic gradient that
+every logistic path uses.
 
 All randomness is pre-drawn by the caller (noise rows / minibatch indices),
 which keeps the kernels pure. Every client starts from the same shared
@@ -10,9 +11,8 @@ is g - corr.
 The quadratic kernel is purely elementwise on (m, d) arrays, so it gives
 bitwise the iterates of m separate per-client loops. The logistic kernel
 runs the clients one after another; per step it gathers the batch rows
-A[idx[k]], B[idx[k]] and forms all margins and both gradient sums as
-matrix-vector products. Those reassociate sums, so it agrees with a
-row-by-row loop to roundoff (~1e-12 relative), not bitwise.
+A[idx[k]], B[idx[k]] and takes `logistic_grads` of them, the same call the
+per-client stochastic gradient makes, so the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -35,36 +35,40 @@ def quad_local_steps(u0, V0, A, B, gamma_u, gamma_v, noise_u, noise_v, Corr):
     return U, V
 
 
+def logistic_grads(A, B, y, u, v, rho):
+    """(margin, g_u, g_v) of the regularized logistic loss over rows (A, B, y).
+
+    Loss per row: log(1 + exp(-y * (a.u + b.v))), averaged over the rows,
+    plus the smooth non-convex regularizer
+    rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)).
+    """
+    margin = y * (A @ u + B @ v)
+    # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
+    t = np.exp(-np.abs(margin))
+    w = -y * (np.where(margin <= 0.0, 1.0, t) / (1.0 + t))
+    # gradient of s/(1+s) at s=|x|^2 is 2x/(1+|x|^2)^2
+    su = np.dot(u, u)
+    sv = np.dot(v, v)
+    cu = 2.0 * rho / ((1.0 + su) * (1.0 + su))
+    cv = 2.0 * rho / ((1.0 + sv) * (1.0 + sv))
+    rows = y.shape[0]
+    return margin, (w @ A) / rows + cu * u, (w @ B) / rows + cv * v
+
+
 def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr):
     """K minibatch steps on the regularized logistic loss, client by client.
 
     shards[j] = (A, B, y) of the j-th sampled client; idx[j] has shape
-    (K, batch), row k holding the shard rows of step k's batch. Loss per
-    row: log(1 + exp(-y * (a.u + b.v))); the smooth non-convex regularizer
-    rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)) is added per step.
+    (K, batch), row k holding the shard rows of step k's batch.
     """
     U = np.empty_like(Corr)
     V = np.empty_like(V0)
     for j, ((A, B, y), steps, corr_u) in enumerate(zip(shards, idx, Corr)):
         u = u0
         v = V0[j]
-        batch = steps.shape[1]
         for r in steps:
-            Ar = A[r]
-            Br = B[r]
-            yr = y[r]
-            margin = yr * (Ar @ u + Br @ v)
-            # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
-            t = np.exp(-np.abs(margin))
-            sig = np.where(margin <= 0.0, 1.0, t) / (1.0 + t)
-            w = -yr * sig
-            su = np.dot(u, u)
-            sv = np.dot(v, v)
-            cu = 2.0 * rho / ((1.0 + su) * (1.0 + su))
-            cv = 2.0 * rho / ((1.0 + sv) * (1.0 + sv))
-            g_u = (w @ Ar) / batch + cu * u - corr_u
-            g_v = (w @ Br) / batch + cv * v
-            u = u - gamma_u * g_u
+            _, g_u, g_v = logistic_grads(A[r], B[r], y[r], u, v, rho)
+            u = u - gamma_u * (g_u - corr_u)
             v = v - gamma_v * g_v
         U[j] = u
         V[j] = v

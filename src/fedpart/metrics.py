@@ -1,7 +1,8 @@
 """Reported quantities and constant estimation.
 
-Per-round metrics (all from exact full-batch gradients over every client,
-sampled or not, taken from one `value_and_grads_all` pass):
+`round_metrics` is the one per-point metric: from a single
+`value_and_grads_all` pass (exact full-batch gradients over every client,
+sampled or not) it returns the mean value f and
 
     G_u  = |(1/n) sum_i grad_u f_i(u, v_i)|^2
     G_v  = (1/n) sum_i |grad_v f_i(u, v_i)|^2
@@ -11,6 +12,7 @@ These are per-run sample-path values of the theory's expectations; tests
 average over seeds where variance matters. Constant estimation recovers the
 smoothness L, the gradient dissimilarity b^2 (pointwise slack, a variance,
 hence nonnegative) and the initial gap F0 feeding the step-size formulas.
+All probe randomness comes from `rng.stream`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -33,22 +37,6 @@ def round_metrics(oracle, u, v_all, m: int):
     gbar = G_u.mean(axis=0)
     g_v = float(np.square(G_v).sum(axis=1).mean())
     return float(vals.mean()), float(gbar @ gbar), g_v, (m / oracle.n) * g_v
-
-
-def function_value(oracle, u, v_all) -> float:
-    """f(u, v) = (1/n) sum_i f_i(u, v_i)."""
-    return round_metrics(oracle, u, v_all, oracle.n)[0]
-
-
-def grad_norm_shared(oracle, u, v_all) -> float:
-    """|grad_u f(u, v)|^2 with grad_u f = (1/n) sum_i grad_u f_i."""
-    return round_metrics(oracle, u, v_all, oracle.n)[1]
-
-
-def grad_norm_personal(oracle, u, v_all, m: int, n: int):
-    """(G_v, G_v_hat): mean squared per-client v-gradient norm and its m/n scaling."""
-    g_v = round_metrics(oracle, u, v_all, oracle.n)[2]
-    return g_v, (m / n) * g_v
 
 
 def estimate_dissimilarity(oracle, u, v_all) -> float:
@@ -82,8 +70,8 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
         delta *= step / float(np.sqrt(delta @ delta))
         u0, v0 = x[:d_u], x[d_u:]
         u1, v1 = u0 + delta[:d_u], v0 + delta[d_u:]
-        g0u, g0v = oracle.grads(i, u0, v0)
-        g1u, g1v = oracle.grads(i, u1, v1)
+        _, g0u, g0v = oracle.value_and_grads(i, u0, v0)
+        _, g1u, g1v = oracle.value_and_grads(i, u1, v1)
         diff = np.concatenate([g1u - g0u, g1v - g0v])
         ratio = float(np.sqrt(diff @ diff)) / step
         if ratio > best:
@@ -95,28 +83,35 @@ def estimate_initial_gap(oracle, u0, v_all0, iters: int = 500, lr: float | None 
     """F0 = f(u0, v0) - inf f.
 
     Uses the objective's exact infimum when it exposes one; otherwise runs a
-    deterministic full-gradient descent and reports f(u0, v0) minus the best
-    value seen, an upper-bound proxy on the true gap.
+    deterministic full-gradient descent (u first, then v at the new u) and
+    reports f(u0, v0) minus the best value seen, an upper-bound proxy on the
+    true gap. Without `lr` the step is 0.5 / L_hat from a 30-point probe.
+    Each iteration takes two oracle passes: the pass that values the new
+    point also gives the next u-gradient.
     """
-    f0 = function_value(oracle, u0, v_all0)
+    u = np.array(u0, dtype=np.float64)
+    V = np.array(v_all0, dtype=np.float64)
+    vals, G_u, _ = oracle.value_and_grads_all(u, V)
+    f0 = float(vals.mean())
     if hasattr(oracle, "infimum"):
         return f0 - float(oracle.infimum())
     if lr is None:
-        lr = 0.5 / max(estimate_smoothness(oracle, 30, 1.0, np.random.default_rng(0)), 1e-12)
-    u = u0.copy()
-    V = np.array(v_all0, dtype=np.float64)
+        lr = 0.5 / max(estimate_smoothness(oracle, 30, 1.0, stream(0, "probe")), 1e-12)
     best = f0
     for _ in range(iters):
-        u = u - lr * oracle.value_and_grads_all(u, V)[1].mean(axis=0)
+        u = u - lr * G_u.mean(axis=0)
         V = V - lr * oracle.value_and_grads_all(u, V)[2]
-        best = min(best, function_value(oracle, u, V))
+        vals, G_u, _ = oracle.value_and_grads_all(u, V)
+        best = min(best, float(vals.mean()))
     return f0 - best
 
 
 def estimate_constants(oracle, u0, v_all0, rng, probe_points: int = 120, radius: float = 1.0):
-    """Bundle (L_hat, b2_hat, F0) at the given initial point."""
+    """Bundle (L_hat, b2_hat, F0) at the given initial point; the gap
+    descent steps with 0.5 / L_hat."""
+    L_hat = estimate_smoothness(oracle, probe_points, radius, rng)
     return ConstantEstimates(
-        L_hat=estimate_smoothness(oracle, probe_points, radius, rng),
+        L_hat=L_hat,
         b2_hat=estimate_dissimilarity(oracle, u0, v_all0),
-        F0=estimate_initial_gap(oracle, u0, v_all0),
+        F0=estimate_initial_gap(oracle, u0, v_all0, lr=0.5 / max(L_hat, 1e-12)),
     )

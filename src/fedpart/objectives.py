@@ -1,9 +1,10 @@
 """Objectives over a shared variable u and per-client personal variables v_i.
 
 The global objective is f(u, v) = (1/n) * sum_i f_i(u, v_i). An oracle
-exposes, per client i: exact value and gradients, and K stochastic gradients
-realizing K draws of (grad_u F, grad_v F)(u, v_i; xi). Two concrete
-objectives are provided:
+exposes, per client i, the exact value and both gradients in one call
+(`value_and_grads`) and K stochastic gradients realizing K draws of
+(grad_u F, grad_v F)(u, v_i; xi) (`stoch_grads`). Two concrete objectives
+are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
   Gaussian gradient noise of exactly controllable second moment. Its
@@ -11,13 +12,16 @@ objectives are provided:
   closed form, which makes step-size theory testable against ground truth.
 - LogisticObjective: per-shard mean of log(1 + exp(-c * (a.u + b.v)))
   plus a smooth non-convex regularizer
-  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)).
+  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient,
+  full-batch or minibatch, comes from `kernels.logistic_grads`.
 
 Two block methods work on the client state held as arrays:
 `value_and_grads_all` evaluates all n clients in one pass and
 `local_steps_block` runs the local steps of a round's sampled clients in one
-kernel call. They trust the shapes checked once at run start; only the
-per-client methods check dimensions on every call.
+kernel call. The generic `value_and_grads_all` loops over the per-client
+`value_and_grads`; the quadratic overrides it with one vectorized pass.
+`local_steps_block` trusts the shapes checked once at run start;
+`value_and_grads` checks dimensions on every call.
 
 Oracles are immutable after construction; every stochastic evaluation takes
 its generator as an explicit argument.
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import expit
 
 from . import kernels
 
@@ -46,30 +49,23 @@ def _check_dims(u: np.ndarray, v: np.ndarray, d_u: int, d_v: int) -> None:
 
 
 class ObjectiveOracle:
-    """Oracle contract plus a generic reference implementation of local steps.
+    """Oracle contract plus generic reference implementations.
 
-    Subclasses must provide n, d_u, d_v, value, grads, stoch_grads and the
-    two block methods. `local_steps` here is the straightforward per-step
-    loop over stoch_grad for one client; `local_steps_block` consumes each
-    client's generator in exactly the same order, so both paths draw
-    identical randomness.
+    Subclasses provide n, d_u, d_v, `value_and_grads`, `stoch_grads` and
+    `local_steps_block`. `value_and_grads_all` here loops over clients, and
+    `local_steps` is the straightforward per-step loop over stoch_grad for
+    one client; `local_steps_block` consumes each client's generator in
+    exactly the same order, so both paths draw identical randomness.
     """
 
     n: int
     d_u: int
     d_v: int
 
-    def value(self, i: int, u: np.ndarray, v: np.ndarray) -> float:
+    def value_and_grads(self, i: int, u: np.ndarray, v: np.ndarray):
+        """(f_i, grad_u f_i, grad_v f_i) at (u, v); raises ValueError on a
+        dimension mismatch."""
         raise NotImplementedError
-
-    def grads(self, i: int, u: np.ndarray, v: np.ndarray):
-        raise NotImplementedError
-
-    def grad_u(self, i: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.grads(i, u, v)[0]
-
-    def grad_v(self, i: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.grads(i, u, v)[1]
 
     def stoch_grads(self, i: int, u: np.ndarray, v: np.ndarray, K: int,
                     rng: np.random.Generator):
@@ -84,7 +80,8 @@ class ObjectiveOracle:
 
     def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
         """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at (u, V)."""
-        raise NotImplementedError
+        vals, G_u, G_v = zip(*(self.value_and_grads(i, u, v) for i, v in enumerate(V)))
+        return np.array(vals), np.stack(G_u), np.stack(G_v)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         """`local_steps` for clients ids (ascending) from (u, V[j]) with
@@ -158,22 +155,20 @@ class QuadraticObjective(ObjectiveOracle):
     def d_v(self) -> int:
         return self.centers_v.shape[1]
 
-    def value(self, i, u, v):
+    def value_and_grads(self, i, u, v):
         _check_dims(u, v, self.d_u, self.d_v)
         du = u - self.centers_u[i]
         dv = v - self.centers_v[i]
-        return 0.5 * float(du @ du) + 0.5 * float(dv @ dv)
+        return 0.5 * float(du @ du) + 0.5 * float(dv @ dv), du, dv
 
-    def grads(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        return u - self.centers_u[i], v - self.centers_v[i]
+    def _noise(self, z):
+        """u- and v-noise from standard normal draws z[..., d_u + d_v]."""
+        return (z[..., : self.d_u] * (self.sigma_u / math.sqrt(self.d_u)),
+                z[..., self.d_u :] * (self.sigma_v / math.sqrt(self.d_v)))
 
     def stoch_grads(self, i, u, v, K, rng):
-        g_u, g_v = self.grads(i, u, v)
-        z = rng.standard_normal((K, self.d_u + self.d_v))
-        g_u = g_u + (self.sigma_u / math.sqrt(self.d_u)) * z[:, : self.d_u]
-        g_v = g_v + (self.sigma_v / math.sqrt(self.d_v)) * z[:, self.d_u :]
-        return g_u, g_v
+        noise_u, noise_v = self._noise(rng.standard_normal((K, self.d_u + self.d_v)))
+        return (u - self.centers_u[i]) + noise_u, (v - self.centers_v[i]) + noise_v
 
     def value_and_grads_all(self, u, V):
         DU = u - self.centers_u
@@ -183,8 +178,7 @@ class QuadraticObjective(ObjectiveOracle):
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         # per client the draw of stoch_grads, stacked to (K, m, d_u + d_v)
         z = np.stack([g.standard_normal((K, self.d_u + self.d_v)) for g in rngs], axis=1)
-        noise_u = z[..., : self.d_u] * (self.sigma_u / math.sqrt(self.d_u))
-        noise_v = z[..., self.d_u :] * (self.sigma_v / math.sqrt(self.d_v))
+        noise_u, noise_v = self._noise(z)
         return kernels.quad_local_steps(
             u, V, self.centers_u[ids], self.centers_v[ids],
             gamma_u, gamma_v, noise_u, noise_v, Corr,
@@ -209,13 +203,6 @@ def _reg_value(u: np.ndarray, v: np.ndarray) -> float:
     su = float(u @ u)
     sv = float(v @ v)
     return su / (1.0 + su) + sv / (1.0 + sv)
-
-
-def _reg_coeffs(u: np.ndarray, v: np.ndarray):
-    # gradient of s/(1+s) at s=|x|^2 is 2x/(1+|x|^2)^2
-    su = float(u @ u)
-    sv = float(v @ v)
-    return 2.0 / ((1.0 + su) * (1.0 + su)), 2.0 / ((1.0 + sv) * (1.0 + sv))
 
 
 class LogisticObjective(ObjectiveOracle):
@@ -249,42 +236,18 @@ class LogisticObjective(ObjectiveOracle):
         self.d_u = d_u
         self.d_v = d_v
 
-    def _value_and_grads(self, i, u, v):
-        # one margin pass feeds both the value and the gradients
+    def value_and_grads(self, i, u, v):
+        _check_dims(u, v, self.d_u, self.d_v)
         s = self.shards[i]
-        margins = s.y * (s.A @ u + s.B @ v)
-        value = float(np.logaddexp(0.0, -margins).mean()) + self.rho * _reg_value(u, v)
-        w = -s.y * expit(-margins)
-        inv_n = 1.0 / s.y.shape[0]
-        cu, cv = _reg_coeffs(u, v)
-        g_u = inv_n * (s.A.T @ w) + (self.rho * cu) * u
-        g_v = inv_n * (s.B.T @ w) + (self.rho * cv) * v
+        margin, g_u, g_v = kernels.logistic_grads(s.A, s.B, s.y, u, v, self.rho)
+        value = float(np.logaddexp(0.0, -margin).mean()) + self.rho * _reg_value(u, v)
         return value, g_u, g_v
-
-    def value(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        return self._value_and_grads(i, u, v)[0]
-
-    def grads(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        return self._value_and_grads(i, u, v)[1:]
-
-    def value_and_grads_all(self, u, V):
-        vals, G_u, G_v = zip(*(self._value_and_grads(i, u, v) for i, v in enumerate(V)))
-        return np.array(vals), np.stack(G_u), np.stack(G_v)
 
     def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]
-        G_u, G_v = [], []
-        for rows in rng.integers(0, s.y.shape[0], size=(K, self.batch_size)):
-            A = s.A[rows]
-            B = s.B[rows]
-            y = s.y[rows]
-            margins = y * (A @ u + B @ v)
-            w = -y * expit(-margins)
-            cu, cv = _reg_coeffs(u, v)
-            G_u.append((A.T @ w) / self.batch_size + (self.rho * cu) * u)
-            G_v.append((B.T @ w) / self.batch_size + (self.rho * cv) * v)
+        rows = rng.integers(0, s.y.shape[0], size=(K, self.batch_size))
+        _, G_u, G_v = zip(*(kernels.logistic_grads(s.A[r], s.B[r], s.y[r], u, v, self.rho)
+                            for r in rows))
         return np.stack(G_u), np.stack(G_v)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):

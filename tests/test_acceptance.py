@@ -40,7 +40,7 @@ def prescribed_hp(variant, obj, K, T, m):
     b2 = obj.dissimilarity_b2()
     u0 = np.zeros(obj.d_u)
     v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
-    F0 = metrics.function_value(obj, u0, v0) - obj.infimum()
+    F0 = metrics.round_metrics(obj, u0, v0, obj.n)[0] - obj.infimum()
     gamma, eta_u, eta_v = recommended_step_sizes(
         variant, 1.0, K, T, F0, sigma_u=0.0, sigma_v=0.0,
         b=math.sqrt(b2), m=m, n=obj.n)
@@ -252,11 +252,13 @@ def _central_diff(obj, i, u, v, h=1e-6):
     gu = np.empty_like(u)
     for j in range(u.size):
         e = np.zeros_like(u); e[j] = h
-        gu[j] = (obj.value(i, u + e, v) - obj.value(i, u - e, v)) / (2 * h)
+        gu[j] = (obj.value_and_grads(i, u + e, v)[0]
+                 - obj.value_and_grads(i, u - e, v)[0]) / (2 * h)
     gv = np.empty_like(v)
     for j in range(v.size):
         e = np.zeros_like(v); e[j] = h
-        gv[j] = (obj.value(i, u, v + e) - obj.value(i, u, v - e)) / (2 * h)
+        gv[j] = (obj.value_and_grads(i, u, v + e)[0]
+                 - obj.value_and_grads(i, u, v - e)[0]) / (2 * h)
     return gu, gv
 
 
@@ -277,7 +279,7 @@ def test_criterion_08_gradient_correctness():
             i = p % obj.n
             u = rng.standard_normal(obj.d_u)
             v = rng.standard_normal(obj.d_v)
-            gu, gv = obj.grads(i, u, v)
+            _, gu, gv = obj.value_and_grads(i, u, v)
             fu, fv = _central_diff(obj, i, u, v)
             num = math.sqrt(float(np.sum((gu - fu) ** 2) + np.sum((gv - fv) ** 2)))
             den = max(1.0, math.sqrt(float(np.sum(gu ** 2) + np.sum(gv ** 2))))

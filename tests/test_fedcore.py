@@ -292,7 +292,7 @@ def test_update_client_control_recovers_fresh_gradient():
     c = rng.standard_normal(3)
     u1, _ = client_steps(u, v, obj, 0, hp_of(gamma_u=0.3, K=1),
                          stream(2, "local", 0, 0), c_i, c)
-    g = obj.grad_u(0, u, v)
+    g = obj.value_and_grads(0, u, v)[1]
     got = update_client_control(c_i, c, u, u1, 1, 0.3)
     assert np.allclose(got, g, atol=1e-13)
 
@@ -341,8 +341,9 @@ def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
     assert all(np.array_equal(c.v, np.zeros(1)) for c in clients)
     u0 = np.zeros(1)
     v0 = [np.zeros(1), np.zeros(1)]
-    assert tr.f_value == pytest.approx(metrics.function_value(obj, u0, v0), abs=0)
-    assert tr.grad_norm_u == pytest.approx(metrics.grad_norm_shared(obj, u0, v0), abs=0)
+    f, g_u, _, _ = metrics.round_metrics(obj, u0, v0, hp.m)
+    assert tr.f_value == pytest.approx(f, abs=0)
+    assert tr.grad_norm_u == pytest.approx(g_u, abs=0)
 
 
 def test_run_round_unsampled_clients_untouched():

@@ -111,6 +111,24 @@ def test_int_fields_are_strict():
     assert cfg.spread == 2.0 and isinstance(cfg.spread, float)
 
 
+@pytest.mark.parametrize("raw", [
+    {"gamma": True},
+    {"gamma": "0.1"},
+    {"eta_u": "2"},
+    {"sigma_u": "abc"},
+    {"spread": float("nan")},
+    {"rho": float("inf")},
+    {"sigma_v": None},
+    {"d_u": 2.5},
+])
+def test_number_fields_are_typed(raw):
+    (field, val), = raw.items()
+    with pytest.raises(ValidationError) as ei:
+        config_from_mapping(raw)
+    assert ei.value.field == field
+    assert ei.value.reason.endswith(f"got {val!r}")
+
+
 def test_logistic_validation():
     with pytest.raises(ValidationError, match="784"):
         config_from_mapping(dict(objective="logistic_mnist", d_u=100, d_v=100,
@@ -361,6 +379,13 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "m" in capsys.readouterr().err
 
 
+def test_cli_run_non_finite_number_is_config_error(tmp_path, capsys):
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, spread=float("nan"))])
+    assert rc == 2
+    assert "spread: must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
 def test_cli_run_divergence_is_runtime_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, gamma=None, gamma_u=50.0, gamma_v=0.1, K=20, T=10,
                     sigma_u=0.0)
@@ -401,7 +426,7 @@ def test_cli_estimate(tmp_path, capsys):
     assert got["b2_hat"] == pytest.approx(obj.dissimilarity_b2(), rel=1e-8)
     u0 = np.zeros(3)
     v0 = [np.zeros(2) for _ in range(4)]
-    f0 = metrics.function_value(obj, u0, v0)
+    f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
     assert got["F0"] == pytest.approx(f0 - obj.infimum(), rel=1e-8)
 
 

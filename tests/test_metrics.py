@@ -43,12 +43,9 @@ class Scaled(ObjectiveOracle):
         self.d_u = inner.d_u
         self.d_v = inner.d_v
 
-    def value(self, i, u, v):
-        return self.factor * self.inner.value(i, u, v)
-
-    def grads(self, i, u, v):
-        gu, gv = self.inner.grads(i, u, v)
-        return self.factor * gu, self.factor * gv
+    def value_and_grads(self, i, u, v):
+        f, gu, gv = self.inner.value_and_grads(i, u, v)
+        return self.factor * f, self.factor * gu, self.factor * gv
 
 
 # ------------------------------------------------------------ round metrics
@@ -57,13 +54,13 @@ class Scaled(ObjectiveOracle):
 def test_grad_norm_shared_vanishes_at_mean_center():
     obj = quad([[0.0], [2.0]], np.zeros((2, 1)))
     v_all = [np.array([5.0]), np.array([-1.0])]
-    assert metrics.grad_norm_shared(obj, np.array([1.0]), v_all) == 0.0
+    assert metrics.round_metrics(obj, np.array([1.0]), v_all, obj.n)[1] == 0.0
 
 
 def test_grad_norm_shared_hand_case():
     obj = quad([[0.0], [2.0]], np.zeros((2, 1)))
     v_all = [np.zeros(1), np.zeros(1)]
-    assert metrics.grad_norm_shared(obj, np.array([0.0]), v_all) == pytest.approx(1.0, abs=0)
+    assert metrics.round_metrics(obj, np.array([0.0]), v_all, obj.n)[1] == pytest.approx(1.0, abs=0)
 
 
 def test_grad_norm_shared_matches_reverse_order_accumulation():
@@ -71,10 +68,10 @@ def test_grad_norm_shared_matches_reverse_order_accumulation():
     obj = quad(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
     u = rng.standard_normal(3)
     v_all = [rng.standard_normal(2) for _ in range(5)]
-    got = metrics.grad_norm_shared(obj, u, v_all)
+    got = metrics.round_metrics(obj, u, v_all, obj.n)[1]
     acc = np.zeros(3)
     for i in reversed(range(5)):
-        acc += obj.grad_u(i, u, v_all[i])
+        acc += obj.value_and_grads(i, u, v_all[i])[1]
     acc /= 5
     assert got == pytest.approx(float(acc @ acc), abs=1e-12)
 
@@ -82,15 +79,15 @@ def test_grad_norm_shared_matches_reverse_order_accumulation():
 def test_grad_norm_personal_cases():
     obj = quad(np.zeros((2, 1)), [[1.0], [math.sqrt(3.0)]])
     v_all = [np.zeros(1), np.zeros(1)]  # per-client squared norms 1 and 3
-    g_v, g_v_hat = metrics.grad_norm_personal(obj, np.zeros(1), v_all, m=1, n=2)
+    _, _, g_v, g_v_hat = metrics.round_metrics(obj, np.zeros(1), v_all, m=1)
     assert g_v == pytest.approx(2.0, rel=1e-15)
     assert g_v_hat == pytest.approx(1.0, rel=1e-15)
 
     matched = [np.array([1.0]), np.array([math.sqrt(3.0)])]
-    assert metrics.grad_norm_personal(obj, np.zeros(1), matched, m=2, n=2) == (0.0, 0.0)
+    assert metrics.round_metrics(obj, np.zeros(1), matched, m=2)[2:] == (0.0, 0.0)
 
-    full = metrics.grad_norm_personal(obj, np.zeros(1), v_all, m=2, n=2)
-    assert full[0] == full[1]
+    full = metrics.round_metrics(obj, np.zeros(1), v_all, m=2)
+    assert full[2] == full[3]
 
 
 def test_grad_norm_v_hat_is_exact_scaling():
@@ -99,24 +96,24 @@ def test_grad_norm_v_hat_is_exact_scaling():
     u = rng.standard_normal(obj.d_u)
     v_all = [rng.standard_normal(obj.d_v) for _ in range(obj.n)]
     for m in (1, 2):
-        g_v, g_v_hat = metrics.grad_norm_personal(obj, u, v_all, m=m, n=obj.n)
+        _, _, g_v, g_v_hat = metrics.round_metrics(obj, u, v_all, m=m)
         assert g_v_hat == (m / obj.n) * g_v
 
 
 def test_function_value():
     obj = quad([[1.0]], [[2.0]])
-    assert metrics.function_value(obj, np.array([1.0]), [np.array([2.0])]) == 0.0
+    assert metrics.round_metrics(obj, np.array([1.0]), [np.array([2.0])], 1)[0] == 0.0
 
     rng = stream(42, "probe")
     logi = random_logistic(rng, rho=0.0)
     zeros_v = [np.zeros(logi.d_v) for _ in range(logi.n)]
-    assert metrics.function_value(logi, np.zeros(logi.d_u), zeros_v) == pytest.approx(
+    assert metrics.round_metrics(logi, np.zeros(logi.d_u), zeros_v, logi.n)[0] == pytest.approx(
         math.log(2.0), rel=1e-15
     )
     u = rng.standard_normal(logi.d_u)
     v_all = [rng.standard_normal(logi.d_v) for _ in range(logi.n)]
-    brute = sum(logi.value(i, u, v_all[i]) for i in range(logi.n)) / logi.n
-    assert metrics.function_value(logi, u, v_all) == pytest.approx(brute, abs=1e-12)
+    brute = sum(logi.value_and_grads(i, u, v_all[i])[0] for i in range(logi.n)) / logi.n
+    assert metrics.round_metrics(logi, u, v_all, logi.n)[0] == pytest.approx(brute, abs=1e-12)
 
 
 # ------------------------------------------------------ constant estimation
@@ -184,7 +181,7 @@ def test_initial_gap_quadratic_uses_exact_infimum():
     obj, b2 = dataio.synth_quadratic(4, 2, 2, spread=1.0, sigma_u=0, sigma_v=0, seed=1)
     u0 = np.zeros(2)
     v0 = [np.zeros(2) for _ in range(4)]
-    f0 = metrics.function_value(obj, u0, v0)
+    f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
     got = metrics.estimate_initial_gap(obj, u0, v0)
     assert got == pytest.approx(f0 - b2 / 2.0, rel=1e-12)
 
@@ -194,10 +191,75 @@ def test_initial_gap_logistic_descent_proxy():
     obj = random_logistic(rng, rho=0.01)
     u0 = np.zeros(obj.d_u)
     v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
-    f0 = metrics.function_value(obj, u0, v0)
+    f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
     gap = metrics.estimate_initial_gap(obj, u0, v0, iters=200)
     assert 0.0 <= gap <= f0
     assert gap > 0.05  # descent actually made progress from log 2
+
+
+class Counting(ObjectiveOracle):
+    """Wrap an oracle, counting all-client passes and per-client calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.d_u = inner.d_u
+        self.d_v = inner.d_v
+        self.passes = 0
+        self.calls = 0
+
+    def value_and_grads(self, i, u, v):
+        self.calls += 1
+        return self.inner.value_and_grads(i, u, v)
+
+    def value_and_grads_all(self, u, V):
+        self.passes += 1
+        return self.inner.value_and_grads_all(u, V)
+
+
+def three_pass_gap(oracle, u0, v_all0, iters, lr):
+    """The gap descent with a separate pass for f at every new point."""
+    f0 = metrics.round_metrics(oracle, u0, v_all0, oracle.n)[0]
+    u = u0.copy()
+    V = np.array(v_all0, dtype=np.float64)
+    best = f0
+    for _ in range(iters):
+        u = u - lr * oracle.value_and_grads_all(u, V)[1].mean(axis=0)
+        V = V - lr * oracle.value_and_grads_all(u, V)[2]
+        best = min(best, metrics.round_metrics(oracle, u, V, oracle.n)[0])
+    return f0 - best
+
+
+def test_initial_gap_two_passes_per_iteration():
+    rng = stream(51, "probe")
+    obj = Counting(random_logistic(rng, n=3, rho=0.01))
+    u0 = rng.standard_normal(obj.d_u)
+    v0 = [rng.standard_normal(obj.d_v) for _ in range(obj.n)]
+    for iters in (0, 1, 40):
+        obj.passes = 0
+        gap = metrics.estimate_initial_gap(obj, u0, v0, iters=iters, lr=0.3)
+        assert obj.passes == 2 * iters + 1
+        assert gap == three_pass_gap(obj, u0, v0, iters, 0.3)
+
+
+def test_initial_gap_default_step_probes_a_stream():
+    rng = stream(52, "probe")
+    obj = random_logistic(rng, rho=0.01)
+    u0 = np.zeros(obj.d_u)
+    v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
+    L = metrics.estimate_smoothness(obj, 30, 1.0, stream(0, "probe"))
+    assert metrics.estimate_initial_gap(obj, u0, v0, iters=20) == (
+        metrics.estimate_initial_gap(obj, u0, v0, iters=20, lr=0.5 / L))
+
+
+def test_estimate_constants_probes_smoothness_once():
+    rng = stream(53, "probe")
+    obj = Counting(random_logistic(rng, rho=0.01))
+    u0 = np.zeros(obj.d_u)
+    v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
+    est = metrics.estimate_constants(obj, u0, v0, stream(53, "smooth"), probe_points=10)
+    assert obj.calls == 2 * 10  # two gradient calls per probe, no second probe run
+    assert est.F0 == metrics.estimate_initial_gap(obj, u0, v0, lr=0.5 / est.L_hat)
 
 
 def test_estimate_constants_bundle():
@@ -208,7 +270,7 @@ def test_estimate_constants_bundle():
     assert 0.99 <= est.L_hat <= 1.01
     assert est.b2_hat == pytest.approx(b2, abs=1e-10)
     assert est.F0 == pytest.approx(
-        metrics.function_value(obj, u0, v0) - b2 / 2.0, rel=1e-12
+        metrics.round_metrics(obj, u0, v0, obj.n)[0] - b2 / 2.0, rel=1e-12
     )
 
 
@@ -222,9 +284,7 @@ def test_metrics_do_not_mutate_state():
         tuple(v.tobytes() for v in v_all),
         tuple(s.A.tobytes() + s.B.tobytes() + s.y.tobytes() for s in obj.shards),
     )
-    metrics.function_value(obj, u, v_all)
-    metrics.grad_norm_shared(obj, u, v_all)
-    metrics.grad_norm_personal(obj, u, v_all, 1, obj.n)
+    metrics.round_metrics(obj, u, v_all, 1)
     metrics.estimate_dissimilarity(obj, u, v_all)
     metrics.estimate_constants(obj, u, v_all, stream(50, "smooth"), probe_points=10)
     after = (

@@ -3,10 +3,14 @@ finite differences, stochastic-gradient moments, and the equivalence of the
 batched local-step kernels with the per-step reference loop."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fedpart
 from fedpart.objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
 from fedpart.dataio import ClientShard
 from fedpart.rng import stream
@@ -45,22 +49,30 @@ def random_logistic(rng, n=2, rows=7, d_u=3, d_v=2, rho=0.01, batch_size=1):
     return LogisticObjective(shards, rho=rho, batch_size=batch_size)
 
 
+def value(oracle, i, u, v):
+    return oracle.value_and_grads(i, u, v)[0]
+
+
+def grads(oracle, i, u, v):
+    return oracle.value_and_grads(i, u, v)[1:]
+
+
 def central_diff_grads(oracle, i, u, v, h=1e-6):
     gu = np.empty_like(u)
     for j in range(u.size):
         e = np.zeros_like(u)
         e[j] = h
-        gu[j] = (oracle.value(i, u + e, v) - oracle.value(i, u - e, v)) / (2 * h)
+        gu[j] = (value(oracle, i, u + e, v) - value(oracle, i, u - e, v)) / (2 * h)
     gv = np.empty_like(v)
     for j in range(v.size):
         e = np.zeros_like(v)
         e[j] = h
-        gv[j] = (oracle.value(i, u, v + e) - oracle.value(i, u, v - e)) / (2 * h)
+        gv[j] = (value(oracle, i, u, v + e) - value(oracle, i, u, v - e)) / (2 * h)
     return gu, gv
 
 
 def fd_relative_error(oracle, i, u, v):
-    gu, gv = oracle.grads(i, u, v)
+    gu, gv = grads(oracle, i, u, v)
     fu, fv = central_diff_grads(oracle, i, u, v)
     num = math.sqrt(float(np.square(fu - gu).sum() + np.square(fv - gv).sum()))
     den = max(math.sqrt(float(np.square(gu).sum() + np.square(gv).sum())), 1e-8)
@@ -72,28 +84,28 @@ def fd_relative_error(oracle, i, u, v):
 
 def test_quad_value_at_centers_is_zero():
     obj = quad([[1.0, -2.0]], [[0.5]])
-    assert obj.value(0, np.array([1.0, -2.0]), np.array([0.5])) == 0.0
+    assert value(obj, 0, np.array([1.0, -2.0]), np.array([0.5])) == 0.0
 
 
 def test_quad_value_hand_case():
     obj = quad([[1.0]], [[0.0]])
-    assert obj.value(0, np.array([0.0]), np.array([2.0])) == pytest.approx(2.5, abs=0)
+    assert value(obj, 0, np.array([0.0]), np.array([2.0])) == pytest.approx(2.5, abs=0)
 
 
 def test_quad_value_u_term_homogeneity():
     obj = quad([[2.0, 1.0]], [[0.0]])
     w = np.array([0.3, -0.4])
     v = np.array([0.0])  # v at center: value is the u-term alone
-    v1 = obj.value(0, np.array([2.0, 1.0]) + w, v)
-    v2 = obj.value(0, np.array([2.0, 1.0]) + 2 * w, v)
+    v1 = value(obj, 0, np.array([2.0, 1.0]) + w, v)
+    v2 = value(obj, 0, np.array([2.0, 1.0]) + 2 * w, v)
     assert v2 == pytest.approx(4 * v1, rel=1e-15)
 
 
 def test_quad_grads_hand_cases():
     obj = quad([[1.0]], [[3.0]])
-    gu, gv = obj.grads(0, np.array([1.0]), np.array([3.0]))
+    gu, gv = grads(obj, 0, np.array([1.0]), np.array([3.0]))
     assert np.array_equal(gu, [0.0]) and np.array_equal(gv, [0.0])
-    gu, _ = obj.grads(0, np.array([0.0]), np.array([0.0]))
+    gu, _ = grads(obj, 0, np.array([0.0]), np.array([0.0]))
     assert np.array_equal(gu, [-1.0])
 
 
@@ -129,9 +141,9 @@ def test_quad_constructor_rejects_bad_input():
 def test_quad_dim_mismatch_raises():
     obj = quad(np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        obj.value(0, np.zeros(4), np.zeros(2))
+        value(obj, 0, np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError):
-        obj.grads(0, np.zeros(3), np.zeros(1))
+        grads(obj, 0, np.zeros(3), np.zeros(1))
 
 
 # ----------------------------------------------------------------- logistic
@@ -143,17 +155,17 @@ def test_logistic_value_zero_point_is_log2():
     u = np.zeros(obj.d_u)
     v = np.zeros(obj.d_v)
     for i in range(obj.n):
-        assert obj.value(i, u, v) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert value(obj, i, u, v) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_logistic_regularizer_vanishes_at_origin():
     obj = one_row_logistic([1.0], [1.0], +1.0, rho=1.0)
-    assert obj.value(0, np.zeros(1), np.zeros(1)) == pytest.approx(math.log(2.0), rel=1e-15)
+    assert value(obj, 0, np.zeros(1), np.zeros(1)) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_logistic_value_scalar_margin():
     obj = one_row_logistic([1.0], [0.0], +1.0, rho=0.0)
-    got = obj.value(0, np.array([2.0]), np.array([0.0]))
+    got = value(obj, 0, np.array([2.0]), np.array([0.0]))
     assert got == pytest.approx(math.log(1.0 + math.exp(-2.0)), rel=1e-14)
 
 
@@ -161,12 +173,12 @@ def test_logistic_grads_at_origin():
     a = np.array([0.7, -1.2])
     b = np.array([0.4])
     obj = one_row_logistic(a, b, +1.0, rho=0.0)
-    gu, gv = obj.grads(0, np.zeros(2), np.zeros(1))
+    gu, gv = grads(obj, 0, np.zeros(2), np.zeros(1))
     assert np.allclose(gu, -a / 2, atol=1e-15)
     assert np.allclose(gv, -b / 2, atol=1e-15)
     # rho > 0 adds nothing at the origin
     obj_r = one_row_logistic(a, b, +1.0, rho=5.0)
-    gu_r, gv_r = obj_r.grads(0, np.zeros(2), np.zeros(1))
+    gu_r, gv_r = grads(obj_r, 0, np.zeros(2), np.zeros(1))
     assert np.array_equal(gu, gu_r) and np.array_equal(gv, gv_r)
 
 
@@ -190,7 +202,7 @@ def test_logistic_regularizer_gradient_bounded():
     seen = 0.0
     for _ in range(300):
         u = rng.standard_normal(3) * rng.uniform(0.0, 3.0)
-        gu, _ = obj.grads(0, u, np.zeros(1))
+        gu, _ = grads(obj, 0, u, np.zeros(1))
         seen = max(seen, float(np.sqrt(gu @ gu)))
     assert seen <= 0.65
     assert seen > 0.5  # the sampler actually got near the max
@@ -220,7 +232,7 @@ def test_stoch_grad_noiseless_equals_exact():
     obj = quad(rng.standard_normal((2, 3)), rng.standard_normal((2, 2)))
     u = rng.standard_normal(3)
     v = rng.standard_normal(2)
-    g = obj.grads(1, u, v)
+    g = grads(obj, 1, u, v)
     s = obj.stoch_grad(1, u, v, stream(4, "local", 0, 1))
     assert np.array_equal(g[0], s[0]) and np.array_equal(g[1], s[1])
 
@@ -229,7 +241,7 @@ def test_stoch_grad_noise_second_moment():
     obj = quad(np.zeros((1, 3)), np.zeros((1, 2)), sigma_u=1.0, sigma_v=0.5)
     u = np.array([0.1, -0.2, 0.3])
     v = np.array([1.0, 2.0])
-    gu, gv = obj.grads(0, u, v)
+    gu, gv = grads(obj, 0, u, v)
     rng = stream(5, "local", 0, 0)
     M = 100_000
     acc_u = 0.0
@@ -245,7 +257,7 @@ def test_stoch_grad_noise_second_moment():
 
 
 def _unbiasedness_check(oracle, i, u, v, seed, M=100_000):
-    gu, gv = oracle.grads(i, u, v)
+    gu, gv = grads(oracle, i, u, v)
     exact = np.concatenate([gu, gv])
     rng = stream(seed, "local", 0, i)
     total = np.zeros_like(exact)
@@ -286,10 +298,10 @@ def test_logistic_single_row_batches_average_to_full_gradient():
                          y=shard.y[r : r + 1])],
             rho=0.0,
         )
-        gu, gv = single.grads(0, u, v)
+        gu, gv = grads(single, 0, u, v)
         per_row_u.append(gu)
         per_row_v.append(gv)
-    gu, gv = obj.grads(0, u, v)
+    gu, gv = grads(obj, 0, u, v)
     assert np.allclose(np.mean(per_row_u, axis=0), gu, atol=1e-14)
     assert np.allclose(np.mean(per_row_v, axis=0), gv, atol=1e-14)
 
@@ -327,8 +339,8 @@ def test_logistic_local_steps_match_reference_loop():
     V0 = rng.standard_normal((2, 3))
     Corr = rng.standard_normal((2, 4))
     fast, ref = block_and_reference(obj, [0, 2], u0, V0, Corr, 8, 0.2, 0.1, seed=11)
-    assert np.allclose(ref[0], fast[0], rtol=1e-12, atol=1e-14)
-    assert np.allclose(ref[1], fast[1], rtol=1e-12, atol=1e-14)
+    assert np.array_equal(ref[0], fast[0])
+    assert np.array_equal(ref[1], fast[1])
 
 
 def test_logistic_local_steps_match_reference_loop_at_huge_margins():
@@ -345,8 +357,23 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     assert margins.max() > 800.0 and margins.min() < -800.0
     fast, ref = block_and_reference(obj, [0], u0, v0[None], corr[None], 8, 0.2, 0.1, seed=13)
     assert np.all(np.isfinite(fast[0])) and np.all(np.isfinite(fast[1]))
-    assert np.allclose(ref[0], fast[0], rtol=1e-12, atol=1e-14)
-    assert np.allclose(ref[1], fast[1], rtol=1e-12, atol=1e-14)
+    assert np.array_equal(ref[0], fast[0])
+    assert np.array_equal(ref[1], fast[1])
+
+    # full-batch value and gradients at the same margins, against an
+    # independent logaddexp form: loss logaddexp(0, -m), sigmoid(-m) as
+    # exp(-logaddexp(0, m))
+    val, g_u, g_v = obj.value_and_grads(0, u0, v0)
+    su, sv = float(u0 @ u0), float(v0 @ v0)
+    w = -scaled.y * np.exp(-np.logaddexp(0.0, margins))
+    rows = scaled.y.size
+    want_val = np.logaddexp(0.0, -margins).mean() + obj.rho * (su / (1 + su) + sv / (1 + sv))
+    want_u = scaled.A.T @ w / rows + obj.rho * 2.0 * u0 / (1 + su) ** 2
+    want_v = scaled.B.T @ w / rows + obj.rho * 2.0 * v0 / (1 + sv) ** 2
+    assert math.isfinite(val) and np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_v))
+    assert val == pytest.approx(want_val, rel=1e-12)
+    assert np.allclose(g_u, want_u, rtol=1e-12, atol=1e-12)
+    assert np.allclose(g_v, want_v, rtol=1e-12, atol=1e-12)
 
 
 def test_local_steps_zero_gamma_is_identity():
@@ -370,8 +397,8 @@ def test_value_and_grads_all_match_per_client_calls_bitwise():
         V = rng.standard_normal((obj.n, 4))
         vals, G_u, G_v = obj.value_and_grads_all(u, V)
         for i in range(obj.n):
-            g_u, g_v = obj.grads(i, u, V[i])
-            assert vals[i] == obj.value(i, u, V[i])
+            val, g_u, g_v = obj.value_and_grads(i, u, V[i])
+            assert vals[i] == val
             assert np.array_equal(G_u[i], g_u) and np.array_equal(G_v[i], g_v)
 
 
@@ -387,3 +414,15 @@ def test_stoch_grads_block_equals_single_draws_bitwise():
         for k in range(7):
             g_u, g_v = obj.stoch_grad(1, u, v, single)
             assert np.array_equal(G_u[k], g_u) and np.array_equal(G_v[k], g_v)
+
+
+# ------------------------------------------------------------ dependencies
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedpart.__file__)))
+    code = ("import sys, fedpart, fedpart.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
