@@ -137,16 +137,15 @@ def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random m-subset of {0..n-1}, returned ascending.
 
     Partial Fisher-Yates: m swaps into the prefix, first m entries taken.
+    The m swap targets come from one draw, r_j uniform on {j..n-1}, value
+    for value the m scalar draws rng.integers(j, n) in order.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    idx = np.arange(n)
-    for j in range(m):
-        r = int(rng.integers(j, n))
+    idx = list(range(n))
+    for j, r in enumerate(rng.integers(np.arange(m), n).tolist()):
         idx[j], idx[r] = idx[r], idx[j]
-    out = idx[:m]
-    out.sort()
-    return out
+    return np.array(sorted(idx[:m]))
 
 
 def merge_personal(v_old, v_K, eta_v: float):
@@ -222,7 +221,7 @@ def run_round(algorithm: str, server: ServerState, clients: ClientStates,
     t0 = time.perf_counter()
     n = oracle.n
     ids = sample_clients(n, hp.m, stream(seed, "sample", t))
-    rngs = [stream(seed, "local", t, int(i)) for i in ids]
+    rngs = [stream(seed, "local", t, i) for i in ids.tolist()]
 
     V_old = clients.V[ids]
     C_old = clients.C[ids] if corrected else None
@@ -243,7 +242,7 @@ def run_round(algorithm: str, server: ServerState, clients: ClientStates,
     wall_ms = (time.perf_counter() - t0) * 1e3
     return RoundTrace(
         t=t, f_value=f, grad_norm_u=g_u, grad_norm_v=g_v, grad_norm_v_hat=g_v_hat,
-        sampled=tuple(int(i) + 1 for i in ids), wall_ms=wall_ms,
+        sampled=tuple((ids + 1).tolist()), wall_ms=wall_ms,
     )
 
 

@@ -116,18 +116,27 @@ class ExperimentConfig:
             raise ValidationError("partition", f"must be one of {PARTITIONS}")
 
     def _check_numbers(self):
-        # int fields take ints; float fields take ints or finite floats; a
-        # field whose default is None may also be None
+        # int fields take ints; float fields take ints or finite floats and
+        # store them as floats (json has no int/float distinction a writer
+        # can rely on); a field whose default is None may also be None
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
+            if val is None and f.default is None:
+                continue
             if f.type.startswith("int"):
                 ok, want = isinstance(val, int), "an integer"
             elif f.type.startswith("float"):
-                ok = isinstance(val, (int, float)) and math.isfinite(val)
                 want = "a finite number"
+                try:
+                    ok = isinstance(val, (int, float)) and math.isfinite(val)
+                except OverflowError:  # an int beyond the double range
+                    raise ValidationError(f.name, f"must be {want}, got an integer "
+                                          "beyond the double range") from None
+                if ok and not isinstance(val, bool):
+                    setattr(self, f.name, float(val))
             else:
                 continue
-            if (isinstance(val, bool) or not ok) and not (val is None and f.default is None):
+            if isinstance(val, bool) or not ok:
                 raise ValidationError(f.name, f"must be {want}, got {val!r}")
 
     def _resolve_steps(self):
@@ -139,22 +148,20 @@ class ExperimentConfig:
             self.eta_u = math.sqrt(self.m)
         if self.eta_v is None:
             self.eta_v = math.sqrt(self.n / self.m)
-        self.eta_u = float(self.eta_u)
-        self.eta_v = float(self.eta_v)
         if self.gamma_u is None:
-            base = 0.001 if self.gamma is None else float(self.gamma)
+            base = 0.001 if self.gamma is None else self.gamma
             if base <= 0:
                 raise ValidationError("gamma", "must be > 0")
             self.gamma_u = base / self.eta_u
             self.gamma_v = base / self.eta_v
-        self.gamma_u = float(self.gamma_u)
-        self.gamma_v = float(self.gamma_v)
         self.gamma = None
 
     def _validate(self):
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(name, "must be > 0")
+            val = getattr(self, name)
+            # a resolved step gamma / eta can overflow to inf from finite inputs
+            if not 0 < val < math.inf:
+                raise ValidationError(name, f"must be finite and > 0, got {val!r}")
         if self.batch_size < 1:
             raise ValidationError("batch_size", "batch_size >= 1 required")
         if self.rho < 0:
@@ -199,24 +206,15 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - _FIELD_NAMES
     if unknown:
         raise UnknownKey(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for key, val in raw.items():
-        if isinstance(val, int) and not isinstance(val, bool):
-            # json has no int/float distinction a writer can rely on
-            f_type = next(f.type for f in dataclasses.fields(ExperimentConfig) if f.name == key)
-            if "float" in f_type and key != "seed":
-                val = float(val)
-        kwargs[key] = val
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**raw)
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: {e}") from e
+        try:
+            raw = json.load(f)
+        except ValueError as e:  # not UTF-8, malformed JSON, or an int past the digit limit
+            raise ParseError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     return config_from_mapping(raw)
@@ -341,7 +339,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not UTF-8, malformed JSON, or an int past the digit limit
             raise ParseError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")

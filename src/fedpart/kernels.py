@@ -8,11 +8,12 @@ which keeps the kernels pure. Every client starts from the same shared
 c_i - c per row (zeros for the uncorrected algorithm), and the u-direction
 is g - corr.
 
-The quadratic kernel is purely elementwise on (m, d) arrays, so it gives
-bitwise the iterates of m separate per-client loops. The logistic kernel
-runs the clients one after another; per step it gathers the batch rows
-A[idx[k]], B[idx[k]] and takes `logistic_grads` of them, the same call the
-per-client stochastic gradient makes, so the two agree bitwise.
+The quadratic kernel is elementwise on one fused (m, d_u + d_v) block of
+(u | v) rows, with per-column step sizes and zero v-columns in Corr; x - 0.0
+is exact, so its iterates are bitwise those of m per-client (u, v) loops.
+The logistic kernel runs the clients one after another; per step it gathers
+the batch rows A[idx[k]], B[idx[k]] and takes `logistic_grads` of them, the
+same call the per-client stochastic gradient makes, so the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -20,19 +21,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def quad_local_steps(u0, V0, A, B, gamma_u, gamma_v, noise_u, noise_v, Corr):
-    """K steps of U -= gamma_u*(U - A + noise - Corr), V -= gamma_v*(V - B + noise).
+def quad_local_steps(W, C, steps, noise, Corr):
+    """K steps of W -= steps * ((W - C) + noise[k] - Corr) on the fused block.
 
-    A, B, Corr and V0 have one row per client; noise_u, noise_v have shape
-    (K, m, d). Returns the (m, d_u) and (m, d_v) end points.
+    W (m, d) is the start block, updated in place and returned; C and Corr
+    are (m, d) rows, steps is (d,) and noise is (K, m, d).
     """
-    U, V = u0, V0
-    for k in range(noise_u.shape[0]):
-        G_u = (U - A) + noise_u[k] - Corr
-        G_v = (V - B) + noise_v[k]
-        U = U - gamma_u * G_u
-        V = V - gamma_v * G_v
-    return U, V
+    G = np.empty_like(W)
+    for noise_k in noise:
+        np.subtract(W, C, out=G)
+        G += noise_k
+        G -= Corr
+        G *= steps
+        W -= G
+    return W
 
 
 def logistic_grads(A, B, y, u, v, rho):

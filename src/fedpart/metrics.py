@@ -34,9 +34,10 @@ class ConstantEstimates:
 def round_metrics(oracle, u, v_all, m: int):
     """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass."""
     vals, G_u, G_v = oracle.value_and_grads_all(u, v_all)
-    gbar = G_u.mean(axis=0)
-    g_v = float(np.square(G_v).sum(axis=1).mean())
-    return float(vals.mean()), float(gbar @ gbar), g_v, (m / oracle.n) * g_v
+    n = oracle.n
+    gbar = G_u.sum(axis=0) / n
+    g_v = float(np.square(G_v).sum(axis=1).sum() / n)
+    return float(vals.sum() / n), float(gbar @ gbar), g_v, (m / n) * g_v
 
 
 def estimate_dissimilarity(oracle, u, v_all) -> float:

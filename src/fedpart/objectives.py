@@ -142,6 +142,11 @@ class QuadraticObjective(ObjectiveOracle):
             raise ValueError("noise levels must be >= 0")
         object.__setattr__(self, "centers_u", a)
         object.__setattr__(self, "centers_v", b)
+        # fused (a_i | b_i) rows and per-column noise std for the (u | v) block
+        object.__setattr__(self, "_centers", np.hstack([a, b]))
+        object.__setattr__(self, "_noise_scale", np.repeat(
+            [self.sigma_u / math.sqrt(a.shape[1]), self.sigma_v / math.sqrt(b.shape[1])],
+            [a.shape[1], b.shape[1]]))
 
     @property
     def n(self) -> int:
@@ -161,14 +166,10 @@ class QuadraticObjective(ObjectiveOracle):
         dv = v - self.centers_v[i]
         return 0.5 * float(du @ du) + 0.5 * float(dv @ dv), du, dv
 
-    def _noise(self, z):
-        """u- and v-noise from standard normal draws z[..., d_u + d_v]."""
-        return (z[..., : self.d_u] * (self.sigma_u / math.sqrt(self.d_u)),
-                z[..., self.d_u :] * (self.sigma_v / math.sqrt(self.d_v)))
-
     def stoch_grads(self, i, u, v, K, rng):
-        noise_u, noise_v = self._noise(rng.standard_normal((K, self.d_u + self.d_v)))
-        return (u - self.centers_u[i]) + noise_u, (v - self.centers_v[i]) + noise_v
+        noise = rng.standard_normal((K, self.d_u + self.d_v)) * self._noise_scale
+        return ((u - self.centers_u[i]) + noise[:, : self.d_u],
+                (v - self.centers_v[i]) + noise[:, self.d_u :])
 
     def value_and_grads_all(self, u, V):
         DU = u - self.centers_u
@@ -176,13 +177,21 @@ class QuadraticObjective(ObjectiveOracle):
         return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        # per client the draw of stoch_grads, stacked to (K, m, d_u + d_v)
-        z = np.stack([g.standard_normal((K, self.d_u + self.d_v)) for g in rngs], axis=1)
-        noise_u, noise_v = self._noise(z)
-        return kernels.quad_local_steps(
-            u, V, self.centers_u[ids], self.centers_v[ids],
-            gamma_u, gamma_v, noise_u, noise_v, Corr,
-        )
+        # client j's draw of stoch_grads fills z[j]; noise[k] holds step k's rows
+        m, d_u, d = len(ids), self.d_u, self.d_u + self.d_v
+        z = np.empty((m, K, d))
+        for g, z_j in zip(rngs, z):
+            g.standard_normal(out=z_j)
+        noise = np.multiply(z.transpose(1, 0, 2), self._noise_scale, out=np.empty((K, m, d)))
+        W = np.empty((m, d))
+        W[:, :d_u] = u
+        W[:, d_u:] = V
+        Corr_w = np.zeros_like(W)
+        Corr_w[:, :d_u] = Corr
+        steps = np.full(d, gamma_v)
+        steps[:d_u] = gamma_u
+        W = kernels.quad_local_steps(W, self._centers[ids], steps, noise, Corr_w)
+        return W[:, :d_u], W[:, d_u:]
 
     def dissimilarity_b2(self) -> float:
         """Exact b^2 = (1/n) sum_i |a_i - abar|^2, constant in (u, v)."""

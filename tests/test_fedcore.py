@@ -118,6 +118,22 @@ def test_sample_singleton_frequencies():
     assert np.all(np.abs(counts / draws - 0.1) <= 0.005)
 
 
+def test_sample_equals_per_draw_fisher_yates():
+    # the loop sample_clients replaced: one scalar draw per swap
+    def per_draw(n, m, rng):
+        idx = np.arange(n)
+        for j in range(m):
+            r = int(rng.integers(j, n))
+            idx[j], idx[r] = idx[r], idx[j]
+        return np.sort(idx[:m])
+
+    for n, m in ((10, 9), (6, 6), (3, 1), (1000, 100)):
+        for seed in range(40):
+            got = sample_clients(n, m, stream(seed, "sample", n))
+            want = per_draw(n, m, stream(seed, "sample", n))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, m, seed)
+
+
 def test_sample_rejects_bad_m():
     with pytest.raises(ValueError, match="m=4, n=3"):
         sample_clients(3, 4, stream(0, "sample", 0))

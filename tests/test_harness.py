@@ -129,6 +129,17 @@ def test_number_fields_are_typed(raw):
     assert ei.value.reason.endswith(f"got {val!r}")
 
 
+def test_resolved_step_sizes_must_be_finite():
+    # finite inputs whose quotient gamma / eta_u overflows to inf
+    with pytest.raises(ValidationError) as ei:
+        config_from_mapping({"gamma": 1e308, "eta_u": 1e-308})
+    assert ei.value.field == "gamma_u"
+    assert ei.value.reason == "must be finite and > 0, got inf"
+    with pytest.raises(ValidationError) as ei:
+        config_from_mapping({"gamma_u": 0.1, "gamma_v": 0.0})
+    assert ei.value.field == "gamma_v"
+
+
 def test_logistic_validation():
     with pytest.raises(ValidationError, match="784"):
         config_from_mapping(dict(objective="logistic_mnist", d_u=100, d_v=100,
@@ -166,6 +177,13 @@ def test_load_config(tmp_path):
         load_config(str(p))
     p.write_text("[1, 2]")
     with pytest.raises(ParseError, match="JSON object"):
+        load_config(str(p))
+    # past Python's int-string digit limit json.loads raises a plain ValueError
+    p.write_text('{"rho": 1' + "0" * 5000 + "}")
+    with pytest.raises(ParseError, match="digits"):
+        load_config(str(p))
+    p.write_bytes(b'\xff{"T": 2}')
+    with pytest.raises(ParseError, match="utf-8"):
         load_config(str(p))
 
 
@@ -271,6 +289,9 @@ def test_sweep_spec_validation(tmp_path):
         load_sweep_spec(str(p))
     p.write_text(json.dumps({"axis": "K", "values": [1]}))
     with pytest.raises(ValidationError, match="base"):
+        load_sweep_spec(str(p))
+    p.write_text('{"axis": "K", "values": [1' + "0" * 5000 + "]}")
+    with pytest.raises(ParseError, match="digits"):
         load_sweep_spec(str(p))
 
 
@@ -383,6 +404,21 @@ def test_cli_run_non_finite_number_is_config_error(tmp_path, capsys):
     rc = cli.main(["run", "--config", write_cfg(tmp_path, spread=float("nan"))])
     assert rc == 2
     assert "spread: must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_cli_run_integer_beyond_double_range_is_config_error(tmp_path, capsys):
+    # json.dumps writes the int as 1 followed by 400 zeros
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, rho=10**400)])
+    assert rc == 2
+    assert "rho: must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_cli_run_infinite_resolved_step_is_config_error(tmp_path, capsys):
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, gamma=1e308, eta_u=1e-308)])
+    assert rc == 2
+    assert "gamma_u: must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out.csv")
 
 

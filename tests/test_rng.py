@@ -1,8 +1,18 @@
 """Addressable-stream contract: same address same draws, distinct
-addresses independent, batched draws identical to per-step draws."""
+addresses independent, batched draws identical to per-step draws, and the
+address turned into SeedSequence entropy exactly as numpy turns a list of
+ints into 32-bit words."""
+
+import os
+import random
+import subprocess
+import sys
+from zlib import crc32
 
 import numpy as np
+import pytest
 
+import fedpart
 from fedpart.rng import stream
 
 
@@ -63,3 +73,56 @@ def test_large_and_negative_seeds_are_usable():
     assert np.array_equal(big, stream(2**63 + 17, "sample", 0).random(4))
     neg = stream(-3, "sample", 0).random(4)
     assert np.array_equal(neg, stream(-3, "sample", 0).random(4))
+
+
+def _list_seeded(seed, tag, *path):
+    # the address as a list of ints, split into words by SeedSequence itself
+    words = [seed & 0xFFFFFFFFFFFFFFFF, crc32(tag.encode("ascii")), *path]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+
+
+def test_stream_equals_list_seeded_generator_on_random_addresses():
+    r = random.Random(2024)
+
+    def entry():
+        return r.choice([0, r.randrange(1, 64), r.randrange(2**32),
+                         r.randrange(2**32, 2**64), r.randrange(2**64, 2**130)])
+
+    for _ in range(1200):
+        seed = entry() * r.choice([1, 1, -1])
+        tag = r.choice(["local", "sample", "cv_init", "synth", "probe", ""])
+        path = [entry() for _ in range(r.randrange(4))]
+        got = stream(seed, tag, *path).integers(0, 2**64, 3, dtype=np.uint64)
+        want = _list_seeded(seed, tag, *path).integers(0, 2**64, 3, dtype=np.uint64)
+        assert np.array_equal(got, want), (seed, tag, path)
+
+
+def test_stream_entropy_words_hand_case():
+    # little-endian 32-bit words per value, 0 -> one word 0, seed mod 2^64
+    g = stream(-1, "local", 0, 2**64 + 3, 7)
+    words = [0xFFFFFFFF, 0xFFFFFFFF, crc32(b"local"), 0, 3, 0, 1, 7]
+    assert g.bit_generator.seed_seq.entropy.tolist() == words
+
+
+def test_negative_path_entry_raises():
+    for bad in (-1, -2**40):
+        with pytest.raises(ValueError, match="non-negative"):
+            stream(1, "local", 0, bad)
+
+
+def test_non_integral_path_entry_raises():
+    for bad in (2.7, 2.0, np.float64(3.0), "2"):
+        with pytest.raises(TypeError):
+            stream(1, "local", bad)
+    # numpy integers are integral
+    assert np.array_equal(stream(1, "local", np.int64(2)).random(4),
+                          stream(1, "local", 2).random(4))
+
+
+def test_import_loads_no_numpy_random():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fedpart.__file__)))
+    code = ("import sys, fedpart, fedpart.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
