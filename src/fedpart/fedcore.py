@@ -20,6 +20,16 @@ a run is a pure function of (inputs, seed). Each sampled client still draws
 from its own ("local", t, i) stream, in ascending client order, and every
 batched expression performs per row the same floating-point operations, in
 the same order, as a per-client loop would, so batching changes no bit.
+
+Streams are scheduled up front. Client sampling never reads the iterates,
+so `RoundSchedule.plan` fixes a block of rounds before they run: it draws
+each round's sampled ids from its ("sample", t) stream and derives the
+Philox keys of all the block's ("local", t, i) streams in one
+`rng.stream_keys` call. A round then only rewinds m pooled generators to its
+keys (`rng.StreamPool.reset`), which draw exactly what `rng.stream` would.
+A block is `_KEY_BLOCK // m` rounds (at least one), so the schedule's
+memory does not grow with T. A round's `wall_ms` covers its generator resets but not the
+planning of its block.
 """
 
 from __future__ import annotations
@@ -32,11 +42,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .rng import stream
+from .rng import StreamPool, stream_keys
 
 FEDAVG_P = "fedavg_p"
 SCAFFOLD_P = "scaffold_p"
 ALGORITHMS = (FEDAVG_P, SCAFFOLD_P)
+
+# ("local", t, i) addresses planned per block of rounds
+_KEY_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -69,16 +82,6 @@ class HyperParams:
     @property
     def gamma_eff_v(self) -> float:
         return self.gamma_v * self.eta_v
-
-    @property
-    def coupling_warning(self) -> bool:
-        """True when gamma_u*eta_u != gamma_v*eta_v.
-
-        The convergence theory assumes the two effective steps are equal;
-        the algorithms are well defined without it, so this is a flag, not
-        an error.
-        """
-        return self.gamma_eff_u != self.gamma_eff_v
 
 
 @dataclass
@@ -148,6 +151,40 @@ def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(sorted(idx[:m]))
 
 
+class RoundSchedule:
+    """Client sampling and local streams of a block of rounds, fixed before
+    the rounds run.
+
+    `plan(rounds)` draws each round's sampled ids from its ("sample", t)
+    stream, one pooled generator reset per round, and derives the Philox
+    keys of every ("local", t, i) stream of the block in one call.
+    `streams(t)` rewinds the m pooled local generators to round t's keys.
+    """
+
+    def __init__(self, seed: int, n: int, m: int):
+        self.seed, self.n, self.m = seed, n, m
+        self.rounds = range(0)
+        self._sampler = StreamPool(1)
+        self._local = StreamPool(m)
+
+    def plan(self, rounds: range) -> None:
+        t = np.arange(rounds.start, rounds.stop)
+        sample_keys = stream_keys(self.seed, "sample", t[:, None]).tolist()
+        ids = np.empty((len(t), self.m), dtype=np.int64)
+        for row, key in zip(ids, sample_keys):
+            row[:] = sample_clients(self.n, self.m, self._sampler.reset([key])[0])
+        paths = np.column_stack([np.repeat(t, self.m), ids.ravel()])
+        self._keys = stream_keys(self.seed, "local", paths).reshape(len(t), self.m, 2)
+        self._ids = ids
+        self.rounds = rounds
+
+    def streams(self, t: int):
+        """Round t's ascending sampled ids and their rewound generators;
+        ValueError if t is not planned."""
+        j = self.rounds.index(t)
+        return self._ids[j], self._local.reset(self._keys[j].tolist())
+
+
 def merge_personal(v_old, v_K, eta_v: float):
     """v^{t+1} = (1 - eta_v) v^t + eta_v v_K (eta_v may exceed 1)."""
     if v_old.shape != v_K.shape:
@@ -169,12 +206,15 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
 
     Each client draws one (K, .) block from its own ("cv_init", i) stream,
     value-identical to K stoch_grad draws; the K gradients are summed left
-    to right for all clients at once.
+    to right for all clients at once. The n stream keys are derived in one
+    call and one pooled generator is rewound to each in turn.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    keys = stream_keys(seed, "cv_init", np.arange(oracle.n)[:, None]).tolist()
+    pool = StreamPool(1)
     G = np.stack([
-        oracle.stoch_grads(i, u0, v0_all[i], K, stream(seed, "cv_init", i))[0]
+        oracle.stoch_grads(i, u0, v0_all[i], K, pool.reset([keys[i]])[0])[0]
         for i in range(oracle.n)
     ])
     acc = np.zeros((oracle.n, oracle.d_u))
@@ -208,20 +248,25 @@ def _check_finite(t: int, **blocks) -> None:
 
 
 def run_round(algorithm: str, server: ServerState, clients: ClientStates,
-              oracle, hp: HyperParams, seed: int, t: int) -> RoundTrace:
+              oracle, hp: HyperParams, seed: int, t: int,
+              schedule: RoundSchedule | None = None) -> RoundTrace:
     """One outer round, mutating server and the sampled client rows in place.
 
-    Metrics are computed on the post-round state over all n clients. Raises
-    FloatingPointError naming the first non-finite block among u, v, c and
-    c_i, or f.
+    `schedule` is a RoundSchedule of this seed with round t planned; without
+    one, a one-round schedule is planned first, outside the round's
+    wall_ms. Metrics are computed on the post-round state over all n
+    clients. Raises FloatingPointError naming the first non-finite block
+    among u, v, c and c_i, or f.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     corrected = algorithm == SCAFFOLD_P
-    t0 = time.perf_counter()
     n = oracle.n
-    ids = sample_clients(n, hp.m, stream(seed, "sample", t))
-    rngs = [stream(seed, "local", t, i) for i in ids.tolist()]
+    if schedule is None:
+        schedule = RoundSchedule(seed, n, hp.m)
+        schedule.plan(range(t, t + 1))
+    t0 = time.perf_counter()
+    ids, rngs = schedule.streams(t)
 
     V_old = clients.V[ids]
     C_old = clients.C[ids] if corrected else None
@@ -266,16 +311,21 @@ def init_states(algorithm: str, oracle, hp: HyperParams, seed: int,
 
 def run_training(algorithm: str, oracle, hp: HyperParams, seed: int,
                  u0=None, v0_all=None) -> TrainingResult:
-    """T rounds from the given (default all-zeros) start; deterministic in seed."""
+    """T rounds from the given (default all-zeros) start; deterministic in
+    seed. Rounds run in blocks of _KEY_BLOCK // m rounds (at least one),
+    each block's streams planned before its first round."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if hp.m > oracle.n:
         raise ValueError(f"m={hp.m} exceeds n={oracle.n}")
     server, clients = init_states(algorithm, oracle, hp, seed, u0, v0_all)
-    traces = [
-        run_round(algorithm, server, clients, oracle, hp, seed, t)
-        for t in range(hp.T)
-    ]
+    schedule = RoundSchedule(seed, oracle.n, hp.m)
+    block = max(1, _KEY_BLOCK // hp.m)
+    traces = []
+    for start in range(0, hp.T, block):
+        schedule.plan(range(start, min(start + block, hp.T)))
+        traces.extend(run_round(algorithm, server, clients, oracle, hp, seed, t, schedule)
+                      for t in schedule.rounds)
     return TrainingResult(traces=traces, server=server, clients=clients)
 
 

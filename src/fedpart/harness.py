@@ -32,6 +32,13 @@ SWEEP_AXES = ("gamma", "m", "K")
 
 CSV_HEADER = "t,f_value,grad_norm_u,grad_norm_v,grad_norm_v_hat,sampled,wall_ms"
 
+# every count field stays below 2^32, so each round t and client id is one
+# stream-key word (rng.stream_keys); the largest arrays a run allocates are
+# held to _MAX_ELEMENTS entries (2 GiB of float64) before any allocation
+_COUNT_FIELDS = ("n", "m", "K", "T", "batch_size", "per_client_cap", "d_u", "d_v")
+_MAX_COUNT = 2**32 - 1
+_MAX_ELEMENTS = 2**28
+
 
 class ConfigError(Exception):
     pass
@@ -100,12 +107,17 @@ class ExperimentConfig:
             raise ValidationError("K", "K >= 1 required")
         if self.T < 0:
             raise ValidationError("T", "T >= 0 required")
+        for name in _COUNT_FIELDS:
+            val = getattr(self, name)
+            if val is not None and val > _MAX_COUNT:
+                raise ValidationError(name, f"must be below 2^32, got {val}")
         if self.d_u is None:
             self.d_u = 5 if self.objective == QUADRATIC else 392
         if self.d_v is None:
             self.d_v = 5 if self.objective == QUADRATIC else 784 - self.d_u
         self._resolve_steps()
         self._validate()
+        self._check_sizes()
 
     def _check_enums(self):
         if self.algorithm not in fedcore.ALGORITHMS:
@@ -180,6 +192,21 @@ class ExperimentConfig:
                 raise ValidationError("d_u", f"d_u + d_v must equal 784, got {self.d_u + self.d_v}")
             if not self.images_path or not self.labels_path:
                 raise ValidationError("images_path", "logistic_mnist needs images_path and labels_path")
+
+    def _check_sizes(self):
+        # V, C and the quadratic centers have n rows; a round's local-step
+        # block m * K rows; a logistic round draws m * K minibatches of
+        # batch_size row indices and gathers batch_size data rows per step
+        d = self.d_u + self.d_v
+        sizes = [("n", "n * (d_u + d_v)", self.n * d),
+                 ("K", "m * K * (d_u + d_v)", self.m * self.K * d)]
+        if self.objective == LOGISTIC:
+            sizes += [("batch_size", "m * K * batch_size", self.m * self.K * self.batch_size),
+                      ("batch_size", "batch_size * (d_u + d_v)", self.batch_size * d)]
+        for name, what, size in sizes:
+            if size > _MAX_ELEMENTS:
+                raise ValidationError(name, f"{what} = {size} exceeds the "
+                                      f"{_MAX_ELEMENTS}-element array limit")
 
     def to_mapping(self) -> dict:
         """Resolved key-value form; loading it reproduces this config exactly."""

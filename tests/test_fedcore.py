@@ -7,6 +7,7 @@ reimplementation) are the strongest correctness evidence here: they pin the
 whole round against independently derivable behavior.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,12 +57,10 @@ def client_steps(u0, v0, obj, i, hp, rng, c_i=None, c=None):
 # -------------------------------------------------------------- hyperparams
 
 
-def test_hyperparams_effective_steps_and_warning():
+def test_hyperparams_effective_steps():
     hp = hp_of(gamma_u=0.02, gamma_v=0.01, eta_u=2.0, eta_v=4.0)
     assert hp.gamma_eff_u == pytest.approx(0.04)
     assert hp.gamma_eff_v == pytest.approx(0.04)
-    assert not hp.coupling_warning
-    assert hp_of(gamma_u=0.02, gamma_v=0.01, eta_u=2.0, eta_v=3.0).coupling_warning
 
 
 def test_hyperparams_validation():
@@ -439,6 +438,96 @@ def test_run_round_names_non_finite_client_control():
     with pytest.raises(FloatingPointError, match="non-finite c_i after round 0"):
         run_round("scaffold_p", server, clients, obj, hp, seed=5, t=0)
     assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
+
+
+# --------------------------------------------------------- stream schedule
+
+
+class _PerRoundStreams:
+    """What run_round drew before rounds were scheduled: fresh `stream`
+    generators for ("sample", t) and each ("local", t, i), every round."""
+
+    def __init__(self, seed, n, m):
+        self.seed, self.n, self.m = seed, n, m
+
+    def streams(self, t):
+        ids = sample_clients(self.n, self.m, stream(self.seed, "sample", t))
+        return ids, [stream(self.seed, "local", t, i) for i in ids.tolist()]
+
+
+def _assert_same_run(a, b):
+    # traces (all but wall_ms) and every state array, bitwise
+    def strip(traces):
+        return [dataclasses.replace(tr, wall_ms=0.0) for tr in traces]
+
+    assert strip(a.traces) == strip(b.traces)
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v_all, b.v_all)
+    if a.clients.C is None:
+        assert b.clients.C is None and a.server.c is None and b.server.c is None
+    else:
+        assert np.array_equal(a.clients.C, b.clients.C)
+        assert np.array_equal(a.server.c, b.server.c)
+
+
+def _per_round_stream_run(algorithm, oracle, hp, seed):
+    """run_training as it was before scheduling: per-draw control-variate
+    streams and fresh per-round streams, through run_round's own arithmetic."""
+    # a fedavg_p start draws nothing; scaffold_p's control variates come
+    # from the per-draw reference loop
+    server, clients = init_states(fedcore.FEDAVG_P, oracle, hp, seed)
+    if algorithm == fedcore.SCAFFOLD_P:
+        clients.C, server.c = _per_draw_control_variates(
+            server.u, clients.V, oracle, hp.K, seed)
+    per_round = _PerRoundStreams(seed, oracle.n, hp.m)
+    traces = [run_round(algorithm, server, clients, oracle, hp, seed, t, per_round)
+              for t in range(hp.T)]
+    return fedcore.TrainingResult(traces=traces, server=server, clients=clients)
+
+
+def _small_oracle(objective):
+    if objective == "quadratic":
+        return dataio.synth_quadratic(10, 3, 2, spread=1.0, sigma_u=1.0, sigma_v=0.5, seed=3)[0]
+    rng = stream(75, "probe")
+    shards = [dataio.ClientShard(client_id=i + 1, A=rng.standard_normal((9, 3)),
+                                 B=rng.standard_normal((9, 2)),
+                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0))
+              for i in range(10)]
+    return LogisticObjective(shards, rho=0.05, batch_size=4)
+
+
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+@pytest.mark.parametrize("algorithm", fedcore.ALGORITHMS)
+def test_scheduled_run_equals_per_round_streams(algorithm, objective):
+    # T = 0, T = 1, and a T one block and a partial block long
+    obj = _small_oracle(objective)
+    m = 8
+    block = fedcore._KEY_BLOCK // m
+    for T in (0, 1, block + 7):
+        hp = hp_of(gamma_u=0.01, gamma_v=0.02, eta_u=1.5, eta_v=1.2, K=3, T=T, m=m)
+        got = run_training(algorithm, obj, hp, seed=17)
+        _assert_same_run(got, _per_round_stream_run(algorithm, obj, hp, seed=17))
+
+
+def test_run_round_alone_equals_round_inside_run_training():
+    obj, _ = dataio.synth_quadratic(6, 3, 2, spread=1.0, sigma_u=0.8, sigma_v=0.3, seed=4)
+    hp = hp_of(gamma_u=0.05, gamma_v=0.05, eta_u=1.3, K=4, T=9, m=3)
+    for algorithm in fedcore.ALGORITHMS:
+        whole = run_training(algorithm, obj, hp, seed=8)
+        server, clients = init_states(algorithm, obj, hp, seed=8)
+        traces = [run_round(algorithm, server, clients, obj, hp, seed=8, t=t)
+                  for t in range(hp.T)]
+        alone = fedcore.TrainingResult(traces=traces, server=server, clients=clients)
+        _assert_same_run(whole, alone)
+
+
+def test_schedule_rejects_an_unplanned_round():
+    schedule = fedcore.RoundSchedule(seed=0, n=5, m=2)
+    schedule.plan(range(3, 6))
+    ids, rngs = schedule.streams(5)
+    assert len(ids) == len(rngs) == 2
+    for t in (2, 6):
+        with pytest.raises(ValueError):
+            schedule.streams(t)
 
 
 # ------------------------------------------------------------- run_training

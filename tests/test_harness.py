@@ -160,6 +160,35 @@ def test_more_validation():
         assert ei.value.field == field, raw
 
 
+def test_count_fields_are_bounded():
+    # each count below 2^32 (one stream-key word), checked before any
+    # derived size; the largest arrays checked before they are allocated
+    for name in ("n", "T", "K", "batch_size", "per_client_cap", "d_u", "d_v"):
+        with pytest.raises(ValidationError) as ei:
+            config_from_mapping({name: 2**32})
+        assert ei.value.field == name
+        assert ei.value.reason == "must be below 2^32, got 4294967296"
+    with pytest.raises(ValidationError) as ei:
+        config_from_mapping({"n": 2**32, "m": 2**32})
+    assert ei.value.field == "n"
+    cfg = config_from_mapping({"T": 2**32 - 1, "per_client_cap": 2**32 - 1})
+    assert cfg.T == 2**32 - 1
+    for raw, field, what in (
+            ({"n": 2**27, "m": 1}, "n", "n * (d_u + d_v) = 1342177280"),
+            ({"d_u": 10**8}, "n", "n * (d_u + d_v) = 1000000050"),
+            ({"K": 10**7}, "K", "m * K * (d_u + d_v) = 900000000"),
+            ({"objective": "logistic_mnist", "images_path": "i", "labels_path": "l",
+              "K": 1, "m": 1, "batch_size": 10**6}, "batch_size",
+             "batch_size * (d_u + d_v) = 784000000")):
+        with pytest.raises(ValidationError) as ei:
+            config_from_mapping(raw)
+        assert ei.value.field == field, raw
+        assert ei.value.reason.startswith(what), ei.value.reason
+    # at the limit, and batch_size is not a quadratic size
+    config_from_mapping({"n": 2**28 // 10, "m": 1})
+    config_from_mapping({"batch_size": 2**32 - 1})
+
+
 def test_mapping_round_trip():
     cfg = config_from_mapping(dict(TINY, output="x.csv"))
     m = cfg.to_mapping()
@@ -412,6 +441,21 @@ def test_cli_run_integer_beyond_double_range_is_config_error(tmp_path, capsys):
     rc = cli.main(["run", "--config", write_cfg(tmp_path, rho=10**400)])
     assert rc == 2
     assert "rho: must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_cli_run_absurd_client_count_is_config_error(tmp_path, capsys):
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, n=10**30, m=1, T=1)])
+    assert rc == 2
+    assert "n: must be below 2^32, got 10000000000" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_cli_run_large_representable_dimension_is_config_error(tmp_path, capsys):
+    # a d_u the array limit rejects before anything is allocated
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, d_u=10**9, T=1)])
+    assert rc == 2
+    assert "n: n * (d_u + d_v) = " in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out.csv")
 
 

@@ -1,7 +1,8 @@
 """Addressable-stream contract: same address same draws, distinct
 addresses independent, batched draws identical to per-step draws, and the
 address turned into SeedSequence entropy exactly as numpy turns a list of
-ints into 32-bit words."""
+ints into 32-bit words. Keys derived for many addresses at once, and pooled
+generators rewound to them, must give the same streams."""
 
 import os
 import random
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fedpart
-from fedpart.rng import stream
+from fedpart.rng import StreamPool, philox_keys, stream, stream_keys
 
 
 def test_same_address_same_draws():
@@ -117,6 +118,84 @@ def test_non_integral_path_entry_raises():
     # numpy integers are integral
     assert np.array_equal(stream(1, "local", np.int64(2)).random(4),
                           stream(1, "local", 2).random(4))
+
+
+def test_philox_keys_equal_seed_sequence_for_word_counts_1_to_8():
+    r = random.Random(7)
+    for w in range(1, 9):
+        words = np.array([[r.choice([0, 1, r.randrange(2**32)]) for _ in range(w)]
+                          for _ in range(150)], dtype=np.uint32)
+        want = np.stack([np.random.SeedSequence(row).generate_state(2, np.uint64)
+                         for row in words])
+        assert np.array_equal(philox_keys(words), want), w
+
+
+def test_stream_keys_equal_seed_sequence_and_stream_on_random_addresses():
+    # one- and two-word seeds (negative ones reduced mod 2^64) before the
+    # tag word, 0-6 path entries: 2 to 9 entropy words
+    r = random.Random(2025)
+    seen = set()
+    for _ in range(200):
+        seed = r.choice([0, r.randrange(2**32), r.randrange(2**32, 2**64),
+                         r.randrange(2**64, 2**70)]) * r.choice([1, -1])
+        tag = r.choice(["local", "sample", "cv_init", ""])
+        p = r.randrange(7)
+        paths = [[r.choice([0, r.randrange(1, 64), r.randrange(2**32)]) for _ in range(p)]
+                 for _ in range(6)]
+        keys = stream_keys(seed, tag, np.array(paths, dtype=np.int64).reshape(6, p))
+        assert keys.shape == (6, 2) and keys.dtype == np.uint64
+        for path, key in zip(paths, keys):
+            words = [seed & 0xFFFFFFFFFFFFFFFF, crc32(tag.encode("ascii")), *path]
+            want = np.random.SeedSequence(words).generate_state(2, np.uint64)
+            assert np.array_equal(key, want), (seed, tag, path)
+            g = stream(seed, tag, *path)
+            assert np.array_equal(key, g.bit_generator.state["state"]["key"])
+            seen.add(len(g.bit_generator.seed_seq.entropy))
+    assert seen == set(range(2, 10))
+
+
+def test_stream_keys_empty_inputs():
+    assert stream_keys(3, "local", np.empty((0, 2), dtype=np.int64)).shape == (0, 2)
+    keys = stream_keys(3, "probe", np.empty((2, 0), dtype=np.int64))
+    want = stream(3, "probe").bit_generator.state["state"]["key"]
+    assert np.array_equal(keys, [want, want])
+
+
+def test_stream_keys_reject_entries_that_are_not_one_word():
+    for bad in ([[0, 2**32]], [[-1, 0]], [[2**64]], [[1.0]], [[2**40]]):
+        with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+            stream_keys(1, "local", bad)
+    with pytest.raises(ValueError, match="shape"):
+        stream_keys(1, "local", [1, 2])
+    assert stream_keys(1, "local", [[2**32 - 1]]).shape == (1, 2)
+
+
+def test_pool_reset_equals_fresh_stream_after_partial_draws():
+    addresses = [(5, "local", 3, 1), (2**40 + 1, "sample", 0), (-7, "cv_init", 9)]
+    keys = [stream(*a).bit_generator.state["state"]["key"].tolist() for a in addresses]
+    pool = StreamPool(len(addresses))
+    for g in pool.generators:
+        # an odd number of uint32 draws leaves has_uint32 set, and the
+        # draws end inside a Philox output block of 4 uint64s
+        g.bit_generator.random_raw()
+        g.integers(0, 2**32, size=3, dtype=np.uint32)
+        state = g.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    for _ in range(2):  # rewinding twice is the same as once
+        gens = pool.reset(keys)
+        for a, g in zip(addresses, gens):
+            fresh = stream(*a)
+            got, want = g.bit_generator.state, fresh.bit_generator.state
+            for k in ("counter", "key"):
+                assert np.array_equal(got["state"][k], want["state"][k])
+            for k in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got[k] == want[k]
+            assert np.array_equal(g.integers(0, 2**32, 3, dtype=np.uint32),
+                                  fresh.integers(0, 2**32, 3, dtype=np.uint32))
+            assert np.array_equal(g.standard_normal(9), fresh.standard_normal(9))
+            assert np.array_equal(g.random(4), fresh.random(4))
+    with pytest.raises(ValueError, match="pool of 3"):
+        pool.reset(keys + keys[:1])
 
 
 def test_import_loads_no_numpy_random():
