@@ -4,13 +4,16 @@ client partitioning, and synthetic quadratic instance generation.
 IDX files are the standard MNIST container: big-endian magic, dimension
 sizes, then raw unsigned bytes. Parsing is bit-exact and strict: wrong
 magic, short payloads and trailing bytes are all distinct errors. Gzipped
-files are inflated transparently when read from disk.
+files are inflated transparently when read from disk, and every format or
+inflate error met while loading a file names that file. Images stay uint8
+pixels until partitioning scales the rows each shard keeps.
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +55,7 @@ class TooFewExamples(ValueError):
 
 @dataclass(frozen=True)
 class RawDataset:
-    """Parsed images (count, pixels) in [0, 1] with digit labels 0-9."""
+    """Parsed uint8 images (count, pixels) with digit labels 0-9."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -83,7 +86,8 @@ class ClientShard:
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a (count, rows*cols) float64 array in [0, 1]."""
+    """Parse an IDX image file into (count, rows*cols) uint8 pixel rows, a
+    read-only view of `data` (no copy)."""
     if len(data) < 16:
         raise Truncated(f"image header needs 16 bytes, got {len(data)}")
     magic, count, rows, cols = struct.unpack_from(">IIII", data, 0)
@@ -94,8 +98,7 @@ def parse_idx_images(data: bytes) -> np.ndarray:
         raise Truncated(f"header promises {expected} bytes, got {len(data)}")
     if len(data) > expected:
         raise TrailingBytes(f"{len(data) - expected} bytes beyond promised payload")
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows * cols)
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
@@ -118,18 +121,30 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 
 
 def read_idx_bytes(path: str) -> bytes:
-    """Read a file, inflating transparently if it is gzip-compressed."""
+    """Read a file, inflating transparently if it is gzip-compressed; a
+    damaged gzip stream raises DataFormatError naming the file."""
     with open(path, "rb") as f:
         head = f.read(2)
         f.seek(0)
-        if head == b"\x1f\x8b":
+        if head != b"\x1f\x8b":
+            return f.read()
+        try:
             return gzip.decompress(f.read())
-        return f.read()
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise DataFormatError(f"{path}: {e}") from e
+
+
+def _load_idx(path: str, parse):
+    data = read_idx_bytes(path)
+    try:
+        return parse(data)
+    except DataFormatError as e:
+        raise type(e)(f"{path}: {e}") from e
 
 
 def load_mnist(images_path: str, labels_path: str) -> RawDataset:
-    images = parse_idx_images(read_idx_bytes(images_path))
-    labels = parse_idx_labels(read_idx_bytes(labels_path))
+    images = _load_idx(images_path, parse_idx_images)
+    labels = _load_idx(labels_path, parse_idx_labels)
     return RawDataset(images=images, labels=labels)
 
 
@@ -160,16 +175,22 @@ def partition_clients(
     seed: int,
     d_u: int,
     d_v: int,
+    cap: int | None = None,
 ) -> list[ClientShard]:
-    """Partition a dataset into n ClientShards (disjoint, union = dataset).
+    """Partition a dataset into n disjoint ClientShards.
 
     iid: seeded shuffle, then contiguous equal-size blocks. by_label: stable
     sort by digit, then contiguous blocks, i.e. adjacent digit ranges per client,
-    which maximizes heterogeneity. Labels are binarized by parity and each
-    image is split into shared/personal feature blocks.
+    which maximizes heterogeneity. Each shard keeps the first `cap` rows of
+    its block (all of them when cap is None), so without a cap the shards'
+    union is the dataset. Labels are binarized by parity; only the kept
+    uint8 rows are gathered, split into shared/personal feature blocks and
+    scaled by 1/255 into C-contiguous float64 A and B.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
     if dataset.count < n:
         raise TooFewExamples(f"{dataset.count} examples cannot fill {n} shards")
     if scheme == "iid":
@@ -180,36 +201,14 @@ def partition_clients(
         raise ValueError(f"unknown partition scheme {scheme!r}")
 
     y_all = binarize_labels(dataset.labels).astype(np.float64)
-    a_all, b_all = split_features(dataset.images, d_u, d_v)
-
     shards = []
     start = 0
     for i, size in enumerate(_block_sizes(dataset.count, n)):
-        rows = order[start : start + size]
+        rows = order[start : start + size][:cap]
         start += size
-        shards.append(
-            ClientShard(
-                client_id=i + 1,
-                A=np.ascontiguousarray(a_all[rows]),
-                B=np.ascontiguousarray(b_all[rows]),
-                y=y_all[rows],
-            )
-        )
+        a, b = split_features(dataset.images[rows], d_u, d_v)
+        shards.append(ClientShard(client_id=i + 1, A=a / 255.0, B=b / 255.0, y=y_all[rows]))
     return shards
-
-
-def cap_shard(shard: ClientShard, cap: int) -> ClientShard:
-    """First `cap` rows of a shard (identity when the shard is smaller)."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if shard.n_rows <= cap:
-        return shard
-    return ClientShard(
-        client_id=shard.client_id,
-        A=shard.A[:cap].copy(),
-        B=shard.B[:cap].copy(),
-        y=shard.y[:cap].copy(),
-    )
 
 
 def synth_quadratic(

@@ -291,9 +291,9 @@ def build_oracle(config: ExperimentConfig):
         return obj
     ds = dataio.load_mnist(config.images_path, config.labels_path)
     shards = dataio.partition_clients(
-        ds, config.n, config.partition, config.seed, config.d_u, config.d_v
+        ds, config.n, config.partition, config.seed, config.d_u, config.d_v,
+        cap=config.per_client_cap,
     )
-    shards = [dataio.cap_shard(s, config.per_client_cap) for s in shards]
     return LogisticObjective(shards, rho=config.rho, batch_size=config.batch_size)
 
 

@@ -49,13 +49,13 @@ def _check_dims(u: np.ndarray, v: np.ndarray, d_u: int, d_v: int) -> None:
 
 
 class ObjectiveOracle:
-    """Oracle contract plus generic reference implementations.
+    """Oracle contract plus a generic `value_and_grads_all`.
 
     Subclasses provide n, d_u, d_v, `value_and_grads`, `stoch_grads` and
-    `local_steps_block`. `value_and_grads_all` here loops over clients, and
-    `local_steps` is the straightforward per-step loop over stoch_grad for
-    one client; `local_steps_block` consumes each client's generator in
-    exactly the same order, so both paths draw identical randomness.
+    `local_steps_block`. `value_and_grads_all` here loops over clients.
+    `local_steps_block` consumes each client's generator exactly as K
+    successive `stoch_grad` draws would, so it draws the same randomness
+    as the per-step loop over `stoch_grad` that the tests compare it to.
     """
 
     n: int
@@ -84,36 +84,12 @@ class ObjectiveOracle:
         return np.array(vals), np.stack(G_u), np.stack(G_v)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        """`local_steps` for clients ids (ascending) from (u, V[j]) with
-        corr_u = Corr[j] and generator rngs[j]; returns (U_K, V_K) rows."""
-        raise NotImplementedError
-
-    def local_steps(
-        self,
-        i: int,
-        u0: np.ndarray,
-        v0: np.ndarray,
-        K: int,
-        gamma_u: float,
-        gamma_v: float,
-        rng: np.random.Generator,
-        corr_u: np.ndarray | None = None,
-    ):
-        """K simultaneous SGD steps on (u, v) for client i.
+        """K simultaneous SGD steps for clients ids (ascending) from
+        (u, V[j]) with generator rngs[j]; returns (U_K, V_K) rows.
 
         Both gradients of each step are evaluated at the same (u_k, v_k)
-        and the same draw. The u-direction is g_u - corr_u when a
-        control-variate correction is given.
-        """
-        u = u0.copy()
-        v = v0.copy()
-        for _ in range(K):
-            g_u, g_v = self.stoch_grad(i, u, v, rng)
-            if corr_u is not None:
-                g_u = g_u - corr_u
-            u = u - gamma_u * g_u
-            v = v - gamma_v * g_v
-        return u, v
+        and the same draw; the u-direction is g_u - Corr[j]."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,54 @@
+"""Straightforward reference implementations the package's fast paths are
+compared against. None of this runs in the package itself."""
+
+import numpy as np
+
+from fedpart import dataio
+from fedpart.dataio import ClientShard
+from fedpart.rng import stream
+
+
+def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
+    """K simultaneous SGD steps on (u, v) for client i, one `stoch_grad`
+    draw per step.
+
+    Both gradients of each step are evaluated at the same (u_k, v_k) and the
+    same draw. The u-direction is g_u - corr_u when a control-variate
+    correction is given.
+    """
+    u = u0.copy()
+    v = v0.copy()
+    for _ in range(K):
+        g_u, g_v = oracle.stoch_grad(i, u, v, rng)
+        if corr_u is not None:
+            g_u = g_u - corr_u
+        u = u - gamma_u * g_u
+        v = v - gamma_v * g_v
+    return u, v
+
+
+def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
+    """Client shards built the way the loader used to: scale the whole
+    corpus to float64, copy every row into uncapped shards, then copy each
+    shard's first `cap` rows again."""
+    images = pixels.astype(np.float64) / 255.0
+    if scheme == "iid":
+        order = stream(seed, "partition").permutation(labels.shape[0])
+    else:
+        order = np.argsort(labels, kind="stable")
+    y_all = dataio.binarize_labels(labels).astype(np.float64)
+    a_all, b_all = images[:, :d_u], images[:, d_u:]
+    base, rem = divmod(labels.shape[0], n)
+    shards = []
+    start = 0
+    for i in range(n):
+        size = base + 1 if i < rem else base
+        rows = order[start : start + size]
+        start += size
+        A = np.ascontiguousarray(a_all[rows])
+        B = np.ascontiguousarray(b_all[rows])
+        y = y_all[rows]
+        if size > cap:
+            A, B, y = A[:cap].copy(), B[:cap].copy(), y[:cap].copy()
+        shards.append(ClientShard(client_id=i + 1, A=A, B=B, y=y))
+    return shards

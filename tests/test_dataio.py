@@ -3,20 +3,24 @@ and the synthetic quadratic generator.
 
 The parser tests build inputs with the test-local idxbytes encoder (and a
 few literal byte strings), never with the package's own code, so encode and
-decode bugs cannot cancel.
+decode bugs cannot cancel. Shards are checked bitwise against the old
+float-corpus pipeline kept in `reference.capped_shards`.
 """
 
 import gzip
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import idxbytes
-from fedpart import dataio, metrics
+import reference
+from fedpart import dataio, harness, metrics
 from fedpart.dataio import (
     BadMagic,
-    ClientShard,
+    DataFormatError,
     DimMismatch,
     LabelOutOfRange,
     RawDataset,
@@ -34,8 +38,9 @@ from fedpart.rng import stream
 def test_parse_images_hand_bytes():
     raw = struct.pack(">IIII", 0x00000803, 1, 2, 2) + bytes([0, 255, 0, 255])
     out = dataio.parse_idx_images(raw)
-    assert out.shape == (1, 4)
-    assert np.array_equal(out[0], [0.0, 1.0, 0.0, 1.0])
+    assert out.shape == (1, 4) and out.dtype == np.uint8
+    assert np.array_equal(out[0], [0, 255, 0, 255])
+    assert np.shares_memory(out, np.frombuffer(raw, dtype=np.uint8))  # a view, no copy
 
 
 def test_parse_images_wrong_magic():
@@ -84,9 +89,9 @@ def test_idx_round_trip():
     pixels = rng.integers(0, 256, size=(6, 5, 3)).astype(np.uint8)
     payload = idxbytes.images_bytes(pixels)
     parsed = dataio.parse_idx_images(payload)
-    assert parsed.shape == (6, 15)
-    back = np.round(parsed * 255.0).astype(np.uint8).reshape(6, 5, 3)
-    assert idxbytes.images_bytes(back) == payload
+    assert parsed.dtype == np.uint8
+    assert np.array_equal(parsed, pixels.reshape(6, 15))
+    assert idxbytes.images_bytes(parsed.reshape(6, 5, 3)) == payload
 
     labels = rng.integers(0, 10, size=9).astype(np.uint8)
     payload = idxbytes.labels_bytes(labels)
@@ -116,6 +121,32 @@ def test_load_mnist_count_mismatch(tmp_path):
     idxbytes.write_idx(str(ip), idxbytes.images_bytes(np.zeros((2, 2, 2), dtype=np.uint8)))
     idxbytes.write_idx(str(lp), idxbytes.labels_bytes(np.zeros(3, dtype=np.uint8)))
     with pytest.raises(dataio.DataFormatError):
+        dataio.load_mnist(str(ip), str(lp))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda gz: gz[: len(gz) // 2],                 # truncated stream
+    lambda gz: gz[:2] + bytes(len(gz) - 2),        # not deflate data behind the magic
+    lambda gz: gz[:-8] + bytes(4) + gz[-4:],       # wrong CRC
+])
+def test_damaged_gzip_names_its_file(tmp_path, damage):
+    gz = gzip.compress(idxbytes.labels_bytes(np.arange(10, dtype=np.uint8)), mtime=0)
+    path = tmp_path / "labels.idx.gz"
+    path.write_bytes(damage(gz))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
+        dataio.read_idx_bytes(str(path))
+
+
+def test_parse_errors_name_their_file(tmp_path):
+    ip = tmp_path / "i.idx"
+    lp = tmp_path / "l.idx"
+    idxbytes.write_idx(str(ip), idxbytes.labels_bytes(np.zeros(8, dtype=np.uint8)))
+    idxbytes.write_idx(str(lp), idxbytes.labels_bytes(np.zeros(2, dtype=np.uint8)))
+    with pytest.raises(BadMagic, match=f"^{re.escape(str(ip))}: expected magic"):
+        dataio.load_mnist(str(ip), str(lp))
+    idxbytes.write_idx(str(ip), idxbytes.images_bytes(np.zeros((2, 2, 2), dtype=np.uint8)))
+    lp.write_bytes(idxbytes.labels_bytes(np.zeros(3, dtype=np.uint8))[:-1])
+    with pytest.raises(Truncated, match=f"^{re.escape(str(lp))}: header promises"):
         dataio.load_mnist(str(ip), str(lp))
 
 
@@ -159,8 +190,8 @@ def _indexed_dataset(labels):
     mapped back to source rows."""
     labels = np.asarray(labels, dtype=np.int64)
     count = labels.shape[0]
-    images = np.zeros((count, 4))
-    images[:, 0] = np.arange(count) / 255.0
+    images = np.zeros((count, 4), dtype=np.uint8)
+    images[:, 0] = np.arange(count)
     return RawDataset(images=images, labels=labels)
 
 
@@ -247,21 +278,67 @@ def test_by_label_more_heterogeneous_than_iid(mnist_paths):
     assert slacks["by_label"] > slacks["iid"]
 
 
-def test_cap_shard():
-    shard = ClientShard(
-        client_id=2,
-        A=np.arange(10.0).reshape(5, 2),
-        B=np.arange(5.0).reshape(5, 1),
-        y=np.ones(5),
-    )
-    same = dataio.cap_shard(shard, 5)
-    assert same is shard
-    small = dataio.cap_shard(shard, 3)
-    assert small.n_rows == 3
-    assert small.client_id == 2
-    assert np.array_equal(small.A, shard.A[:3])
+def test_partition_cap():
+    ds = _indexed_dataset(stream(27, "probe").integers(0, 10, size=10))
+    (full,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2)
+    (same,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2, cap=10)
+    assert np.array_equal(same.A, full.A) and np.array_equal(same.y, full.y)
+    small = dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=3)
+    assert [s.n_rows for s in small] == [3, 3]
+    assert [s.client_id for s in small] == [1, 2]
+    assert np.array_equal(small[0].A, full.A[:3])
+    assert np.array_equal(small[1].B, full.B[5:8])
     with pytest.raises(ValueError):
-        dataio.cap_shard(shard, 0)
+        dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=0)
+
+
+@pytest.mark.parametrize("scheme", ["iid", "by_label"])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_partition_matches_float_corpus_pipeline(scheme, n):
+    # 203 rows: neither 4 nor 10 divides it, so blocks differ in size
+    rng = stream(28, "probe")
+    pixels = rng.integers(0, 256, size=(203, 784)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=203)
+    ds = RawDataset(images=pixels, labels=labels)
+    block = -(-203 // n)
+    for cap in (block - 1, block, block + 7):
+        for d_u in (1, 392, 783):
+            got = dataio.partition_clients(ds, n, scheme, 9, d_u, 784 - d_u, cap=cap)
+            want = reference.capped_shards(pixels, labels, n, scheme, 9, d_u, 784 - d_u, cap)
+            assert len(got) == len(want) == n
+            for g, w in zip(got, want):
+                assert g.client_id == w.client_id
+                for name in ("A", "B", "y"):
+                    ga, wa = getattr(g, name), getattr(w, name)
+                    assert ga.dtype == wa.dtype == np.float64
+                    assert ga.flags.c_contiguous and wa.flags.c_contiguous
+                    assert ga.shape == wa.shape and ga.tobytes() == wa.tobytes()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_oracle_peak_memory(mnist_paths):
+    # at its peak build_oracle holds the inflated IDX payload and the shards
+    # the run keeps, and no float copy of the whole corpus; inflating a file
+    # has a transient of its own, which on the session corpus is far smaller
+    cfg = harness.config_from_mapping(dict(
+        objective="logistic_mnist", images_path=mnist_paths[0], labels_path=mnist_paths[1],
+        n=10, m=9, partition="by_label", per_client_cap=1000, d_u=392, d_v=392))
+    payload, inflate_peak = 0, 0
+    for path in mnist_paths:
+        data, peak = _traced_peak(dataio.read_idx_bytes, path)
+        payload += len(data)
+        inflate_peak = max(inflate_peak, peak)
+    oracle, peak = _traced_peak(harness.build_oracle, cfg)
+    shard_bytes = sum(s.A.nbytes + s.B.nbytes + s.y.nbytes for s in oracle.shards)
+    assert peak <= max(inflate_peak, shard_bytes + payload) + 2**20, (peak, shard_bytes, payload)
 
 
 # --------------------------------------------------------- synthetic source

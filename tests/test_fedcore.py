@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from fedpart import dataio, fedcore, metrics
 from fedpart.fedcore import (
     HyperParams,
@@ -661,8 +662,8 @@ def test_aggregate_is_unbiased_over_sampling():
     u0 = rng.standard_normal(d)
     v0 = [rng.standard_normal(2) for _ in range(n)]
     per_client = np.stack([
-        obj.local_steps(i, u0, v0[i], hp.K, hp.gamma_u, hp.gamma_v,
-                        stream(0, "local", 0, i))[0]
+        reference.local_steps(obj, i, u0, v0[i], hp.K, hp.gamma_u, hp.gamma_v,
+                              stream(0, "local", 0, i))[0]
         for i in range(n)
     ])
     full = aggregate_shared(u0, per_client, hp.eta_u, n)

@@ -6,6 +6,7 @@ the file format and the deterministic numerics together. wall_ms is the one
 column allowed to vary between runs.
 """
 
+import gzip
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+import idxbytes
 from fedpart import cli, harness, metrics
 from fedpart.fedcore import RoundTrace
 from fedpart.harness import (
@@ -473,6 +475,24 @@ def test_cli_run_divergence_is_runtime_error(tmp_path, capsys):
         rc = cli.main(["run", "--config", cfg])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated_gz", "wrong_magic"])
+def test_cli_run_bad_idx_file_names_it(tmp_path, capsys, damage):
+    images = idxbytes.images_bytes(np.zeros((4, 28, 28), dtype=np.uint8))
+    if damage == "truncated_gz":
+        ip = tmp_path / "images.idx.gz"
+        ip.write_bytes(gzip.compress(images, mtime=0)[:-20])
+    else:
+        ip = tmp_path / "images.idx"
+        ip.write_bytes(idxbytes.labels_bytes(np.zeros(20, dtype=np.uint8)))
+    lp = tmp_path / "labels.idx"
+    lp.write_bytes(idxbytes.labels_bytes(np.arange(4, dtype=np.uint8)))
+    cfg = write_cfg(tmp_path, objective="logistic_mnist", images_path=str(ip),
+                    labels_path=str(lp), n=2, m=1, T=1, d_u=392, d_v=392)
+    rc = cli.main(["run", "--config", cfg])
+    assert rc == 1
+    assert f"error: {ip}: " in capsys.readouterr().err
 
 
 def test_cli_stepsize(capsys):

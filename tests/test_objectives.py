@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fedpart
-from fedpart.objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
+import reference
+from fedpart.objectives import LogisticObjective, QuadraticObjective
 from fedpart.dataio import ClientShard
 from fedpart.rng import stream
 
@@ -311,11 +312,11 @@ def test_logistic_single_row_batches_average_to_full_gradient():
 
 def block_and_reference(obj, ids, u0, V0, Corr, K, gamma_u, gamma_v, seed):
     """local_steps_block over rows ids and the per-client reference loop
-    ObjectiveOracle.local_steps, each client on its own ("local", 0, i) stream."""
+    reference.local_steps, each client on its own ("local", 0, i) stream."""
     fast = obj.local_steps_block(np.asarray(ids), u0, V0, Corr, K, gamma_u, gamma_v,
                                  [stream(seed, "local", 0, i) for i in ids])
-    ref = [ObjectiveOracle.local_steps(obj, i, u0, V0[j], K, gamma_u, gamma_v,
-                                       stream(seed, "local", 0, i), Corr[j])
+    ref = [reference.local_steps(obj, i, u0, V0[j], K, gamma_u, gamma_v,
+                                 stream(seed, "local", 0, i), Corr[j])
            for j, i in enumerate(ids)]
     return fast, (np.stack([r[0] for r in ref]), np.stack([r[1] for r in ref]))
 
