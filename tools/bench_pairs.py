@@ -112,8 +112,6 @@ def main() -> int:
                     help="at least 10, e.g. 7001-7010; seeds not used while developing")
     ap.add_argument("--workloads", default=None,
                     help="comma-separated subset of BENCHMARK.json's workloads (default all)")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length of every run (default BENCHMARK.json's run_seconds)")
     ap.add_argument("--note", default="", help="what the change does, copied into the file")
     args = ap.parse_args()
     if len(args.seeds) < 10:
@@ -133,7 +131,7 @@ def main() -> int:
             w["name"] for w in bench["workloads"]]
         command = [sys.executable if bench["command"][0] == "python3" else bench["command"][0],
                    *bench["command"][1:]]
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         result = {
             "label": args.label,
             "change": args.note,
