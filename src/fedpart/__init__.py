@@ -7,6 +7,7 @@ from .fedcore import (
     RoundTrace,
     TrainingResult,
     recommended_step_sizes,
+    round_streams,
     run_round,
     run_training,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "load_config",
     "partition_clients",
     "recommended_step_sizes",
+    "round_streams",
     "run_experiment",
     "run_round",
     "run_sweep",

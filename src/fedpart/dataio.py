@@ -11,7 +11,7 @@ pixels until partitioning scales the rows each shard keeps.
 
 from __future__ import annotations
 
-import gzip
+import io
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,6 +23,9 @@ from .rng import stream
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+
+# compressed bytes read, and inflated bytes produced, per inflate step
+_INFLATE_CHUNK = 1 << 16
 
 
 class DataFormatError(ValueError):
@@ -121,17 +124,35 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
 
 
 def read_idx_bytes(path: str) -> bytes:
-    """Read a file, inflating transparently if it is gzip-compressed; a
-    damaged gzip stream raises DataFormatError naming the file."""
+    """Read a file, inflating transparently if it is one gzip member.
+
+    The member is inflated in bounded chunks into one growing buffer, so the
+    peak is about the payload, not the compressed file and the payload
+    twice over. A truncated or damaged stream, a wrong checksum and bytes
+    after the member each raise DataFormatError naming the file.
+    """
     with open(path, "rb") as f:
         head = f.read(2)
         f.seek(0)
         if head != b"\x1f\x8b":
             return f.read()
+        inflate = zlib.decompressobj(wbits=31)
+        out = io.BytesIO()
         try:
-            return gzip.decompress(f.read())
-        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            while not inflate.eof:
+                data = inflate.unconsumed_tail or f.read(_INFLATE_CHUNK)
+                if not data:
+                    out.write(inflate.flush())
+                    break
+                out.write(inflate.decompress(data, _INFLATE_CHUNK))
+        except zlib.error as e:
             raise DataFormatError(f"{path}: {e}") from e
+        if not inflate.eof:
+            raise DataFormatError(f"{path}: compressed stream ends before its end marker")
+        if inflate.unused_data or f.read(1):
+            raise DataFormatError(f"{path}: bytes after the end of the gzip member")
+    # the payload's own buffer, trimmed to size, not a copy
+    return out.getvalue()
 
 
 def _load_idx(path: str, parse):

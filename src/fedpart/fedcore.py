@@ -21,15 +21,20 @@ from its own ("local", t, i) stream, in ascending client order, and every
 batched expression performs per row the same floating-point operations, in
 the same order, as a per-client loop would, so batching changes no bit.
 
-Streams are scheduled up front. Client sampling never reads the iterates,
-so `RoundSchedule.plan` fixes a block of rounds before they run: it draws
-each round's sampled ids from its ("sample", t) stream and derives the
-Philox keys of all the block's ("local", t, i) streams in one
-`rng.stream_keys` call. A round then only rewinds m pooled generators to its
-keys (`rng.StreamPool.reset`), which draw exactly what `rng.stream` would.
-A block is `_KEY_BLOCK // m` rounds (at least one), so the schedule's
-memory does not grow with T. A round's `wall_ms` covers its generator resets but not the
-planning of its block.
+Streams are drawn ahead of the rounds. Client sampling never reads the
+iterates, so `round_streams` plans a block of rounds before they run: it
+draws each round's sampled ids from its ("sample", t) stream and derives
+the Philox keys of all the block's ("local", t, i) streams in one
+`rng.stream_keys` call. Each round then gets m pooled generators rewound to
+its keys (`rng.StreamPool.reset`), which draw exactly what `rng.stream`
+would. A block is `_KEY_BLOCK // m` rounds (at least one), so the plan's
+memory does not grow with T. `run_round` does only the round's arithmetic
+on the ids and generators it is handed; its `wall_ms` covers neither the
+planning nor the generator resets.
+
+Run invariants (a known algorithm, m <= n, gamma_u > 0 for the corrected
+variant) are checked once, by `init_states`, before any draw; the
+corrected variant is the state that carries control variates.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ class HyperParams:
     m: int
 
     def __post_init__(self):
-        # zero is allowed (a zero step is the identity); the corrected
-        # algorithm's control update still demands gamma_u > 0 at use site
+        # zero is allowed (a zero step is the identity); init_states
+        # demands gamma_u > 0 for the corrected algorithm's control update
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -74,14 +79,6 @@ class HyperParams:
             raise ValueError("T must be >= 0")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-
-    @property
-    def gamma_eff_u(self) -> float:
-        return self.gamma_u * self.eta_u
-
-    @property
-    def gamma_eff_v(self) -> float:
-        return self.gamma_v * self.eta_v
 
 
 @dataclass
@@ -151,38 +148,30 @@ def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     return np.array(sorted(idx[:m]))
 
 
-class RoundSchedule:
-    """Client sampling and local streams of a block of rounds, fixed before
-    the rounds run.
+def round_streams(seed: int, n: int, m: int, rounds: range):
+    """Yield (t, ids, rngs) for each round t of `rounds`: the m ascending
+    sampled ids drawn from the ("sample", t) stream, and m generators at the
+    starts of the ("local", t, i) streams of those ids, in order.
 
-    `plan(rounds)` draws each round's sampled ids from its ("sample", t)
-    stream, one pooled generator reset per round, and derives the Philox
-    keys of every ("local", t, i) stream of the block in one call.
-    `streams(t)` rewinds the m pooled local generators to round t's keys.
+    Rounds are planned `_KEY_BLOCK // m` at a time (at least one): one
+    pooled sampler reset per round and one `stream_keys` call for all the
+    block's local streams. The m generators are pooled and rewound for each
+    round, so a round's generators stay valid only until the next round is
+    drawn.
     """
-
-    def __init__(self, seed: int, n: int, m: int):
-        self.seed, self.n, self.m = seed, n, m
-        self.rounds = range(0)
-        self._sampler = StreamPool(1)
-        self._local = StreamPool(m)
-
-    def plan(self, rounds: range) -> None:
-        t = np.arange(rounds.start, rounds.stop)
-        sample_keys = stream_keys(self.seed, "sample", t[:, None]).tolist()
-        ids = np.empty((len(t), self.m), dtype=np.int64)
+    sampler, local = StreamPool(1), StreamPool(m)
+    ts = np.arange(rounds.start, rounds.stop, rounds.step)
+    block = max(1, _KEY_BLOCK // m)
+    for start in range(0, len(ts), block):
+        t = ts[start:start + block]
+        sample_keys = stream_keys(seed, "sample", t[:, None]).tolist()
+        ids = np.empty((len(t), m), dtype=np.int64)
         for row, key in zip(ids, sample_keys):
-            row[:] = sample_clients(self.n, self.m, self._sampler.reset([key])[0])
-        paths = np.column_stack([np.repeat(t, self.m), ids.ravel()])
-        self._keys = stream_keys(self.seed, "local", paths).reshape(len(t), self.m, 2)
-        self._ids = ids
-        self.rounds = rounds
-
-    def streams(self, t: int):
-        """Round t's ascending sampled ids and their rewound generators;
-        ValueError if t is not planned."""
-        j = self.rounds.index(t)
-        return self._ids[j], self._local.reset(self._keys[j].tolist())
+            row[:] = sample_clients(n, m, sampler.reset([key])[0])
+        paths = np.column_stack([np.repeat(t, m), ids.ravel()])
+        keys = stream_keys(seed, "local", paths).reshape(len(t), m, 2)
+        for tj, row, row_keys in zip(t.tolist(), ids, keys):
+            yield tj, row, local.reset(row_keys.tolist())
 
 
 def merge_personal(v_old, v_K, eta_v: float):
@@ -192,12 +181,9 @@ def merge_personal(v_old, v_K, eta_v: float):
     return (1.0 - eta_v) * v_old + eta_v * v_K
 
 
-def aggregate_shared(u_old, returned, eta_u: float, m: int):
-    """u^{t+1} = (1 - eta_u) u^t + (eta_u/m) sum of returned u_i."""
-    returned = np.asarray(returned)
-    if returned.shape[0] != m:
-        raise ValueError(f"expected {m} returned vectors, got {returned.shape[0]}")
-    return (1.0 - eta_u) * u_old + (eta_u / m) * returned.sum(axis=0)
+def aggregate_shared(u_old, U, eta_u: float):
+    """u^{t+1} = (1 - eta_u) u^t + (eta_u/m) sum of the m returned rows of U."""
+    return (1.0 - eta_u) * u_old + (eta_u / U.shape[0]) * U.sum(axis=0)
 
 
 def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
@@ -226,16 +212,11 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
 
 def update_client_control(c_i, c, u_t, u_i_next, K: int, gamma_u: float):
     """c_i^{t+1} = c_i - c + (u^t - u_i^{t+1}) / (K gamma_u)."""
-    if gamma_u <= 0:
-        raise ValueError("gamma_u must be > 0")
-    if K < 1:
-        raise ValueError("K must be >= 1")
     return c_i - c + (1.0 / (K * gamma_u)) * (u_t - u_i_next)
 
 
 def update_server_control(c, deltas, n: int):
     """c^{t+1} = c + (1/n) sum over sampled clients of (c_i^{t+1} - c_i^t)."""
-    deltas = np.asarray(deltas)
     return c + deltas.sum(axis=0) / n
 
 
@@ -247,30 +228,23 @@ def _check_finite(t: int, **blocks) -> None:
             )
 
 
-def run_round(algorithm: str, server: ServerState, clients: ClientStates,
-              oracle, hp: HyperParams, seed: int, t: int,
-              schedule: RoundSchedule | None = None) -> RoundTrace:
-    """One outer round, mutating server and the sampled client rows in place.
+def run_round(server: ServerState, clients: ClientStates, oracle, hp: HyperParams,
+              t: int, ids: np.ndarray, rngs) -> RoundTrace:
+    """Outer round t on the ascending sampled `ids`, one local generator per
+    id in `rngs` (as `round_streams` yields them), mutating server and the
+    sampled client rows in place.
 
-    `schedule` is a RoundSchedule of this seed with round t planned; without
-    one, a one-round schedule is planned first, outside the round's
-    wall_ms. Metrics are computed on the post-round state over all n
-    clients. Raises FloatingPointError naming the first non-finite block
-    among u, v, c and c_i, or f.
+    The control-variate correction applies when the state carries control
+    variates (`clients.C`, set by `init_states` for scaffold_p). Metrics are
+    computed on the post-round state over all n clients. Raises
+    FloatingPointError naming the first non-finite block among u, v, c and
+    c_i, or f.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    corrected = algorithm == SCAFFOLD_P
-    n = oracle.n
-    if schedule is None:
-        schedule = RoundSchedule(seed, n, hp.m)
-        schedule.plan(range(t, t + 1))
+    corrected = clients.C is not None
     t0 = time.perf_counter()
-    ids, rngs = schedule.streams(t)
-
     V_old = clients.V[ids]
     C_old = clients.C[ids] if corrected else None
-    Corr = C_old - server.c if corrected else np.zeros((hp.m, oracle.d_u))
+    Corr = C_old - server.c if corrected else np.zeros((len(ids), oracle.d_u))
     U_K, V_K = oracle.local_steps_block(
         ids, server.u, V_old, Corr, hp.K, hp.gamma_u, hp.gamma_v, rngs
     )
@@ -278,8 +252,8 @@ def run_round(algorithm: str, server: ServerState, clients: ClientStates,
     if corrected:
         C_next = update_client_control(C_old, server.c, server.u, U_K, hp.K, hp.gamma_u)
         clients.C[ids] = C_next
-        server.c = update_server_control(server.c, C_next - C_old, n)
-    server.u = aggregate_shared(server.u, U_K, hp.eta_u, hp.m)
+        server.c = update_server_control(server.c, C_next - C_old, oracle.n)
+    server.u = aggregate_shared(server.u, U_K, hp.eta_u)
     _check_finite(t, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
 
     f, g_u, g_v, g_v_hat = metrics.round_metrics(oracle, server.u, clients.V, hp.m)
@@ -295,8 +269,17 @@ def init_states(algorithm: str, oracle, hp: HyperParams, seed: int,
                 u0=None, v0_all=None):
     """Fresh (server, clients) at the given (default all-zeros) start.
 
-    Copies the start and checks its shapes: u0 (d_u,), v0_all (n, d_v).
+    Owns the run's invariants and checks them before any draw: a known
+    algorithm, m <= n, and gamma_u > 0 for scaffold_p (its control update
+    divides by K gamma_u). Copies the start and checks its shapes: u0
+    (d_u,), v0_all (n, d_v). Only scaffold_p states carry control variates.
     """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if hp.m > oracle.n:
+        raise ValueError(f"m={hp.m} exceeds n={oracle.n}")
+    if algorithm == SCAFFOLD_P and hp.gamma_u <= 0:
+        raise ValueError("scaffold_p needs gamma_u > 0")
     u0 = np.zeros(oracle.d_u) if u0 is None else np.array(u0, dtype=np.float64)
     V = np.zeros((oracle.n, oracle.d_v)) if v0_all is None else np.array(v0_all, dtype=np.float64)
     if u0.shape != (oracle.d_u,) or V.shape != (oracle.n, oracle.d_v):
@@ -312,20 +295,10 @@ def init_states(algorithm: str, oracle, hp: HyperParams, seed: int,
 def run_training(algorithm: str, oracle, hp: HyperParams, seed: int,
                  u0=None, v0_all=None) -> TrainingResult:
     """T rounds from the given (default all-zeros) start; deterministic in
-    seed. Rounds run in blocks of _KEY_BLOCK // m rounds (at least one),
-    each block's streams planned before its first round."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if hp.m > oracle.n:
-        raise ValueError(f"m={hp.m} exceeds n={oracle.n}")
+    seed."""
     server, clients = init_states(algorithm, oracle, hp, seed, u0, v0_all)
-    schedule = RoundSchedule(seed, oracle.n, hp.m)
-    block = max(1, _KEY_BLOCK // hp.m)
-    traces = []
-    for start in range(0, hp.T, block):
-        schedule.plan(range(start, min(start + block, hp.T)))
-        traces.extend(run_round(algorithm, server, clients, oracle, hp, seed, t, schedule)
-                      for t in schedule.rounds)
+    traces = [run_round(server, clients, oracle, hp, t, ids, rngs)
+              for t, ids, rngs in round_streams(seed, oracle.n, hp.m, range(hp.T))]
     return TrainingResult(traces=traces, server=server, clients=clients)
 
 

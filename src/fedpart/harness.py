@@ -178,8 +178,9 @@ class ExperimentConfig:
             raise ValidationError("batch_size", "batch_size >= 1 required")
         if self.rho < 0:
             raise ValidationError("rho", "rho >= 0 required")
-        if self.d_u < 1 or self.d_v < 1:
-            raise ValidationError("d_u", "d_u and d_v must be >= 1")
+        for name in ("d_u", "d_v"):
+            if getattr(self, name) < 1:
+                raise ValidationError(name, f"{name} >= 1 required")
         for name in ("spread", "sigma_u", "sigma_v"):
             if getattr(self, name) < 0:
                 raise ValidationError(name, "must be >= 0")
@@ -236,7 +237,8 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _load_json_object(path: str) -> dict:
+    """The JSON object a file holds; ParseError naming the file otherwise."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
@@ -244,7 +246,11 @@ def load_config(path: str) -> ExperimentConfig:
             raise ParseError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    return config_from_mapping(raw)
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_mapping(_load_json_object(path))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -363,13 +369,7 @@ _SWEEP_KEYS = {"base", "axis", "values", "seeds", "threshold", "out_dir"}
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except ValueError as e:  # not UTF-8, malformed JSON, or an int past the digit limit
-            raise ParseError(f"{path}: {e}") from e
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
+    raw = _load_json_object(path)
     unknown = set(raw) - _SWEEP_KEYS
     if unknown:
         raise UnknownKey(f"unknown sweep key(s): {', '.join(sorted(unknown))}")
@@ -381,12 +381,7 @@ def load_sweep_spec(path: str) -> SweepSpec:
 
 def cell_config(spec: SweepSpec, value, seed: int) -> ExperimentConfig:
     raw = dict(spec.base)
-    if spec.axis == "gamma":
-        raw["gamma"] = value
-    elif spec.axis == "m":
-        raw["m"] = value
-    else:
-        raw["K"] = value
+    raw[spec.axis] = value  # every SWEEP_AXES entry is a config field
     raw["seed"] = seed
     raw["output"] = os.path.join(spec.out_dir, f"{spec.axis}_{value!r}_seed{seed}.csv")
     return config_from_mapping(raw)

@@ -21,6 +21,7 @@ from fedpart.fedcore import (
     HyperParams,
     init_states,
     recommended_step_sizes,
+    round_streams,
     run_round,
     run_training,
     sample_clients,
@@ -174,7 +175,8 @@ def test_criterion_06_reduction_suite():
     dev_b = 0.0
     for alg in ("fedavg_p", "scaffold_p"):
         server, clients = init_states(alg, obj2, hp2, seed=6)
-        run_round(alg, server, clients, obj2, hp2, seed=6, t=0)
+        for t, ids, rngs in round_streams(6, obj2.n, hp2.m, range(1)):
+            run_round(server, clients, obj2, hp2, t, ids, rngs)
         u_exp = -0.2 * (0.0 - a).mean(axis=0)
         v_exp = [-0.3 * (0.0 - b[i]) for i in range(4)]
         dev_b = max(dev_b, _max_dev([server.u], [u_exp]),
@@ -238,8 +240,8 @@ def test_criterion_07_control_variate_mean_invariant():
                      K=5, T=500, m=3)
     server, clients = init_states("scaffold_p", obj, hp, seed=0)
     worst = 0.0
-    for t in range(hp.T):
-        run_round("scaffold_p", server, clients, obj, hp, seed=0, t=t)
+    for t, ids, rngs in round_streams(0, obj.n, hp.m, range(hp.T)):
+        run_round(server, clients, obj, hp, t, ids, rngs)
         gap = np.linalg.norm(server.c - np.mean([c.c_i for c in clients], axis=0))
         worst = max(worst, float(gap))
     ok = worst <= 1e-12

@@ -128,6 +128,7 @@ def test_load_mnist_count_mismatch(tmp_path):
     lambda gz: gz[: len(gz) // 2],                 # truncated stream
     lambda gz: gz[:2] + bytes(len(gz) - 2),        # not deflate data behind the magic
     lambda gz: gz[:-8] + bytes(4) + gz[-4:],       # wrong CRC
+    lambda gz: gz + gz,                            # bytes after the first member
 ])
 def test_damaged_gzip_names_its_file(tmp_path, damage):
     gz = gzip.compress(idxbytes.labels_bytes(np.arange(10, dtype=np.uint8)), mtime=0)
@@ -135,6 +136,17 @@ def test_damaged_gzip_names_its_file(tmp_path, damage):
     path.write_bytes(damage(gz))
     with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
         dataio.read_idx_bytes(str(path))
+
+
+def test_gzip_inflate_peak_memory(tmp_path):
+    # one buffer grown in bounded chunks: no copy of the compressed file and
+    # no second copy of the payload
+    payload = stream(22, "probe").integers(0, 256, size=4 << 20).astype(np.uint8).tobytes()
+    path = tmp_path / "random.idx.gz"
+    path.write_bytes(gzip.compress(payload, compresslevel=1, mtime=0))
+    data, peak = _traced_peak(dataio.read_idx_bytes, str(path))
+    assert data == payload
+    assert peak < 1.5 * len(payload), (peak, len(payload))
 
 
 def test_parse_errors_name_their_file(tmp_path):

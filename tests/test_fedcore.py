@@ -23,6 +23,7 @@ from fedpart.fedcore import (
     init_states,
     merge_personal,
     recommended_step_sizes,
+    round_streams,
     run_round,
     run_training,
     sample_clients,
@@ -56,12 +57,6 @@ def client_steps(u0, v0, obj, i, hp, rng, c_i=None, c=None):
 
 
 # -------------------------------------------------------------- hyperparams
-
-
-def test_hyperparams_effective_steps():
-    hp = hp_of(gamma_u=0.02, gamma_v=0.01, eta_u=2.0, eta_v=4.0)
-    assert hp.gamma_eff_u == pytest.approx(0.04)
-    assert hp.gamma_eff_v == pytest.approx(0.04)
 
 
 def test_hyperparams_validation():
@@ -204,21 +199,19 @@ def test_merge_personal():
 
 def test_aggregate_shared():
     u_old = np.array([7.0])
-    same = [u_old.copy(), u_old.copy(), u_old.copy()]
+    same = np.array([u_old, u_old, u_old])
     for eta in (0.0, 0.5, 1.0, 2.0):
-        assert aggregate_shared(u_old, same, eta, 3) == pytest.approx([7.0], rel=1e-15)
-    got = aggregate_shared(np.array([0.0]), [np.array([1.0]), np.array([3.0])], 2.0, 2)
+        assert aggregate_shared(u_old, same, eta) == pytest.approx([7.0], rel=1e-15)
+    got = aggregate_shared(np.array([0.0]), np.array([[1.0], [3.0]]), 2.0)
     assert got == pytest.approx([4.0], abs=0)
-    assert np.array_equal(aggregate_shared(u_old, same, 0.0, 3), u_old)
-    with pytest.raises(ValueError, match="expected 2"):
-        aggregate_shared(u_old, same, 1.0, 2)
+    assert np.array_equal(aggregate_shared(u_old, same, 0.0), u_old)
 
 
 def test_aggregate_full_participation_equals_mean_formula():
     rng = stream(64, "probe")
     u_old = rng.standard_normal(4)
     returned = rng.standard_normal((5, 4))
-    got = aggregate_shared(u_old, returned, 0.7, 5)
+    got = aggregate_shared(u_old, returned, 0.7)
     brute = (1 - 0.7) * u_old + 0.7 * returned.mean(axis=0)
     assert np.allclose(got, brute, atol=1e-15)
 
@@ -294,8 +287,6 @@ def test_update_client_control():
     assert got == pytest.approx([2.0, -2.0], abs=0)  # (u_t - u_next)/(K*gamma)
     twice = update_client_control(c, c, np.array([3.0, 1.0]), np.array([1.0, 3.0]), 2, 0.25)
     assert np.allclose(twice, 2 * got, atol=1e-15)
-    with pytest.raises(ValueError, match="gamma_u"):
-        update_client_control(c, c, z, z, 2, 0.0)
 
 
 def test_update_client_control_recovers_fresh_gradient():
@@ -323,6 +314,12 @@ def test_update_server_control():
 # ---------------------------------------------------------------- run_round
 
 
+def run_rounds(server, clients, obj, hp, seed, rounds):
+    """run_round over `rounds` on the streams round_streams draws for them."""
+    return [run_round(server, clients, obj, hp, t, ids, rngs)
+            for t, ids, rngs in round_streams(seed, obj.n, hp.m, rounds)]
+
+
 def test_run_round_matches_parallel_sgd_step():
     # K=1, m=n, eta=1: both algorithms take one exact parallel SGD step
     rng = stream(66, "probe")
@@ -333,7 +330,7 @@ def test_run_round_matches_parallel_sgd_step():
     states = {}
     for alg in fedcore.ALGORITHMS:
         server, clients = init_states(alg, obj, hp, seed=3)
-        tr = run_round(alg, server, clients, obj, hp, seed=3, t=0)
+        (tr,) = run_rounds(server, clients, obj, hp, 3, range(1))
         assert tr.sampled == (1, 2, 3)
         states[alg] = (server.u.copy(), [c.v.copy() for c in clients])
     u_expect = np.zeros(2) - 0.2 * (np.zeros(2) - a).mean(axis=0)
@@ -352,7 +349,7 @@ def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
     obj = quad([[1.0], [2.0]], [[1.0], [0.0]])
     hp = hp_of(gamma_u=0.0, gamma_v=0.0, eta_u=0.0, eta_v=0.0, K=3, m=2)
     server, clients = init_states("fedavg_p", obj, hp, seed=0)
-    tr = run_round("fedavg_p", server, clients, obj, hp, seed=0, t=0)
+    (tr,) = run_rounds(server, clients, obj, hp, 0, range(1))
     assert np.array_equal(server.u, np.zeros(1))
     assert all(np.array_equal(c.v, np.zeros(1)) for c in clients)
     u0 = np.zeros(1)
@@ -366,9 +363,9 @@ def test_run_round_unsampled_clients_untouched():
     obj = quad(np.arange(10.0).reshape(5, 2), np.ones((5, 3)), sigma_u=0.3)
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=4, m=2)
     server, clients = init_states("scaffold_p", obj, hp, seed=9)
-    for t in range(8):
+    for t, ids, rngs in round_streams(9, obj.n, hp.m, range(8)):
         before = [(c.v.tobytes(), c.c_i.tobytes()) for c in clients]
-        tr = run_round("scaffold_p", server, clients, obj, hp, seed=9, t=t)
+        tr = run_round(server, clients, obj, hp, t, ids, rngs)
         sampled0 = {s - 1 for s in tr.sampled}
         for i, c in enumerate(clients):
             if i not in sampled0:
@@ -380,19 +377,31 @@ def test_run_round_control_mean_invariant():
     obj = quad(np.arange(8.0).reshape(4, 2), np.ones((4, 2)), sigma_u=1.0)
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=3, m=2)
     server, clients = init_states("scaffold_p", obj, hp, seed=4)
-    for t in range(50):
-        run_round("scaffold_p", server, clients, obj, hp, seed=4, t=t)
+    for t, ids, rngs in round_streams(4, obj.n, hp.m, range(50)):
+        run_round(server, clients, obj, hp, t, ids, rngs)
         mean_ci = np.mean([c.c_i for c in clients], axis=0)
         err = float(np.linalg.norm(server.c - mean_ci))
         assert err <= 1e-12 * (1.0 + float(np.linalg.norm(server.c)))
 
 
-def test_run_round_rejects_unknown_algorithm():
-    obj = quad([[0.0]], [[0.0]])
-    hp = hp_of()
-    server, clients = init_states("fedavg_p", obj, hp, seed=0)
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        run_round("fedprox", server, clients, obj, hp, seed=0, t=0)
+def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
+    draws = []
+    stoch_grads = QuadraticObjective.stoch_grads
+    monkeypatch.setattr(QuadraticObjective, "stoch_grads",
+                        lambda self, *args: draws.append(args) or stoch_grads(self, *args))
+    obj = quad([[1.0], [2.0]], [[0.0], [1.0]], sigma_u=0.5)
+    for algorithm, hp, match in (
+            ("fedprox", hp_of(), "unknown algorithm 'fedprox'"),
+            ("scaffold_p", hp_of(m=3), "m=3 exceeds n=2"),
+            ("scaffold_p", hp_of(gamma_u=0.0), "scaffold_p needs gamma_u > 0")):
+        with pytest.raises(ValueError, match=match):
+            init_states(algorithm, obj, hp, seed=0)
+        with pytest.raises(ValueError, match=match):
+            run_training(algorithm, obj, hp, seed=0)
+    assert draws == []
+    # a zero u-step is the identity for the uncorrected algorithm
+    res = run_training("fedavg_p", obj, hp_of(gamma_u=0.0, T=3, m=2), seed=0)
+    assert len(res.traces) == 3 and np.array_equal(res.u, np.zeros(1))
 
 
 def test_run_round_raises_on_divergence():
@@ -400,8 +409,7 @@ def test_run_round_raises_on_divergence():
     hp = hp_of(gamma_u=21.0, gamma_v=0.1, K=20, m=1)
     server, clients = init_states("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
-        for t in range(12):
-            run_round("fedavg_p", server, clients, obj, hp, seed=0, t=t)
+        run_rounds(server, clients, obj, hp, 0, range(12))
 
 
 @pytest.mark.parametrize("block,gamma_u,gamma_v", [("u", 1e8, 0.1), ("v", 0.1, 1e8)],
@@ -413,7 +421,7 @@ def test_run_round_names_non_finite_iterate_block(block, gamma_u, gamma_v):
     server, clients = init_states("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match=f"non-finite {block} after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
-        run_round("fedavg_p", server, clients, obj, hp, seed=0, t=0)
+        run_rounds(server, clients, obj, hp, 0, range(1))
     other = clients.V if block == "u" else server.u
     assert np.isfinite(other).all()
 
@@ -425,7 +433,7 @@ def test_run_round_names_non_finite_server_control():
     server, clients = init_states("scaffold_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match="non-finite c after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
-        run_round("scaffold_p", server, clients, obj, hp, seed=0, t=0)
+        run_rounds(server, clients, obj, hp, 0, range(1))
     assert np.isfinite(server.u).all() and np.isfinite(clients.V).all()
 
 
@@ -437,23 +445,18 @@ def test_run_round_names_non_finite_client_control():
     (sampled,) = sample_clients(3, 1, stream(5, "sample", 0))
     clients.C[(sampled + 1) % 3] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite c_i after round 0"):
-        run_round("scaffold_p", server, clients, obj, hp, seed=5, t=0)
+        run_rounds(server, clients, obj, hp, 5, range(1))
     assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
 
 
 # --------------------------------------------------------- stream schedule
 
 
-class _PerRoundStreams:
-    """What run_round drew before rounds were scheduled: fresh `stream`
-    generators for ("sample", t) and each ("local", t, i), every round."""
-
-    def __init__(self, seed, n, m):
-        self.seed, self.n, self.m = seed, n, m
-
-    def streams(self, t):
-        ids = sample_clients(self.n, self.m, stream(self.seed, "sample", t))
-        return ids, [stream(self.seed, "local", t, i) for i in ids.tolist()]
+def _fresh_streams(seed, n, m, t):
+    """What a round drew before streams were planned: fresh `stream`
+    generators for ("sample", t) and each ("local", t, i)."""
+    ids = sample_clients(n, m, stream(seed, "sample", t))
+    return ids, [stream(seed, "local", t, i) for i in ids.tolist()]
 
 
 def _assert_same_run(a, b):
@@ -479,8 +482,7 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
     if algorithm == fedcore.SCAFFOLD_P:
         clients.C, server.c = _per_draw_control_variates(
             server.u, clients.V, oracle, hp.K, seed)
-    per_round = _PerRoundStreams(seed, oracle.n, hp.m)
-    traces = [run_round(algorithm, server, clients, oracle, hp, seed, t, per_round)
+    traces = [run_round(server, clients, oracle, hp, t, *_fresh_streams(seed, oracle.n, hp.m, t))
               for t in range(hp.T)]
     return fedcore.TrainingResult(traces=traces, server=server, clients=clients)
 
@@ -515,20 +517,21 @@ def test_run_round_alone_equals_round_inside_run_training():
     for algorithm in fedcore.ALGORITHMS:
         whole = run_training(algorithm, obj, hp, seed=8)
         server, clients = init_states(algorithm, obj, hp, seed=8)
-        traces = [run_round(algorithm, server, clients, obj, hp, seed=8, t=t)
-                  for t in range(hp.T)]
+        traces = run_rounds(server, clients, obj, hp, 8, range(hp.T))
         alone = fedcore.TrainingResult(traces=traces, server=server, clients=clients)
         _assert_same_run(whole, alone)
 
 
-def test_schedule_rejects_an_unplanned_round():
-    schedule = fedcore.RoundSchedule(seed=0, n=5, m=2)
-    schedule.plan(range(3, 6))
-    ids, rngs = schedule.streams(5)
-    assert len(ids) == len(rngs) == 2
-    for t in (2, 6):
-        with pytest.raises(ValueError):
-            schedule.streams(t)
+def test_round_streams_equal_fresh_streams():
+    seen = []
+    for t, ids, rngs in round_streams(0, 5, 2, range(3, 6)):
+        seen.append(t)
+        want_ids, want_rngs = _fresh_streams(0, 5, 2, t)
+        assert np.array_equal(ids, want_ids) and len(rngs) == 2
+        for got, want in zip(rngs, want_rngs):
+            assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+            assert np.array_equal(got.integers(0, 9, 5), want.integers(0, 9, 5))
+    assert seen == [3, 4, 5]
 
 
 # ------------------------------------------------------------- run_training
@@ -666,13 +669,13 @@ def test_aggregate_is_unbiased_over_sampling():
                               stream(0, "local", 0, i))[0]
         for i in range(n)
     ])
-    full = aggregate_shared(u0, per_client, hp.eta_u, n)
+    full = aggregate_shared(u0, per_client, hp.eta_u)
     srng = stream(69, "sample", 0)
     draws = 10_000
     agg = np.empty((draws, d))
     for r in range(draws):
         ids = sample_clients(n, m, srng)
-        agg[r] = aggregate_shared(u0, per_client[ids], hp.eta_u, m)
+        agg[r] = aggregate_shared(u0, per_client[ids], hp.eta_u)
     err = np.abs(agg.mean(axis=0) - full)
     bound = 4.0 * agg.std(axis=0) / math.sqrt(draws)
     assert np.all(err <= bound), (err, bound)

@@ -156,7 +156,7 @@ def test_more_validation():
                        (dict(rho=-0.1), "rho"), (dict(gamma=0.0), "gamma"),
                        (dict(algorithm="sgd"), "algorithm"),
                        (dict(partition="dirichlet"), "partition"),
-                       (dict(output=""), "output")):
+                       (dict(output=""), "output"), (dict(d_v=0), "d_v")):
         with pytest.raises(ValidationError) as ei:
             config_from_mapping(raw)
         assert ei.value.field == field, raw
