@@ -7,13 +7,21 @@ from .fedcore import (
     RoundTrace,
     TrainingResult,
     recommended_step_sizes,
+    replica_streams,
     round_streams,
+    run_replicas,
     run_round,
     run_training,
 )
 from .harness import ExperimentConfig, SweepSpec, load_config, run_experiment, run_sweep
 from .metrics import ConstantEstimates, estimate_constants
-from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
+from .objectives import (
+    LogisticObjective,
+    ObjectiveOracle,
+    OracleStack,
+    QuadraticObjective,
+    stack_oracles,
+)
 
 __version__ = "0.1.0"
 
@@ -24,6 +32,7 @@ __all__ = [
     "HyperParams",
     "LogisticObjective",
     "ObjectiveOracle",
+    "OracleStack",
     "QuadraticObjective",
     "RawDataset",
     "RoundTrace",
@@ -33,11 +42,14 @@ __all__ = [
     "load_config",
     "partition_clients",
     "recommended_step_sizes",
+    "replica_streams",
     "round_streams",
     "run_experiment",
+    "run_replicas",
     "run_round",
     "run_sweep",
     "run_training",
+    "stack_oracles",
     "synth_quadratic",
     "__version__",
 ]

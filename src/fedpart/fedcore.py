@@ -32,6 +32,17 @@ memory does not grow with T. `run_round` does only the round's arithmetic
 on the ids and generators it is handed; its `wall_ms` covers neither the
 planning nor the generator resets.
 
+Replicas. Runs that differ only in their seed run in lock-step as one
+replica run (`run_replicas`): the state gains a leading replica axis R,
+u (R, d_u), V (R, n, d_v) and, for the corrected variant, c (R, d_u) and
+C (R, n, d_u). Each replica keeps its own oracle (stacked into one
+`objectives.OracleStack`), its own ("cv_init", i) streams and its own
+`round_streams`, and a round makes one local-step block call, one
+expression each for merge, aggregation and control, one metrics pass and
+one finite check over all R. Sums run over the same axis of the same rows
+in the same order as in a run alone, so every replica is bitwise the same
+config run alone. A single run (`run_training`) is the case R = 1.
+
 Run invariants (a known algorithm, m <= n, gamma_u > 0 for the corrected
 variant) are checked once, by `init_states`, before any draw; the
 corrected variant is the state that carries control variates.
@@ -47,6 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
+from .objectives import OracleStack, stack_oracles
 from .rng import StreamPool, stream_keys
 
 FEDAVG_P = "fedavg_p"
@@ -83,8 +95,11 @@ class HyperParams:
 
 @dataclass
 class ServerState:
+    """u and, for the corrected variant only, the control-variate mean c:
+    (d_u,) each for one run, (R, d_u) in the replica round."""
+
     u: np.ndarray
-    c: np.ndarray | None = None  # control-variate mean, corrected variant only
+    c: np.ndarray | None = None
 
 
 class ClientRow(NamedTuple):
@@ -94,9 +109,11 @@ class ClientRow(NamedTuple):
 
 @dataclass
 class ClientStates:
-    """All n clients' state as rows: V (n, d_v), C (n, d_u) or None.
+    """All n clients' state as rows: V (n, d_v), C (n, d_u) or None for
+    one run, with a leading replica axis (R, n, .) in the replica round.
 
-    Iterating yields per-client `ClientRow` views into the arrays.
+    Iterating one run's states yields per-client `ClientRow` views into the
+    arrays.
     """
 
     V: np.ndarray
@@ -131,6 +148,16 @@ class TrainingResult:
     @property
     def v_all(self) -> np.ndarray:
         return self.clients.V
+
+    @classmethod
+    def of_replica(cls, r: int, traces: list[RoundTrace], server: ServerState,
+                   clients: ClientStates) -> "TrainingResult":
+        """Replica r's run: its traces and views of its rows of the replica
+        (server, clients)."""
+        return cls(traces=traces,
+                   server=ServerState(u=server.u[r], c=None if server.c is None else server.c[r]),
+                   clients=ClientStates(V=clients.V[r],
+                                        C=None if clients.C is None else clients.C[r]))
 
 
 def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -182,8 +209,9 @@ def merge_personal(v_old, v_K, eta_v: float):
 
 
 def aggregate_shared(u_old, U, eta_u: float):
-    """u^{t+1} = (1 - eta_u) u^t + (eta_u/m) sum of the m returned rows of U."""
-    return (1.0 - eta_u) * u_old + (eta_u / U.shape[0]) * U.sum(axis=0)
+    """u^{t+1} = (1 - eta_u) u^t + (eta_u/m) sum of the m returned rows of U
+    (m, d_u), or of each replica's rows of U (R, m, d_u)."""
+    return (1.0 - eta_u) * u_old + (eta_u / U.shape[-2]) * U.sum(axis=-2)
 
 
 def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
@@ -216,8 +244,9 @@ def update_client_control(c_i, c, u_t, u_i_next, K: int, gamma_u: float):
 
 
 def update_server_control(c, deltas, n: int):
-    """c^{t+1} = c + (1/n) sum over sampled clients of (c_i^{t+1} - c_i^t)."""
-    return c + deltas.sum(axis=0) / n
+    """c^{t+1} = c + (1/n) sum over sampled clients of (c_i^{t+1} - c_i^t);
+    deltas (m, d_u), or (R, m, d_u) per replica."""
+    return c + deltas.sum(axis=-2) / n
 
 
 def _check_finite(t: int, **blocks) -> None:
@@ -228,78 +257,108 @@ def _check_finite(t: int, **blocks) -> None:
             )
 
 
-def run_round(server: ServerState, clients: ClientStates, oracle, hp: HyperParams,
-              t: int, ids: np.ndarray, rngs) -> RoundTrace:
-    """Outer round t on the ascending sampled `ids`, one local generator per
-    id in `rngs` (as `round_streams` yields them), mutating server and the
-    sampled client rows in place.
+def replica_streams(seeds, n: int, m: int, rounds: range):
+    """Yield (t, ids, rngs) for each round t of `rounds` for R replicas in
+    lock-step: ids (R, m) and rngs one list of m generators per replica,
+    row r from its own `round_streams(seeds[r], n, m, rounds)`."""
+    for per_replica in zip(*(round_streams(seed, n, m, rounds) for seed in seeds)):
+        ts, ids, rngs = zip(*per_replica)
+        yield ts[0], np.array(ids), list(rngs)
+
+
+def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
+              hp: HyperParams, t: int, ids: np.ndarray, rngs) -> list[RoundTrace]:
+    """Outer round t of R replicas: replica r's ascending sampled ids in
+    ids[r] and one local generator per id in rngs[r] (as `replica_streams`
+    yields them). Mutates server and the sampled client rows in place and
+    returns one trace per replica; all R share the round's wall_ms.
 
     The control-variate correction applies when the state carries control
     variates (`clients.C`, set by `init_states` for scaffold_p). Metrics are
     computed on the post-round state over all n clients. Raises
     FloatingPointError naming the first non-finite block among u, v, c and
-    c_i, or f.
+    c_i, or f, in any replica.
     """
     corrected = clients.C is not None
     t0 = time.perf_counter()
-    V_old = clients.V[ids]
-    C_old = clients.C[ids] if corrected else None
-    Corr = C_old - server.c if corrected else np.zeros((len(ids), oracle.d_u))
+    rows = np.arange(len(ids))[:, None]
+    V_old = clients.V[rows, ids]
+    C_old = clients.C[rows, ids] if corrected else None
+    Corr = C_old - server.c[:, None] if corrected else np.zeros((*ids.shape, oracle.d_u))
     U_K, V_K = oracle.local_steps_block(
         ids, server.u, V_old, Corr, hp.K, hp.gamma_u, hp.gamma_v, rngs
     )
-    clients.V[ids] = merge_personal(V_old, V_K, hp.eta_v)
+    clients.V[rows, ids] = merge_personal(V_old, V_K, hp.eta_v)
     if corrected:
-        C_next = update_client_control(C_old, server.c, server.u, U_K, hp.K, hp.gamma_u)
-        clients.C[ids] = C_next
+        C_next = update_client_control(C_old, server.c[:, None], server.u[:, None], U_K,
+                                       hp.K, hp.gamma_u)
+        clients.C[rows, ids] = C_next
         server.c = update_server_control(server.c, C_next - C_old, oracle.n)
     server.u = aggregate_shared(server.u, U_K, hp.eta_u)
     _check_finite(t, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
 
-    f, g_u, g_v, g_v_hat = metrics.round_metrics(oracle, server.u, clients.V, hp.m)
-    _check_finite(t, f=f)
+    metric_rows = metrics.round_metrics(oracle, server.u, clients.V, hp.m)
+    _check_finite(t, f=metric_rows[0])
     wall_ms = (time.perf_counter() - t0) * 1e3
-    return RoundTrace(
-        t=t, f_value=f, grad_norm_u=g_u, grad_norm_v=g_v, grad_norm_v_hat=g_v_hat,
-        sampled=tuple((ids + 1).tolist()), wall_ms=wall_ms,
-    )
+    return [RoundTrace(t=t, f_value=f, grad_norm_u=g_u, grad_norm_v=g_v, grad_norm_v_hat=g_v_hat,
+                       sampled=tuple(sampled), wall_ms=wall_ms)
+            for f, g_u, g_v, g_v_hat, sampled
+            in zip(*(x.tolist() for x in metric_rows), (ids + 1).tolist())]
 
 
-def init_states(algorithm: str, oracle, hp: HyperParams, seed: int,
+def init_states(algorithm: str, oracle: OracleStack, hp: HyperParams, seeds,
                 u0=None, v0_all=None):
-    """Fresh (server, clients) at the given (default all-zeros) start.
+    """Fresh replica (server, clients) for the R = len(seeds) replicas of
+    the stack `oracle`, all at the given (default all-zeros) start.
 
     Owns the run's invariants and checks them before any draw: a known
     algorithm, m <= n, and gamma_u > 0 for scaffold_p (its control update
     divides by K gamma_u). Copies the start and checks its shapes: u0
-    (d_u,), v0_all (n, d_v). Only scaffold_p states carry control variates.
+    (d_u,), v0_all (n, d_v). Only scaffold_p states carry control variates,
+    replica r's from its own oracle and seed.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if len(seeds) != len(oracle.oracles):
+        raise ValueError(f"{len(seeds)} seeds for {len(oracle.oracles)} oracles")
     if hp.m > oracle.n:
         raise ValueError(f"m={hp.m} exceeds n={oracle.n}")
     if algorithm == SCAFFOLD_P and hp.gamma_u <= 0:
         raise ValueError("scaffold_p needs gamma_u > 0")
-    u0 = np.zeros(oracle.d_u) if u0 is None else np.array(u0, dtype=np.float64)
-    V = np.zeros((oracle.n, oracle.d_v)) if v0_all is None else np.array(v0_all, dtype=np.float64)
-    if u0.shape != (oracle.d_u,) or V.shape != (oracle.n, oracle.d_v):
-        raise ValueError(f"start shapes u0 {u0.shape}, v0_all {V.shape}; expected "
+    u0 = np.zeros(oracle.d_u) if u0 is None else np.asarray(u0, dtype=np.float64)
+    V0 = np.zeros((oracle.n, oracle.d_v)) if v0_all is None else np.asarray(v0_all, dtype=np.float64)
+    if u0.shape != (oracle.d_u,) or V0.shape != (oracle.n, oracle.d_v):
+        raise ValueError(f"start shapes u0 {u0.shape}, v0_all {V0.shape}; expected "
                          f"({oracle.d_u},), ({oracle.n}, {oracle.d_v})")
-    server = ServerState(u=u0)
-    clients = ClientStates(V=V)
+    R = len(seeds)
+    server = ServerState(u=np.tile(u0, (R, 1)))
+    clients = ClientStates(V=np.tile(V0, (R, 1, 1)))
     if algorithm == SCAFFOLD_P:
-        clients.C, server.c = init_control_variates(u0, V, oracle, hp.K, seed)
+        C, c = zip(*(init_control_variates(u0, V0, o, hp.K, seed)
+                     for o, seed in zip(oracle.oracles, seeds)))
+        clients.C, server.c = np.stack(C), np.stack(c)
     return server, clients
+
+
+def run_replicas(algorithm: str, oracles, hp: HyperParams, seeds,
+                 u0=None, v0_all=None) -> list[TrainingResult]:
+    """T rounds of R = len(seeds) runs that differ only in their seed, in
+    lock-step: run r on oracles[r] with seeds[r]. Returns one result per
+    run, each bitwise the same run alone (`run_training`) except wall_ms,
+    which is the shared replica round's time."""
+    oracle = stack_oracles(oracles)
+    server, clients = init_states(algorithm, oracle, hp, seeds, u0, v0_all)
+    rounds = [run_round(server, clients, oracle, hp, t, ids, rngs)
+              for t, ids, rngs in replica_streams(seeds, oracle.n, hp.m, range(hp.T))]
+    return [TrainingResult.of_replica(r, [traces[r] for traces in rounds], server, clients)
+            for r in range(len(seeds))]
 
 
 def run_training(algorithm: str, oracle, hp: HyperParams, seed: int,
                  u0=None, v0_all=None) -> TrainingResult:
     """T rounds from the given (default all-zeros) start; deterministic in
-    seed."""
-    server, clients = init_states(algorithm, oracle, hp, seed, u0, v0_all)
-    traces = [run_round(server, clients, oracle, hp, t, ids, rngs)
-              for t, ids, rngs in round_streams(seed, oracle.n, hp.m, range(hp.T))]
-    return TrainingResult(traces=traces, server=server, clients=clients)
+    seed. The one-replica case of `run_replicas`."""
+    return run_replicas(algorithm, [oracle], hp, [seed], u0, v0_all)[0]
 
 
 VARIANTS = ("fedavgp_partial", "fedavgp_full", "scaffoldp")

@@ -303,17 +303,33 @@ def build_oracle(config: ExperimentConfig):
     return LogisticObjective(shards, rho=config.rho, batch_size=config.batch_size)
 
 
+def run_experiments(configs: list[ExperimentConfig]):
+    """Run configs that differ only in `seed` and `output` as one replica
+    run (`fedcore.run_replicas`); write each trace CSV and config echo;
+    return one (output_path, TrainingResult) per config.
+
+    Each result is bitwise the config run alone, except `wall_ms`: a
+    round's time is the shared replica round's.
+    """
+    first = configs[0]
+    if any(dict(c.to_mapping(), seed=0, output="") != dict(first.to_mapping(), seed=0, output="")
+           for c in configs):
+        raise ValueError("replica configs may differ only in seed and output")
+    results = fedcore.run_replicas(first.algorithm, [build_oracle(c) for c in configs],
+                                   first.hyper_params(), [c.seed for c in configs])
+    for config, result in zip(configs, results):
+        _atomic_write_text(config.output, trace_csv_text(result.traces))
+        _atomic_write_text(
+            echo_path_for(config.output),
+            json.dumps(config.to_mapping(), indent=2, sort_keys=True) + "\n",
+        )
+    return [(config.output, result) for config, result in zip(configs, results)]
+
+
 def run_experiment(config: ExperimentConfig):
     """Run one experiment; write the trace CSV and config echo; return
     (output_path, TrainingResult)."""
-    oracle = build_oracle(config)
-    result = fedcore.run_training(config.algorithm, oracle, config.hyper_params(), config.seed)
-    _atomic_write_text(config.output, trace_csv_text(result.traces))
-    _atomic_write_text(
-        echo_path_for(config.output),
-        json.dumps(config.to_mapping(), indent=2, sort_keys=True) + "\n",
-    )
-    return config.output, result
+    return run_experiments([config])[0]
 
 
 def floor_of(traces) -> float:
@@ -344,25 +360,38 @@ class SweepSpec:
     base: dict
     axis: str
     values: list
-    seeds: list
+    seeds: list | None = None  # default: the base seed
     threshold: float | None = None
     out_dir: str = "sweep"
 
     def __post_init__(self):
+        # every check runs before any cell does; the cells' own configs are
+        # validated by run_sweep before the first one runs
+        if not isinstance(self.base, dict):
+            raise ValidationError("base", "base must be a config mapping")
         if self.axis not in SWEEP_AXES:
             raise ValidationError("axis", f"must be one of {SWEEP_AXES}")
-        if not self.values:
-            raise ValidationError("values", "values must be non-empty")
-        if not self.seeds:
-            raise ValidationError("seeds", "seeds must be non-empty")
+        if self.seeds is None:
+            self.seeds = [self.base.get("seed", 0)]
         for name in ("values", "seeds"):
-            # equal entries would share one trace file and one summary mean
             items = getattr(self, name)
+            if not isinstance(items, (list, tuple)) or not items:
+                raise ValidationError(name, f"{name} must be a non-empty list, got {items!r}")
+            # equal entries would share one trace file and one summary mean
             dups = sorted({repr(x) for j, x in enumerate(items) if x in items[:j]})
             if dups:
                 raise ValidationError(name, f"duplicate {name}: {', '.join(dups)}")
-        if not isinstance(self.base, dict):
-            raise ValidationError("base", "base must be a config mapping")
+        if self.threshold is not None and not _finite_number(self.threshold):
+            raise ValidationError("threshold", f"must be a finite number, got {self.threshold!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValidationError("out_dir", f"must be a directory path, got {self.out_dir!r}")
+
+
+def _finite_number(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the double range
+        return False
 
 
 _SWEEP_KEYS = {"base", "axis", "values", "seeds", "threshold", "out_dir"}
@@ -375,7 +404,6 @@ def load_sweep_spec(path: str) -> SweepSpec:
         raise UnknownKey(f"unknown sweep key(s): {', '.join(sorted(unknown))}")
     if "base" not in raw or "axis" not in raw or "values" not in raw:
         raise ValidationError("base", "sweep needs base, axis and values")
-    raw.setdefault("seeds", [raw["base"].get("seed", 0)])
     return SweepSpec(**raw)
 
 
@@ -391,12 +419,17 @@ def run_sweep(spec: SweepSpec) -> str:
     """Run all (value, seed) cells; write per-cell traces and a summary CSV.
 
     Summary rows: one per cell plus one aggregate row per axis value
-    (seed column "mean"). Cells run one after another in input order; each
-    is a pure function of its config, so the summary is deterministic.
+    (seed column "mean"). Quadratic cells of one axis value run as one
+    replica run over the seeds (`run_experiments`), the values one after
+    another; logistic cells, each with its own data shards, run one at a
+    time. Each cell is bitwise its config run alone, so the summary is
+    deterministic.
     """
     cells = [(value, seed) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in cells]
-    all_traces = [run_experiment(cfg)[1].traces for cfg in configs]
+    group = len(spec.seeds) if configs[0].objective == QUADRATIC else 1
+    all_traces = [result.traces for j in range(0, len(configs), group)
+                  for _, result in run_experiments(configs[j:j + group])]
 
     lines = ["axis,value,seed,floor,rounds_to_threshold,trace_file"]
     by_value: dict = {}

@@ -32,12 +32,18 @@ class ConstantEstimates:
 
 
 def round_metrics(oracle, u, v_all, m: int):
-    """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass."""
+    """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass.
+
+    Over an `objectives.OracleStack` (u (R, d_u), v_all (R, n, d_v)) each
+    is an (R,) array whose entry r is bitwise replica r's value alone.
+    """
     vals, G_u, G_v = oracle.value_and_grads_all(u, v_all)
     n = oracle.n
-    gbar = G_u.sum(axis=0) / n
-    g_v = float(np.square(G_v).sum(axis=1).sum() / n)
-    return float(vals.sum() / n), float(gbar @ gbar), g_v, (m / n) * g_v
+    gbar = G_u.sum(axis=-2) / n
+    g_v = np.square(G_v).sum(axis=-1).sum(axis=-1) / n
+    # |gbar|^2 per replica, the same dot as a single run's `gbar @ gbar`
+    g_u = np.matmul(gbar[..., None, :], gbar[..., :, None])[..., 0, 0]
+    return vals.sum(axis=-1) / n, g_u, g_v, (m / n) * g_v
 
 
 def estimate_dissimilarity(oracle, u, v_all) -> float:

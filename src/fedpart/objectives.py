@@ -148,26 +148,11 @@ class QuadraticObjective(ObjectiveOracle):
                 (v - self.centers_v[i]) + noise[:, self.d_u :])
 
     def value_and_grads_all(self, u, V):
-        DU = u - self.centers_u
-        DV = np.asarray(V) - self.centers_v
-        return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
+        return _quad_values_and_grads(self.centers_u, self.centers_v, u, V)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        # client j's draw of stoch_grads fills z[j]; noise[k] holds step k's rows
-        m, d_u, d = len(ids), self.d_u, self.d_u + self.d_v
-        z = np.empty((m, K, d))
-        for g, z_j in zip(rngs, z):
-            g.standard_normal(out=z_j)
-        noise = np.multiply(z.transpose(1, 0, 2), self._noise_scale, out=np.empty((K, m, d)))
-        W = np.empty((m, d))
-        W[:, :d_u] = u
-        W[:, d_u:] = V
-        Corr_w = np.zeros_like(W)
-        Corr_w[:, :d_u] = Corr
-        steps = np.full(d, gamma_v)
-        steps[:d_u] = gamma_u
-        W = kernels.quad_local_steps(W, self._centers[ids], steps, noise, Corr_w)
-        return W[:, :d_u], W[:, d_u:]
+        return _quad_steps(self._centers[ids], self._noise_scale, u, V, Corr,
+                           K, gamma_u, gamma_v, rngs)
 
     def dissimilarity_b2(self) -> float:
         """Exact b^2 = (1/n) sum_i |a_i - abar|^2, constant in (u, v)."""
@@ -180,8 +165,99 @@ class QuadraticObjective(ObjectiveOracle):
 
 
 def _row_sq_norms(X: np.ndarray) -> np.ndarray:
-    """|x|^2 of each row, bitwise equal to the per-row `x @ x`."""
-    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    """|x|^2 of each row (last axis), bitwise equal to the per-row `x @ x`."""
+    return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
+
+
+def _quad_values_and_grads(centers_u, centers_v, u, V):
+    # values (..., n) and gradient rows at u (..., 1, d_u) or (d_u,), V (..., n, d_v)
+    DU = u - centers_u
+    DV = np.asarray(V) - centers_v
+    return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
+
+
+def _quad_steps(centers, noise_scale, u, V, Corr, K, gamma_u, gamma_v, rngs):
+    """Local steps of the gathered (a_i | b_i) rows `centers` (..., m, d):
+    u (..., 1, d_u) or (d_u,), V (..., m, d_v), Corr (..., m, d_u), one
+    generator per row in `rngs`, in row order."""
+    *lead, m, d = centers.shape
+    d_u = d - V.shape[-1]
+    # row j's draw of stoch_grads fills z[j]; noise[k] holds step k's rows
+    z = np.empty((*lead, m, K, d))
+    for g, z_j in zip(rngs, z.reshape(-1, K, d)):
+        g.standard_normal(out=z_j)
+    steps_first = (z.ndim - 2, *range(z.ndim - 2), z.ndim - 1)
+    noise = np.multiply(z.transpose(steps_first), noise_scale, out=np.empty((K, *lead, m, d)))
+    W = np.empty(centers.shape)
+    W[..., :d_u] = u
+    W[..., d_u:] = V
+    Corr_w = np.zeros_like(W)
+    Corr_w[..., :d_u] = Corr
+    steps = np.full(d, gamma_v)
+    steps[:d_u] = gamma_u
+    W = kernels.quad_local_steps(W, centers, steps, noise, Corr_w)
+    return W[..., :d_u], W[..., d_u:]
+
+
+class OracleStack:
+    """R oracles of equal (n, d_u, d_v), one per replica run, as one oracle
+    over a leading replica axis.
+
+    `local_steps_block(ids, u, V, Corr, K, gamma_u, gamma_v, rngs)` takes
+    ids (R, m), u (R, d_u), V (R, m, d_v), Corr (R, m, d_u) and one list of
+    m generators per replica; `value_and_grads_all(u, V)` takes u (R, d_u)
+    and V (R, n, d_v). Both return their single-oracle results stacked.
+    This class runs each replica's own block method in turn;
+    `stack_oracles` gives all-quadratic replicas one array pass instead.
+    """
+
+    def __init__(self, oracles):
+        self.oracles = tuple(oracles)
+        if not self.oracles:
+            raise ValueError("need at least one oracle")
+        self.n, self.d_u, self.d_v = (self.oracles[0].n, self.oracles[0].d_u,
+                                      self.oracles[0].d_v)
+        if any((o.n, o.d_u, o.d_v) != (self.n, self.d_u, self.d_v) for o in self.oracles):
+            raise ValueError("stacked oracles must share (n, d_u, d_v)")
+
+    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+        U_K, V_K = zip(*(o.local_steps_block(*rows, K, gamma_u, gamma_v, g)
+                         for o, *rows, g in zip(self.oracles, ids, u, V, Corr, rngs)))
+        return np.stack(U_K), np.stack(V_K)
+
+    def value_and_grads_all(self, u, V):
+        vals, G_u, G_v = zip(*(o.value_and_grads_all(u_r, V_r)
+                               for o, u_r, V_r in zip(self.oracles, u, V)))
+        return np.stack(vals), np.stack(G_u), np.stack(G_v)
+
+
+class _QuadraticStack(OracleStack):
+    # every replica's rows in one (R, m, d) local-step block and one
+    # (R, n, .) metrics pass; per element the same operations as R blocks
+    def __init__(self, oracles):
+        super().__init__(oracles)
+        self.centers_u = np.stack([o.centers_u for o in self.oracles])
+        self.centers_v = np.stack([o.centers_v for o in self.oracles])
+        self._centers = np.stack([o._centers for o in self.oracles])
+        self._noise_scale = np.stack([o._noise_scale for o in self.oracles])[:, None, :]
+        self._replica = np.arange(len(self.oracles))[:, None]
+
+    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+        return _quad_steps(self._centers[self._replica, ids], self._noise_scale,
+                           u[:, None, :], V, Corr, K, gamma_u, gamma_v,
+                           [g for row in rngs for g in row])
+
+    def value_and_grads_all(self, u, V):
+        return _quad_values_and_grads(self.centers_u, self.centers_v, u[:, None, :], V)
+
+
+def stack_oracles(oracles) -> OracleStack:
+    """One oracle over a leading replica axis for the given per-replica
+    oracles (see `OracleStack`)."""
+    oracles = list(oracles)
+    if oracles and all(isinstance(o, QuadraticObjective) for o in oracles):
+        return _QuadraticStack(oracles)
+    return OracleStack(oracles)
 
 
 def _reg_value(u: np.ndarray, v: np.ndarray) -> float:

@@ -21,12 +21,13 @@ from fedpart.fedcore import (
     HyperParams,
     init_states,
     recommended_step_sizes,
-    round_streams,
+    replica_streams,
+    run_replicas,
     run_round,
     run_training,
     sample_clients,
 )
-from fedpart.objectives import LogisticObjective, QuadraticObjective
+from fedpart.objectives import LogisticObjective, QuadraticObjective, stack_oracles
 from fedpart.rng import stream
 
 
@@ -97,8 +98,9 @@ def test_criterion_03_floor_linear_in_gamma():
     for gamma in (0.02, 0.005):
         hp = HyperParams(gamma_u=gamma, gamma_v=gamma, eta_u=1.0, eta_v=1.0,
                          K=4, T=3000, m=8)
-        floors = [harness.floor_of(run_training("fedavg_p", obj, hp, seed=s).traces)
-                  for s in range(5)]
+        # the five seeds as one replica run; each is bitwise the seed alone
+        floors = [harness.floor_of(res.traces)
+                  for res in run_replicas("fedavg_p", [obj] * 5, hp, list(range(5)))]
         means[gamma] = float(np.mean(floors))
     ratio = means[0.02] / means[0.005]
     ok = 2.0 <= ratio <= 8.0
@@ -114,8 +116,8 @@ def test_criterion_04_floor_inverse_in_m():
     for m in (2, 8):
         hp = HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
                          K=10, T=2000, m=m)
-        floors = [harness.floor_of(run_training("scaffold_p", obj, hp, seed=s).traces)
-                  for s in range(5)]
+        floors = [harness.floor_of(res.traces)
+                  for res in run_replicas("scaffold_p", [obj] * 5, hp, list(range(5)))]
         means[m] = float(np.mean(floors))
     ratio = means[2] / means[8]
     ok = 2.0 <= ratio <= 8.0
@@ -128,15 +130,17 @@ def test_criterion_05_k_bias_under_partial_participation():
     obj, b2 = dataio.synth_quadratic(10, 5, 5, spread=1.5,
                                      sigma_u=0.0, sigma_v=0.0, seed=5)
     assert b2 > 0.0
+    # per K, the five seeds as one replica run
+    by_K = {}
+    for K in (5, 20, 80):
+        hp = HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
+                         K=K, T=1500, m=9)
+        by_K[K] = [harness.floor_of(res.traces)
+                   for res in run_replicas("fedavg_p", [obj] * 5, hp, list(range(5)))]
     all_increasing = True
     detail = []
     for seed in range(5):
-        floors = []
-        for K in (5, 20, 80):
-            hp = HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
-                             K=K, T=1500, m=9)
-            floors.append(harness.floor_of(run_training("fedavg_p", obj, hp,
-                                                        seed=seed).traces))
+        floors = [by_K[K][seed] for K in (5, 20, 80)]
         inc = floors[0] < floors[1] < floors[2]
         all_increasing = all_increasing and inc
         detail.append(f"s{seed}:{'<'.join(f'{f:.1e}' for f in floors)}")
@@ -174,13 +178,14 @@ def test_criterion_06_reduction_suite():
                       K=1, T=1, m=4)
     dev_b = 0.0
     for alg in ("fedavg_p", "scaffold_p"):
-        server, clients = init_states(alg, obj2, hp2, seed=6)
-        for t, ids, rngs in round_streams(6, obj2.n, hp2.m, range(1)):
-            run_round(server, clients, obj2, hp2, t, ids, rngs)
+        stack = stack_oracles([obj2])
+        server, clients = init_states(alg, stack, hp2, [6])
+        for t, ids, rngs in replica_streams([6], obj2.n, hp2.m, range(1)):
+            run_round(server, clients, stack, hp2, t, ids, rngs)
         u_exp = -0.2 * (0.0 - a).mean(axis=0)
         v_exp = [-0.3 * (0.0 - b[i]) for i in range(4)]
-        dev_b = max(dev_b, _max_dev([server.u], [u_exp]),
-                    _max_dev([c.v for c in clients], v_exp))
+        dev_b = max(dev_b, _max_dev([server.u[0]], [u_exp]),
+                    _max_dev(clients.V[0], v_exp))
     ok_b = dev_b <= 1e-14
 
     # (c) eta_u = eta_v = 1: matches a straight-line FedSim implementation
@@ -238,11 +243,12 @@ def test_criterion_07_control_variate_mean_invariant():
                                     sigma_u=1.0, sigma_v=0.0, seed=7)
     hp = HyperParams(gamma_u=0.02, gamma_v=0.02, eta_u=1.0, eta_v=1.0,
                      K=5, T=500, m=3)
-    server, clients = init_states("scaffold_p", obj, hp, seed=0)
+    stack = stack_oracles([obj])
+    server, clients = init_states("scaffold_p", stack, hp, [0])
     worst = 0.0
-    for t, ids, rngs in round_streams(0, obj.n, hp.m, range(hp.T)):
-        run_round(server, clients, obj, hp, t, ids, rngs)
-        gap = np.linalg.norm(server.c - np.mean([c.c_i for c in clients], axis=0))
+    for t, ids, rngs in replica_streams([0], obj.n, hp.m, range(hp.T)):
+        run_round(server, clients, stack, hp, t, ids, rngs)
+        gap = np.linalg.norm(server.c[0] - np.mean(clients.C[0], axis=0))
         worst = max(worst, float(gap))
     ok = worst <= 1e-12
     line = report(7, "control-variate mean invariant", ok,

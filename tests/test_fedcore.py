@@ -18,19 +18,22 @@ from fedpart import dataio, fedcore, metrics
 from fedpart.fedcore import (
     HyperParams,
     ServerState,
+    TrainingResult,
     aggregate_shared,
     init_control_variates,
     init_states,
     merge_personal,
     recommended_step_sizes,
+    replica_streams,
     round_streams,
+    run_replicas,
     run_round,
     run_training,
     sample_clients,
     update_client_control,
     update_server_control,
 )
-from fedpart.objectives import LogisticObjective, QuadraticObjective
+from fedpart.objectives import LogisticObjective, QuadraticObjective, stack_oracles
 from fedpart.rng import stream
 
 
@@ -314,10 +317,24 @@ def test_update_server_control():
 # ---------------------------------------------------------------- run_round
 
 
+def init_one(algorithm, obj, hp, seed):
+    """The replica (server, clients) of obj run alone, as run_training
+    starts it."""
+    return init_states(algorithm, stack_oracles([obj]), hp, [seed])
+
+
 def run_rounds(server, clients, obj, hp, seed, rounds):
-    """run_round over `rounds` on the streams round_streams draws for them."""
-    return [run_round(server, clients, obj, hp, t, ids, rngs)
-            for t, ids, rngs in round_streams(seed, obj.n, hp.m, rounds)]
+    """run_round over `rounds` on the streams replica_streams draws for the
+    one replica; its traces."""
+    stack = stack_oracles([obj])
+    return [run_round(server, clients, stack, hp, t, ids, rngs)[0]
+            for t, ids, rngs in replica_streams([seed], obj.n, hp.m, rounds)]
+
+
+def one(server, clients):
+    """Views of replica 0's (server, clients)."""
+    res = TrainingResult.of_replica(0, [], server, clients)
+    return res.server, res.clients
 
 
 def test_run_round_matches_parallel_sgd_step():
@@ -329,9 +346,10 @@ def test_run_round_matches_parallel_sgd_step():
     hp = hp_of(gamma_u=0.2, gamma_v=0.4, K=1, m=3)
     states = {}
     for alg in fedcore.ALGORITHMS:
-        server, clients = init_states(alg, obj, hp, seed=3)
+        server, clients = init_one(alg, obj, hp, seed=3)
         (tr,) = run_rounds(server, clients, obj, hp, 3, range(1))
         assert tr.sampled == (1, 2, 3)
+        server, clients = one(server, clients)
         states[alg] = (server.u.copy(), [c.v.copy() for c in clients])
     u_expect = np.zeros(2) - 0.2 * (np.zeros(2) - a).mean(axis=0)
     v_expect = [np.zeros(2) - 0.4 * (np.zeros(2) - b[i]) for i in range(3)]
@@ -348,8 +366,9 @@ def test_run_round_matches_parallel_sgd_step():
 def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
     obj = quad([[1.0], [2.0]], [[1.0], [0.0]])
     hp = hp_of(gamma_u=0.0, gamma_v=0.0, eta_u=0.0, eta_v=0.0, K=3, m=2)
-    server, clients = init_states("fedavg_p", obj, hp, seed=0)
+    server, clients = init_one("fedavg_p", obj, hp, seed=0)
     (tr,) = run_rounds(server, clients, obj, hp, 0, range(1))
+    server, clients = one(server, clients)
     assert np.array_equal(server.u, np.zeros(1))
     assert all(np.array_equal(c.v, np.zeros(1)) for c in clients)
     u0 = np.zeros(1)
@@ -362,12 +381,12 @@ def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
 def test_run_round_unsampled_clients_untouched():
     obj = quad(np.arange(10.0).reshape(5, 2), np.ones((5, 3)), sigma_u=0.3)
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=4, m=2)
-    server, clients = init_states("scaffold_p", obj, hp, seed=9)
-    for t, ids, rngs in round_streams(9, obj.n, hp.m, range(8)):
-        before = [(c.v.tobytes(), c.c_i.tobytes()) for c in clients]
-        tr = run_round(server, clients, obj, hp, t, ids, rngs)
+    server, clients = init_one("scaffold_p", obj, hp, seed=9)
+    for t in range(8):
+        before = [(c.v.tobytes(), c.c_i.tobytes()) for c in one(server, clients)[1]]
+        (tr,) = run_rounds(server, clients, obj, hp, 9, range(t, t + 1))
         sampled0 = {s - 1 for s in tr.sampled}
-        for i, c in enumerate(clients):
+        for i, c in enumerate(one(server, clients)[1]):
             if i not in sampled0:
                 assert c.v.tobytes() == before[i][0]
                 assert c.c_i.tobytes() == before[i][1]
@@ -376,12 +395,12 @@ def test_run_round_unsampled_clients_untouched():
 def test_run_round_control_mean_invariant():
     obj = quad(np.arange(8.0).reshape(4, 2), np.ones((4, 2)), sigma_u=1.0)
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=3, m=2)
-    server, clients = init_states("scaffold_p", obj, hp, seed=4)
-    for t, ids, rngs in round_streams(4, obj.n, hp.m, range(50)):
-        run_round(server, clients, obj, hp, t, ids, rngs)
-        mean_ci = np.mean([c.c_i for c in clients], axis=0)
-        err = float(np.linalg.norm(server.c - mean_ci))
-        assert err <= 1e-12 * (1.0 + float(np.linalg.norm(server.c)))
+    server, clients = init_one("scaffold_p", obj, hp, seed=4)
+    for t in range(50):
+        run_rounds(server, clients, obj, hp, 4, range(t, t + 1))
+        c = server.c[0]
+        err = float(np.linalg.norm(c - np.mean(clients.C[0], axis=0)))
+        assert err <= 1e-12 * (1.0 + float(np.linalg.norm(c)))
 
 
 def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
@@ -395,9 +414,11 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
             ("scaffold_p", hp_of(m=3), "m=3 exceeds n=2"),
             ("scaffold_p", hp_of(gamma_u=0.0), "scaffold_p needs gamma_u > 0")):
         with pytest.raises(ValueError, match=match):
-            init_states(algorithm, obj, hp, seed=0)
+            init_one(algorithm, obj, hp, seed=0)
         with pytest.raises(ValueError, match=match):
             run_training(algorithm, obj, hp, seed=0)
+    with pytest.raises(ValueError, match="1 seeds for 2 oracles"):
+        init_states("scaffold_p", stack_oracles([obj, obj]), hp_of(), [0])
     assert draws == []
     # a zero u-step is the identity for the uncorrected algorithm
     res = run_training("fedavg_p", obj, hp_of(gamma_u=0.0, T=3, m=2), seed=0)
@@ -407,7 +428,7 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
 def test_run_round_raises_on_divergence():
     obj = quad([[1.0]], [[1.0]])
     hp = hp_of(gamma_u=21.0, gamma_v=0.1, K=20, m=1)
-    server, clients = init_states("fedavg_p", obj, hp, seed=0)
+    server, clients = init_one("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
         run_rounds(server, clients, obj, hp, 0, range(12))
 
@@ -418,7 +439,7 @@ def test_run_round_names_non_finite_iterate_block(block, gamma_u, gamma_v):
     # 50 steps grow the block by 1e8 each: it overflows within round 0
     obj = quad([[1.0]], [[1.0]])
     hp = hp_of(gamma_u=gamma_u, gamma_v=gamma_v, K=50, m=1)
-    server, clients = init_states("fedavg_p", obj, hp, seed=0)
+    server, clients = init_one("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match=f"non-finite {block} after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
         run_rounds(server, clients, obj, hp, 0, range(1))
@@ -430,7 +451,7 @@ def test_run_round_names_non_finite_server_control():
     # 1/(K gamma_u) overflows: u barely moves, the control refresh is inf
     obj = quad([[1.0], [-2.0]], [[0.0], [0.0]])
     hp = hp_of(gamma_u=1e-320, gamma_v=0.1, K=1, m=2)
-    server, clients = init_states("scaffold_p", obj, hp, seed=0)
+    server, clients = init_one("scaffold_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match="non-finite c after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
         run_rounds(server, clients, obj, hp, 0, range(1))
@@ -441,9 +462,9 @@ def test_run_round_names_non_finite_client_control():
     # a corrupted unsampled c_i is caught although the round never reads it
     obj = quad(np.arange(3.0).reshape(3, 1), np.zeros((3, 1)))
     hp = hp_of(gamma_u=0.1, gamma_v=0.1, K=2, m=1)
-    server, clients = init_states("scaffold_p", obj, hp, seed=5)
+    server, clients = init_one("scaffold_p", obj, hp, seed=5)
     (sampled,) = sample_clients(3, 1, stream(5, "sample", 0))
-    clients.C[(sampled + 1) % 3] = np.nan
+    clients.C[0, (sampled + 1) % 3] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite c_i after round 0"):
         run_rounds(server, clients, obj, hp, 5, range(1))
     assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
@@ -478,13 +499,16 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
     streams and fresh per-round streams, through run_round's own arithmetic."""
     # a fedavg_p start draws nothing; scaffold_p's control variates come
     # from the per-draw reference loop
-    server, clients = init_states(fedcore.FEDAVG_P, oracle, hp, seed)
+    server, clients = init_one(fedcore.FEDAVG_P, oracle, hp, seed)
     if algorithm == fedcore.SCAFFOLD_P:
-        clients.C, server.c = _per_draw_control_variates(
-            server.u, clients.V, oracle, hp.K, seed)
-    traces = [run_round(server, clients, oracle, hp, t, *_fresh_streams(seed, oracle.n, hp.m, t))
-              for t in range(hp.T)]
-    return fedcore.TrainingResult(traces=traces, server=server, clients=clients)
+        C, c = _per_draw_control_variates(server.u[0], clients.V[0], oracle, hp.K, seed)
+        clients.C, server.c = C[None], c[None]
+    stack = stack_oracles([oracle])
+    traces = []
+    for t in range(hp.T):
+        ids, rngs = _fresh_streams(seed, oracle.n, hp.m, t)
+        traces += run_round(server, clients, stack, hp, t, ids[None], [rngs])
+    return TrainingResult.of_replica(0, traces, server, clients)
 
 
 def _small_oracle(objective):
@@ -516,9 +540,9 @@ def test_run_round_alone_equals_round_inside_run_training():
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, eta_u=1.3, K=4, T=9, m=3)
     for algorithm in fedcore.ALGORITHMS:
         whole = run_training(algorithm, obj, hp, seed=8)
-        server, clients = init_states(algorithm, obj, hp, seed=8)
+        server, clients = init_one(algorithm, obj, hp, seed=8)
         traces = run_rounds(server, clients, obj, hp, 8, range(hp.T))
-        alone = fedcore.TrainingResult(traces=traces, server=server, clients=clients)
+        alone = TrainingResult.of_replica(0, traces, server, clients)
         _assert_same_run(whole, alone)
 
 
@@ -532,6 +556,59 @@ def test_round_streams_equal_fresh_streams():
             assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
             assert np.array_equal(got.integers(0, 9, 5), want.integers(0, 9, 5))
     assert seen == [3, 4, 5]
+
+
+# ----------------------------------------------------------------- replicas
+
+
+@pytest.mark.parametrize("d", [5, 50])  # 50 takes numpy's pairwise row sums
+@pytest.mark.parametrize("m", [1, 3, "n"])
+@pytest.mark.parametrize("n", [10, 200])
+@pytest.mark.parametrize("algorithm", fedcore.ALGORITHMS)
+def test_replicas_equal_runs_alone(algorithm, n, m, d, monkeypatch):
+    # each replica, its own seed and centers, bitwise the same run alone;
+    # a smaller key block makes T = one block + 7 short
+    monkeypatch.setattr(fedcore, "_KEY_BLOCK", 64)
+    m = n if m == "n" else m
+    seeds = [3, 4, 5, 6, 7]
+    oracles = [dataio.synth_quadratic(n, d, d, spread=1.0, sigma_u=1.0, sigma_v=0.5, seed=s)[0]
+               for s in seeds]
+    for T in (0, 1, max(1, 64 // m) + 7):
+        hp = hp_of(gamma_u=0.02, gamma_v=0.03, eta_u=1.3, eta_v=1.1, K=2, T=T, m=m)
+        alone = [run_training(algorithm, o, hp, s) for o, s in zip(oracles, seeds)]
+        for R in (1, 2, 5):
+            got = run_replicas(algorithm, oracles[:R], hp, seeds[:R])
+            assert len(got) == R
+            for a, b in zip(got, alone):
+                _assert_same_run(a, b)
+                assert a.u.shape == (d,) and a.v_all.shape == (n, d)
+
+
+def test_replicas_share_round_time_and_span_a_key_block():
+    # the real key block, one oracle shared by all replicas (as the
+    # acceptance criteria run their seeds)
+    obj = _small_oracle("quadratic")
+    hp = hp_of(gamma_u=0.01, gamma_v=0.02, eta_u=1.5, eta_v=1.2, K=3,
+               T=fedcore._KEY_BLOCK // 8 + 7, m=8)
+    got = run_replicas("scaffold_p", [obj] * 3, hp, [17, 18, 19])
+    for res, seed in zip(got, [17, 18, 19]):
+        _assert_same_run(res, run_training("scaffold_p", obj, hp, seed))
+    assert all(a.wall_ms == b.wall_ms == c.wall_ms for a, b, c in zip(*(r.traces for r in got)))
+
+
+def test_replica_stack_runs_logistic_replicas_one_by_one():
+    obj = _small_oracle("logistic")
+    hp = hp_of(gamma_u=0.01, gamma_v=0.02, K=3, T=9, m=8)
+    got = run_replicas("scaffold_p", [obj, obj], hp, [1, 2])
+    for res, seed in zip(got, [1, 2]):
+        _assert_same_run(res, run_training("scaffold_p", obj, hp, seed))
+
+
+def test_stack_oracles_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="share"):
+        stack_oracles([quad([[1.0]], [[1.0]]), quad([[1.0, 2.0]], [[1.0]])])
+    with pytest.raises(ValueError, match="at least one"):
+        stack_oracles([])
 
 
 # ------------------------------------------------------------- run_training

@@ -544,6 +544,46 @@ def test_cli_sweep(tmp_path, capsys):
     assert os.path.exists(tmp_path / "sw" / "summary.csv")
 
 
+@pytest.mark.parametrize("bad", [
+    {"base": [1]},
+    {"values": 5},
+    {"seeds": 3},
+    {"threshold": "x"},
+    {"out_dir": 5},
+], ids=["base_list", "values_int", "seeds_int", "threshold_str", "out_dir_int"])
+def test_cli_sweep_malformed_spec_is_config_error(tmp_path, capsys, bad):
+    # rejected with exit 2 before any cell runs: no trace or summary appears
+    out_dir = tmp_path / "sw"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "base": dict(TINY, T=20), "axis": "K", "values": [1, 2], "seeds": [0],
+        "out_dir": str(out_dir), **bad,
+    }))
+    assert cli.main(["sweep", "--spec", str(spec)]) == 2
+    field = next(iter(bad))
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out_dir.exists()
+
+
+def test_logistic_sweep_cells_equal_direct_runs(tmp_path, mnist_paths):
+    # logistic cells run one at a time; each equals its config run alone
+    images, labels = mnist_paths
+    base = dict(algorithm="scaffold_p", objective="logistic_mnist", n=4, m=3, K=2, T=6,
+                batch_size=5, per_client_cap=40, images_path=images, labels_path=labels,
+                partition="iid")
+    spec = SweepSpec(base=base, axis="K", values=[2, 3], seeds=[0, 1],
+                     out_dir=str(tmp_path / "sw"))
+    run_sweep(spec)
+    for value in spec.values:
+        for seed in spec.seeds:
+            cell = cell_config(spec, value, seed)
+            direct = config_from_mapping({**base, "K": value, "seed": seed,
+                                          "output": str(tmp_path / "direct.csv")})
+            run_experiment(direct)
+            assert strip_wall(open(cell.output).read()) == strip_wall(
+                open(direct.output).read())
+
+
 def test_cli_usage_errors():
     assert cli.main([]) == 2
     assert cli.main(["frobnicate"]) == 2

@@ -9,8 +9,11 @@ alternating which side runs first: the parent first on the 1st, 3rd, ...
 seed of a workload, the change first on the others. Writes
 BENCH_<label>.json to the root of this checkout, rewritten after every pair,
 with every run and, for each workload and end-to-end metric: each side's
-median and quartiles, the pairs the change wins (ties count for neither) and
-the median of the per-seed ratios change / parent.
+median and quartiles, the pairs the change wins (ties count for neither),
+the median of the per-seed ratios change / parent, and whether that median
+ratio is within the metric's BENCHMARK.json bound (at least 1 - bound for a
+higher-is-better metric, at most 1 + bound for a lower-is-better one).
+Exits 1 when any run is incorrect or any metric is out of its bound.
 """
 
 from __future__ import annotations
@@ -68,6 +71,14 @@ def summarize(values: list[float]) -> dict:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
+def within_bound(ratio: float, metric: dict) -> bool:
+    """Whether a median paired ratio change / parent is no worse than the
+    metric's bound allows."""
+    if metric["better"] == "higher":
+        return ratio >= 1.0 - metric["bound"]
+    return ratio <= 1.0 + metric["bound"]
+
+
 def compare(runs: list[dict], metrics: list[dict]) -> dict:
     """Per-metric paired summary of one workload's runs."""
     by_seed = {}
@@ -90,13 +101,16 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
         sign = 1.0 if m["better"] == "higher" else -1.0
         parent = [p for p, _ in got]
         change = [c for _, c in got]
+        ratio = statistics.median(c / p for p, c in got)
         out[name] = {
             "better": m["better"],
             "parent": summarize(parent),
             "change": summarize(change),
             "change_wins": sum(sign * (c - p) > 0 for p, c in got),
             "pairs": len(got),
-            "median_paired_ratio": round(statistics.median(c / p for p, c in got), 4),
+            "median_paired_ratio": round(ratio, 4),
+            "bound": m["bound"],
+            "within_bound": within_bound(ratio, m),
             "parent_runs": [round(v, 4) for v in parent],
             "change_runs": [round(v, 4) for v in change],
         }
@@ -166,17 +180,24 @@ def main() -> int:
                     json.dump(result, f, indent=1)
                     f.write("\n")
                 os.replace(out_path + ".tmp", out_path)
+        ok = True
         for w, summary in result["end_to_end"].items():
+            if not summary["all_correct"]:
+                ok = False
+                print(f"{w}: some runs are incorrect", file=sys.stderr)
             for m in bench["end_to_end"]:
                 s = summary.get(m["name"])
                 if s:
+                    ok = ok and s["within_bound"]
                     print(f"{w} {m['name']}: parent {s['parent']['median']} change "
                           f"{s['change']['median']} ratio {s['median_paired_ratio']} "
-                          f"wins {s['change_wins']}/{s['pairs']}", file=sys.stderr)
+                          f"wins {s['change_wins']}/{s['pairs']} "
+                          f"{'within' if s['within_bound'] else 'OUT OF'} bound {m['bound']:g}",
+                          file=sys.stderr)
         print(out_path)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
