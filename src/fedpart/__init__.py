@@ -15,13 +15,7 @@ from .fedcore import (
 )
 from .harness import ExperimentConfig, SweepSpec, load_config, run_experiment, run_sweep
 from .metrics import ConstantEstimates, estimate_constants
-from .objectives import (
-    LogisticObjective,
-    ObjectiveOracle,
-    OracleStack,
-    QuadraticObjective,
-    stack_oracles,
-)
+from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective, stack_oracles
 
 __version__ = "0.1.0"
 
@@ -32,7 +26,6 @@ __all__ = [
     "HyperParams",
     "LogisticObjective",
     "ObjectiveOracle",
-    "OracleStack",
     "QuadraticObjective",
     "RawDataset",
     "RoundTrace",

@@ -312,8 +312,8 @@ def run_experiments(configs: list[ExperimentConfig]):
     round's time is the shared replica round's.
     """
     first = configs[0]
-    if any(dict(c.to_mapping(), seed=0, output="") != dict(first.to_mapping(), seed=0, output="")
-           for c in configs):
+    shared = dict(first.to_mapping(), seed=0, output="")
+    if any(dict(c.to_mapping(), seed=0, output="") != shared for c in configs):
         raise ValueError("replica configs may differ only in seed and output")
     results = fedcore.run_replicas(first.algorithm, [build_oracle(c) for c in configs],
                                    first.hyper_params(), [c.seed for c in configs])

@@ -21,7 +21,9 @@ Two block methods work on the client state held as arrays:
 kernel call. The generic `value_and_grads_all` loops over the per-client
 `value_and_grads`; the quadratic overrides it with one vectorized pass.
 `local_steps_block` trusts the shapes checked once at run start;
-`value_and_grads` checks dimensions on every call.
+`value_and_grads` checks dimensions on every call. `stack_oracles` puts
+the oracles of R replica runs behind the same two methods over a leading
+replica axis, one array pass for all-quadratic replicas.
 
 Oracles are immutable after construction; every stochastic evaluation takes
 its generator as an explicit argument.
@@ -201,24 +203,19 @@ def _quad_steps(centers, noise_scale, u, V, Corr, K, gamma_u, gamma_v, rngs):
 
 class OracleStack:
     """R oracles of equal (n, d_u, d_v), one per replica run, as one oracle
-    over a leading replica axis.
-
-    `local_steps_block(ids, u, V, Corr, K, gamma_u, gamma_v, rngs)` takes
-    ids (R, m), u (R, d_u), V (R, m, d_v), Corr (R, m, d_u) and one list of
-    m generators per replica; `value_and_grads_all(u, V)` takes u (R, d_u)
-    and V (R, n, d_v). Both return their single-oracle results stacked.
-    This class runs each replica's own block method in turn;
+    over a leading replica axis: the two block methods take ids (R, m),
+    u (R, d_u), V (R, m, d_v) or (R, n, d_v), Corr (R, m, d_u) and one list
+    of m generators per replica, and return the single-oracle results
+    stacked. This class runs each replica's own method in turn;
     `stack_oracles` gives all-quadratic replicas one array pass instead.
     """
 
     def __init__(self, oracles):
         self.oracles = tuple(oracles)
-        if not self.oracles:
-            raise ValueError("need at least one oracle")
-        self.n, self.d_u, self.d_v = (self.oracles[0].n, self.oracles[0].d_u,
-                                      self.oracles[0].d_v)
-        if any((o.n, o.d_u, o.d_v) != (self.n, self.d_u, self.d_v) for o in self.oracles):
-            raise ValueError("stacked oracles must share (n, d_u, d_v)")
+        shapes = {(o.n, o.d_u, o.d_v) for o in self.oracles}
+        if len(shapes) != 1:
+            raise ValueError(f"need oracles that share (n, d_u, d_v), got {sorted(shapes)}")
+        ((self.n, self.d_u, self.d_v),) = shapes
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         U_K, V_K = zip(*(o.local_steps_block(*rows, K, gamma_u, gamma_v, g)

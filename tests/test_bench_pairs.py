@@ -1,0 +1,40 @@
+"""tools/bench_pairs.py: the paired summary and its bound verdict."""
+
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+HIGHER = {"name": "rounds_per_s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}
+
+
+def _runs(pairs, name):
+    out = []
+    for seed, (parent, change) in enumerate(pairs):
+        for side, value in (("parent", parent), ("change", change)):
+            out.append({"seed": seed, "side": side, "correct": True, "failed": 0,
+                        "attempted": 1, name: value})
+    return out
+
+
+def test_within_bound_on_both_sides_of_the_bound():
+    assert bench_pairs.within_bound(0.75, HIGHER)
+    assert not bench_pairs.within_bound(0.74, HIGHER)
+    assert bench_pairs.within_bound(1.05, LOWER)
+    assert not bench_pairs.within_bound(1.06, LOWER)
+    assert bench_pairs.within_bound(3.0, HIGHER) and bench_pairs.within_bound(0.1, LOWER)
+
+
+def test_compare_records_the_bound_verdict_of_the_median_ratio():
+    # ratios 0.5, 0.9, 1.2: the median 0.9 is within 0.25, though one pair is not
+    got = bench_pairs.compare(_runs([(10, 5), (10, 9), (10, 12)], "rounds_per_s"), [HIGHER])
+    s = got["rounds_per_s"]
+    assert s["median_paired_ratio"] == 0.9 and s["bound"] == 0.25 and s["within_bound"]
+    assert s["change_wins"] == 1 and s["pairs"] == 3
+    got = bench_pairs.compare(_runs([(40, 43), (40, 42)], "peak_rss_mb"), [LOWER])
+    assert not got["peak_rss_mb"]["within_bound"]

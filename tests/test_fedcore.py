@@ -219,6 +219,20 @@ def test_aggregate_full_participation_equals_mean_formula():
     assert np.allclose(got, brute, atol=1e-15)
 
 
+@pytest.mark.parametrize("m", [1, 3, 9, 200])
+def test_replica_sums_equal_a_run_alone_bitwise(m):
+    # over (R, m, d_u), as a view of a wider block like the kernel returns,
+    # each replica's row equals the single-run formula on its own rows
+    rng = stream(65, "probe")
+    u_old, c = rng.standard_normal((3, 50)), rng.standard_normal((3, 50))
+    U = rng.standard_normal((3, m, 80))[..., :50]
+    got_u = aggregate_shared(u_old, U, 0.7)
+    got_c = update_server_control(c, U, 13)
+    for r in range(3):
+        assert np.array_equal(got_u[r], (1.0 - 0.7) * u_old[r] + (0.7 / m) * U[r].sum(axis=0))
+        assert np.array_equal(got_c[r], c[r] + U[r].sum(axis=0) / 13)
+
+
 # ------------------------------------------------------------ control variates
 
 
@@ -607,7 +621,7 @@ def test_replica_stack_runs_logistic_replicas_one_by_one():
 def test_stack_oracles_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="share"):
         stack_oracles([quad([[1.0]], [[1.0]]), quad([[1.0, 2.0]], [[1.0]])])
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ValueError, match=r"share \(n, d_u, d_v\), got \[\]"):
         stack_oracles([])
 
 

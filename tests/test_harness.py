@@ -361,6 +361,31 @@ def test_sweep_single_cell_matches_direct_run(tmp_path):
     assert os.path.exists(cell[5])
 
 
+def test_sweep_cells_equal_direct_runs(tmp_path):
+    # a value's seeds run as one replica run; each cell's trace and echo are
+    # its config run alone, and the replicas share each round's wall_ms
+    spec = SweepSpec(base=dict(TINY, T=30, sigma_v=0.5), axis="K", values=[1, 3],
+                     seeds=[0, 1, 2], out_dir=str(tmp_path / "sw"))
+    run_sweep(spec)
+    for value in spec.values:
+        cells = [cell_config(spec, value, seed) for seed in spec.seeds]
+        texts = [open(c.output).read() for c in cells]
+        for cell, text in zip(cells, texts):
+            direct = tiny_cfg(tmp_path, "direct.csv", T=30, sigma_v=0.5, K=value, seed=cell.seed)
+            run_experiment(direct)
+            assert strip_wall(text) == strip_wall(open(direct.output).read())
+            echo = json.load(open(echo_path_for(cell.output)))
+            assert echo == dict(direct.to_mapping(), output=cell.output)
+        walls = [[line.rsplit(",", 1)[1] for line in t.split("\n")[1:-1]] for t in texts]
+        assert walls[0] == walls[1] == walls[2]
+
+
+def test_run_experiments_rejects_configs_that_differ_beyond_seed(tmp_path):
+    with pytest.raises(ValueError, match="only in seed and output"):
+        harness.run_experiments([tiny_cfg(tmp_path, "a.csv"), tiny_cfg(tmp_path, "b.csv", K=3)])
+    assert not os.path.exists(tmp_path / "a.csv")
+
+
 def test_sweep_deterministic(tmp_path):
     def rows(out_dir):
         spec = SweepSpec(base=dict(TINY, T=30), axis="m", values=[1, 3],

@@ -8,7 +8,12 @@ import pytest
 
 from fedpart import dataio, metrics
 from fedpart.dataio import ClientShard
-from fedpart.objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective
+from fedpart.objectives import (
+    LogisticObjective,
+    ObjectiveOracle,
+    QuadraticObjective,
+    stack_oracles,
+)
 from fedpart.rng import stream
 
 
@@ -31,6 +36,23 @@ def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01):
         for i in range(n)
     ]
     return LogisticObjective(shards, rho=rho)
+
+
+@pytest.mark.parametrize("n,d", [(10, 5), (200, 50)])  # (200, 50): pairwise sums
+def test_round_metrics_over_a_stack_equal_single_formulas_bitwise(n, d):
+    # a run alone's formulas, written out with its reductions
+    objs = [dataio.synth_quadratic(n, d, d, 1.0, 0.0, 0.0, seed)[0] for seed in (1, 2, 3)]
+    stack = stack_oracles(objs)
+    rng = stream(33, "probe")
+    u, V = rng.standard_normal((3, d)), rng.standard_normal((3, n, d))
+    got = metrics.round_metrics(stack, u, V, 7)
+    for r, obj in enumerate(objs):
+        vals, G_u, G_v = obj.value_and_grads_all(u[r], V[r])
+        gbar = G_u.sum(axis=0) / n
+        g_v = float(np.square(G_v).sum(axis=1).sum() / n)
+        want = (float(vals.sum() / n), float(gbar @ gbar), g_v, (7 / n) * g_v)
+        assert tuple(x[r] for x in got) == want
+        assert metrics.round_metrics(obj, u[r], V[r], 7) == want
 
 
 class Scaled(ObjectiveOracle):
