@@ -1,20 +1,22 @@
-"""Dataset plumbing: IDX parsing, label binarization, feature splitting,
-client partitioning, and synthetic quadratic instance generation.
+"""Dataset plumbing: IDX parsing, label binarization, client partitioning,
+and synthetic quadratic instance generation.
 
 IDX files are the standard MNIST container: big-endian magic, dimension
 sizes, then raw unsigned bytes. Parsing is bit-exact and strict: wrong
 magic, short payloads and trailing bytes are all distinct errors. Gzipped
 files are inflated transparently when read from disk, and every format or
 inflate error met while loading a file names that file. Images stay uint8
-pixels until partitioning scales the rows each shard keeps.
+pixels: each shard keeps its rows as stored, with scale 255, and a logistic
+gradient casts only the rows it reads (`kernels.logistic_grads`).
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,12 +78,29 @@ class RawDataset:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's rows: shared features A, personal features B, labels y in {-1,+1}."""
+    """One client's rows: shared features A / scale, personal features
+    B / scale, labels y in {-1,+1}.
+
+    The features are stored once, in their given dtype, as the C-contiguous
+    matrix X = [A | B] (N_i, d_u + d_v); A and B are its column views. Image
+    shards keep uint8 pixels with scale 255.
+    """
 
     client_id: int  # 1-based
     A: np.ndarray  # (N_i, d_u)
     B: np.ndarray  # (N_i, d_v)
     y: np.ndarray  # (N_i,)
+    scale: float = 1.0
+    X: np.ndarray = field(init=False, repr=False, compare=False)  # (N_i, d_u + d_v)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
+        X = np.hstack([self.A, self.B])
+        d_u = self.A.shape[1]
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "A", X[:, :d_u])
+        object.__setattr__(self, "B", X[:, d_u:])
 
     @property
     def n_rows(self) -> int:
@@ -175,14 +194,6 @@ def binarize_labels(digits: np.ndarray) -> np.ndarray:
     return np.where(digits % 2 == 0, 1, -1).astype(np.int64)
 
 
-def split_features(x: np.ndarray, d_u: int, d_v: int):
-    """Split a feature vector into shared prefix a (d_u) and personal suffix b (d_v)."""
-    x = np.asarray(x)
-    if d_u < 1 or d_v < 1 or d_u + d_v != x.shape[-1]:
-        raise DimMismatch(f"d_u + d_v = {d_u} + {d_v} must equal feature count {x.shape[-1]}")
-    return x[..., :d_u], x[..., d_u:]
-
-
 def _block_sizes(count: int, n: int) -> list[int]:
     # remainder rows go one each to the lowest-index shards
     base, rem = divmod(count, n)
@@ -205,13 +216,17 @@ def partition_clients(
     which maximizes heterogeneity. Each shard keeps the first `cap` rows of
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
-    uint8 rows are gathered, split into shared/personal feature blocks and
-    scaled by 1/255 into C-contiguous float64 A and B.
+    uint8 rows are gathered, and they stay uint8 pixels: the first d_u
+    columns are A and the last d_v are B, with scale 255.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
+    if d_u < 1 or d_v < 1 or d_u + d_v != dataset.images.shape[1]:
+        raise DimMismatch(
+            f"d_u + d_v = {d_u} + {d_v} must equal feature count {dataset.images.shape[1]}"
+        )
     if dataset.count < n:
         raise TooFewExamples(f"{dataset.count} examples cannot fill {n} shards")
     if scheme == "iid":
@@ -227,8 +242,9 @@ def partition_clients(
     for i, size in enumerate(_block_sizes(dataset.count, n)):
         rows = order[start : start + size][:cap]
         start += size
-        a, b = split_features(dataset.images[rows], d_u, d_v)
-        shards.append(ClientShard(client_id=i + 1, A=a / 255.0, B=b / 255.0, y=y_all[rows]))
+        x = dataset.images[rows]
+        shards.append(ClientShard(client_id=i + 1, A=x[:, :d_u], B=x[:, d_u:], y=y_all[rows],
+                                  scale=255.0))
     return shards
 
 

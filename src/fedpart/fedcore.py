@@ -249,11 +249,14 @@ def update_server_control(c, deltas, n: int):
     return c + deltas.sum(axis=-2) / n
 
 
-def _check_finite(t: int, **blocks) -> None:
+def _check_finite(t: int, seeds, **blocks) -> None:
     for name, x in blocks.items():
         if x is not None and not np.isfinite(x).all():
+            # blocks carry a leading replica axis: name the first bad replica
+            r = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
             raise FloatingPointError(
-                f"non-finite {name} after round {t}; step sizes too large?"
+                f"non-finite {name} after round {t} in replica {r} (seed {seeds[r]}); "
+                "step sizes too large?"
             )
 
 
@@ -267,17 +270,19 @@ def replica_streams(seeds, n: int, m: int, rounds: range):
 
 
 def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
-              hp: HyperParams, t: int, ids: np.ndarray, rngs) -> list[RoundTrace]:
+              hp: HyperParams, t: int, ids: np.ndarray, rngs, seeds) -> list[RoundTrace]:
     """Outer round t of R replicas: replica r's ascending sampled ids in
     ids[r] and one local generator per id in rngs[r] (as `replica_streams`
-    yields them). Mutates server and the sampled client rows in place and
-    returns one trace per replica; all R share the round's wall_ms.
+    yields them); seeds[r] is replica r's run seed. Mutates server and the
+    sampled client rows in place and returns one trace per replica; all R
+    share the round's wall_ms.
 
     The control-variate correction applies when the state carries control
     variates (`clients.C`, set by `init_states` for scaffold_p). Metrics are
     computed on the post-round state over all n clients. Raises
     FloatingPointError naming the first non-finite block among u, v, c and
-    c_i, or f, in any replica.
+    c_i, or f, and the first replica where it is non-finite, by index and
+    seed.
     """
     corrected = clients.C is not None
     t0 = time.perf_counter()
@@ -295,10 +300,10 @@ def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
         clients.C[rows, ids] = C_next
         server.c = update_server_control(server.c, C_next - C_old, oracle.n)
     server.u = aggregate_shared(server.u, U_K, hp.eta_u)
-    _check_finite(t, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
+    _check_finite(t, seeds, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
 
     metric_rows = metrics.round_metrics(oracle, server.u, clients.V, hp.m)
-    _check_finite(t, f=metric_rows[0])
+    _check_finite(t, seeds, f=metric_rows[0])
     wall_ms = (time.perf_counter() - t0) * 1e3
     return [RoundTrace(t=t, f_value=f, grad_norm_u=g_u, grad_norm_v=g_v, grad_norm_v_hat=g_v_hat,
                        sampled=tuple(sampled), wall_ms=wall_ms)
@@ -348,7 +353,7 @@ def run_replicas(algorithm: str, oracles, hp: HyperParams, seeds,
     which is the shared replica round's time."""
     oracle = stack_oracles(oracles)
     server, clients = init_states(algorithm, oracle, hp, seeds, u0, v0_all)
-    rounds = [run_round(server, clients, oracle, hp, t, ids, rngs)
+    rounds = [run_round(server, clients, oracle, hp, t, ids, rngs, seeds)
               for t, ids, rngs in replica_streams(seeds, oracle.n, hp.m, range(hp.T))]
     return [TrainingResult.of_replica(r, [traces[r] for traces in rounds], server, clients)
             for r in range(len(seeds))]

@@ -13,7 +13,8 @@ are provided:
 - LogisticObjective: per-shard mean of log(1 + exp(-c * (a.u + b.v)))
   plus a smooth non-convex regularizer
   rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient,
-  full-batch or minibatch, comes from `kernels.logistic_grads`.
+  full-batch or minibatch, comes from `kernels.logistic_grads` on the
+  shard's stored feature matrix X = [A | B] (`dataio.ClientShard`).
 
 Two block methods work on the client state held as arrays:
 `value_and_grads_all` evaluates all n clients in one pass and
@@ -269,8 +270,10 @@ class LogisticObjective(ObjectiveOracle):
     f_i(u, v_i) = (1/N_i) * sum_l log(1 + exp(-c_l * (a_l.u + b_l.v_i)))
                   + rho * (|u|^2/(1+|u|^2) + |v_i|^2/(1+|v_i|^2))
 
-    Minibatches are drawn uniformly with replacement, batch_size rows per
-    step.
+    with (a_l | b_l) the l-th row of the shard's features X / scale. The
+    shards are held as given, in their stored dtype; each gradient casts
+    only the rows it reads into a float64 buffer. Minibatches are drawn
+    uniformly with replacement, batch_size rows per step.
     """
 
     def __init__(self, shards: "list[ClientShard]", rho: float = 0.01, batch_size: int = 1):
@@ -297,21 +300,24 @@ class LogisticObjective(ObjectiveOracle):
     def value_and_grads(self, i, u, v):
         _check_dims(u, v, self.d_u, self.d_v)
         s = self.shards[i]
-        margin, g_u, g_v = kernels.logistic_grads(s.A, s.B, s.y, u, v, self.rho)
+        margin, g_u, g_v = kernels.logistic_grads(s.X, s.y, s.scale, slice(None), u, v,
+                                                  self.rho, np.empty(s.X.shape))
         value = float(np.logaddexp(0.0, -margin).mean()) + self.rho * _reg_value(u, v)
         return value, g_u, g_v
 
     def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]
-        rows = rng.integers(0, s.y.shape[0], size=(K, self.batch_size))
-        _, G_u, G_v = zip(*(kernels.logistic_grads(s.A[r], s.B[r], s.y[r], u, v, self.rho)
+        rows = rng.integers(0, s.n_rows, size=(K, self.batch_size))
+        Z = np.empty((self.batch_size, self.d_u + self.d_v))
+        _, G_u, G_v = zip(*(kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, self.rho, Z)
                             for r in rows))
         return np.stack(G_u), np.stack(G_v)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         shards = [self.shards[i] for i in ids]
-        idx = [g.integers(0, s.y.shape[0], size=(K, self.batch_size))
+        idx = [g.integers(0, s.n_rows, size=(K, self.batch_size))
                for s, g in zip(shards, rngs)]
         return kernels.logistic_local_steps(
-            u, V, [(s.A, s.B, s.y) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr
+            u, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
+            np.empty((self.batch_size, self.d_u + self.d_v)),
         )

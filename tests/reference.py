@@ -27,6 +27,39 @@ def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
     return u, v
 
 
+def logistic_grads(A, B, y, u, v, rho):
+    """(margin, g_u, g_v) of the regularized logistic loss over float64 rows
+    (A, B, y), each block read as given: the package's gradient before
+    shards kept their stored dtype and a scale."""
+    margin = y * (A @ u + B @ v)
+    t = np.exp(-np.abs(margin))
+    w = -y * (np.where(margin <= 0.0, 1.0, t) / (1.0 + t))
+    su = np.dot(u, u)
+    sv = np.dot(v, v)
+    cu = 2.0 * rho / ((1.0 + su) * (1.0 + su))
+    cv = 2.0 * rho / ((1.0 + sv) * (1.0 + sv))
+    rows = y.shape[0]
+    return margin, (w @ A) / rows + cu * u, (w @ B) / rows + cv * v
+
+
+def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr):
+    """K minibatch steps per client on float64 shards[j] = (A, B, y),
+    gathering A[r] and B[r] separately per step; idx[j] (K, batch) holds
+    client j's batch rows and Corr[j] its u-correction."""
+    U = np.empty_like(Corr)
+    V = np.empty_like(V0)
+    for j, ((A, B, y), steps, corr_u) in enumerate(zip(shards, idx, Corr)):
+        u = u0
+        v = V0[j]
+        for r in steps:
+            _, g_u, g_v = logistic_grads(A[r], B[r], y[r], u, v, rho)
+            u = u - gamma_u * (g_u - corr_u)
+            v = v - gamma_v * g_v
+        U[j] = u
+        V[j] = v
+    return U, V
+
+
 def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
     """Client shards built the way the loader used to: scale the whole
     corpus to float64, copy every row into uncapped shards, then copy each

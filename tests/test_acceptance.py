@@ -181,7 +181,7 @@ def test_criterion_06_reduction_suite():
         stack = stack_oracles([obj2])
         server, clients = init_states(alg, stack, hp2, [6])
         for t, ids, rngs in replica_streams([6], obj2.n, hp2.m, range(1)):
-            run_round(server, clients, stack, hp2, t, ids, rngs)
+            run_round(server, clients, stack, hp2, t, ids, rngs, [6])
         u_exp = -0.2 * (0.0 - a).mean(axis=0)
         v_exp = [-0.3 * (0.0 - b[i]) for i in range(4)]
         dev_b = max(dev_b, _max_dev([server.u[0]], [u_exp]),
@@ -247,7 +247,7 @@ def test_criterion_07_control_variate_mean_invariant():
     server, clients = init_states("scaffold_p", stack, hp, [0])
     worst = 0.0
     for t, ids, rngs in replica_streams([0], obj.n, hp.m, range(hp.T)):
-        run_round(server, clients, stack, hp, t, ids, rngs)
+        run_round(server, clients, stack, hp, t, ids, rngs, [0])
         gap = np.linalg.norm(server.c[0] - np.mean(clients.C[0], axis=0))
         worst = max(worst, float(gap))
     ok = worst <= 1e-12

@@ -1,13 +1,15 @@
-"""IDX parsing, label binarization, feature splitting, client partitioning
-and the synthetic quadratic generator.
+"""IDX parsing, label binarization, client shards and partitioning, and the
+synthetic quadratic generator.
 
 The parser tests build inputs with the test-local idxbytes encoder (and a
 few literal byte strings), never with the package's own code, so encode and
-decode bugs cannot cancel. Shards are checked bitwise against the old
-float-corpus pipeline kept in `reference.capped_shards`.
+decode bugs cannot cancel. Shards keep uint8 pixels; their features
+A / scale and B / scale are checked bitwise against the old float-corpus
+pipeline kept in `reference.capped_shards`.
 """
 
 import gzip
+import math
 import re
 import struct
 import tracemalloc
@@ -20,6 +22,7 @@ import reference
 from fedpart import dataio, harness, metrics
 from fedpart.dataio import (
     BadMagic,
+    ClientShard,
     DataFormatError,
     DimMismatch,
     LabelOutOfRange,
@@ -162,7 +165,7 @@ def test_parse_errors_name_their_file(tmp_path):
         dataio.load_mnist(str(ip), str(lp))
 
 
-# --------------------------------------------------- binarization and split
+# -------------------------------------------------- binarization and shards
 
 
 def test_binarize_parity():
@@ -171,27 +174,24 @@ def test_binarize_parity():
     assert np.array_equal(dataio.binarize_labels([1, 3, 9]), [-1, -1, -1])
 
 
-def test_split_features_prefix_suffix():
-    a, b = dataio.split_features(np.array([1.0, 2.0, 3.0, 4.0]), 3, 1)
-    assert np.array_equal(a, [1.0, 2.0, 3.0])
-    assert np.array_equal(b, [4.0])
-
-
-def test_split_features_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        dataio.split_features(np.zeros(4), 3, 2)
-    with pytest.raises(DimMismatch):
-        dataio.split_features(np.zeros(4), 4, 0)
-
-
-def test_split_features_round_trip():
+def test_shard_holds_features_once_as_one_matrix():
     rng = stream(22, "probe")
-    for _ in range(100):
-        d_u = int(rng.integers(1, 6))
-        d_v = int(rng.integers(1, 6))
-        x = rng.standard_normal(d_u + d_v)
-        a, b = dataio.split_features(x, d_u, d_v)
-        assert np.array_equal(np.concatenate([a, b]), x)
+    for dtype in (np.uint8, np.float64):
+        A = rng.integers(0, 256, size=(5, 3)).astype(dtype)
+        B = rng.integers(0, 256, size=(5, 2)).astype(dtype)
+        shard = ClientShard(client_id=1, A=A, B=B, y=np.ones(5))
+        assert shard.X.dtype == dtype and shard.X.flags.c_contiguous
+        assert np.array_equal(shard.X, np.hstack([A, B]))
+        assert np.shares_memory(shard.A, shard.X) and np.shares_memory(shard.B, shard.X)
+        assert np.array_equal(shard.A, A) and np.array_equal(shard.B, B)
+        assert shard.scale == 1.0
+
+
+@pytest.mark.parametrize("scale", [0.0, -255.0, math.inf, -math.inf, math.nan])
+def test_shard_scale_must_be_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="scale"):
+        ClientShard(client_id=1, A=np.zeros((1, 2)), B=np.zeros((1, 1)), y=np.ones(1),
+                    scale=scale)
 
 
 # -------------------------------------------------------------- partitioning
@@ -208,7 +208,7 @@ def _indexed_dataset(labels):
 
 
 def _row_indices(shard):
-    return np.round(shard.A[:, 0] * 255.0).astype(int)
+    return shard.A[:, 0].astype(int)
 
 
 def test_partition_single_client_holds_everything():
@@ -268,6 +268,14 @@ def test_partition_too_few_examples():
         dataio.partition_clients(ds, 2, "sorted", seed=0, d_u=2, d_v=2)
 
 
+def test_partition_dim_mismatch():
+    ds = _indexed_dataset([1, 2, 3])
+    with pytest.raises(DimMismatch):
+        dataio.partition_clients(ds, 1, "iid", seed=0, d_u=3, d_v=2)
+    with pytest.raises(DimMismatch):
+        dataio.partition_clients(ds, 1, "iid", seed=0, d_u=4, d_v=0)
+
+
 def test_partition_labels_binarized_and_features_split():
     ds = _indexed_dataset([0, 1, 2, 3])
     (shard,) = dataio.partition_clients(ds, 1, "by_label", seed=0, d_u=3, d_v=1)
@@ -320,10 +328,12 @@ def test_partition_matches_float_corpus_pipeline(scheme, n):
             assert len(got) == len(want) == n
             for g, w in zip(got, want):
                 assert g.client_id == w.client_id
-                for name in ("A", "B", "y"):
-                    ga, wa = getattr(g, name), getattr(w, name)
+                assert g.X.dtype == np.uint8 and g.scale == 255.0 and w.scale == 1.0
+                assert g.y.dtype == w.y.dtype == np.float64
+                assert g.y.tobytes() == w.y.tobytes()
+                for name in ("A", "B"):
+                    ga, wa = getattr(g, name) / g.scale, getattr(w, name)
                     assert ga.dtype == wa.dtype == np.float64
-                    assert ga.flags.c_contiguous and wa.flags.c_contiguous
                     assert ga.shape == wa.shape and ga.tobytes() == wa.tobytes()
 
 

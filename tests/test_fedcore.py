@@ -341,7 +341,7 @@ def run_rounds(server, clients, obj, hp, seed, rounds):
     """run_round over `rounds` on the streams replica_streams draws for the
     one replica; its traces."""
     stack = stack_oracles([obj])
-    return [run_round(server, clients, stack, hp, t, ids, rngs)[0]
+    return [run_round(server, clients, stack, hp, t, ids, rngs, [seed])[0]
             for t, ids, rngs in replica_streams([seed], obj.n, hp.m, rounds)]
 
 
@@ -484,6 +484,19 @@ def test_run_round_names_non_finite_client_control():
     assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
 
 
+def test_replica_divergence_names_the_replica_and_its_seed():
+    # centers of 1e300 overflow f in round 0; the healthy replica alone stays finite
+    ok = quad([[1.0]], [[1.0]])
+    big = quad([[1e300]], [[1e300]])
+    hp = hp_of(K=2, T=3, m=1)
+    assert np.isfinite(run_training("fedavg_p", ok, hp, seed=41).traces[-1].f_value)
+    for oracles, seeds, r in (([ok, big], [41, 42], 1), ([big, ok], [43, 41], 0)):
+        with pytest.raises(FloatingPointError, match=rf"non-finite f after round 0 "
+                           rf"in replica {r} \(seed {seeds[r]}\)"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_replicas("fedavg_p", oracles, hp, seeds)
+
+
 # --------------------------------------------------------- stream schedule
 
 
@@ -521,7 +534,7 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
     traces = []
     for t in range(hp.T):
         ids, rngs = _fresh_streams(seed, oracle.n, hp.m, t)
-        traces += run_round(server, clients, stack, hp, t, ids[None], [rngs])
+        traces += run_round(server, clients, stack, hp, t, ids[None], [rngs], [seed])
     return TrainingResult.of_replica(0, traces, server, clients)
 
 

@@ -12,8 +12,10 @@ import pytest
 
 import fedpart
 import reference
+from fedpart import dataio
+from fedpart.dataio import ClientShard, RawDataset
+from fedpart.fedcore import HyperParams, run_training
 from fedpart.objectives import LogisticObjective, QuadraticObjective
-from fedpart.dataio import ClientShard
 from fedpart.rng import stream
 
 
@@ -385,6 +387,99 @@ def test_local_steps_zero_gamma_is_identity():
     U, V = obj.local_steps_block(np.array([0, 1]), u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0,
                                  [stream(12, "local", 0, i) for i in (0, 1)])
     assert np.array_equal(U, np.stack([u0, u0])) and np.array_equal(V, V0)
+
+
+# ------------------------------------------------------ stored feature dtype
+
+
+def float_shards(rng, n, rows, d_u, d_v):
+    """(shards, blocks): n random float64 shards and, per shard, its own
+    contiguous (A, B, y) arrays for the float64 reference loop."""
+    blocks = [(rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v)),
+               np.where(rng.random(rows) < 0.5, -1.0, 1.0)) for _ in range(n)]
+    shards = [ClientShard(client_id=i + 1, A=A.copy(), B=B.copy(), y=y)
+              for i, (A, B, y) in enumerate(blocks)]
+    return shards, blocks
+
+
+def test_logistic_float_shards_equal_float64_loop_bitwise():
+    # scale 1.0: x / 1.0 and 1.0 * rows are exact, and the column views of
+    # one cast block give the gemvs of separate A[r] and B[r]
+    rng = stream(16, "probe")
+    d_u, d_v, rows, batch, K, rho = 40, 30, 300, 50, 6, 0.05
+    shards, blocks = float_shards(rng, 3, rows, d_u, d_v)
+    obj = LogisticObjective(shards, rho=rho, batch_size=batch)
+    ids = [0, 2]
+    u0 = rng.standard_normal(d_u)
+    V0 = rng.standard_normal((2, d_v))
+    Corr = rng.standard_normal((2, d_u))
+    U, V = obj.local_steps_block(np.array(ids), u0, V0, Corr, K, 0.2, 0.1,
+                                 [stream(16, "local", 0, i) for i in ids])
+    idx = [stream(16, "local", 0, i).integers(0, rows, size=(K, batch)) for i in ids]
+    U_ref, V_ref = reference.logistic_local_steps(u0, V0, [blocks[i] for i in ids], rho,
+                                                  0.2, 0.1, idx, Corr)
+    assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
+
+    v0 = V0[0]
+    su, sv = float(u0 @ u0), float(v0 @ v0)
+    for i, (A, B, y) in enumerate(blocks):
+        val, g_u, g_v = obj.value_and_grads(i, u0, v0)
+        margin, want_u, want_v = reference.logistic_grads(A, B, y, u0, v0, rho)
+        want_val = (float(np.logaddexp(0.0, -margin).mean())
+                    + rho * (su / (1.0 + su) + sv / (1.0 + sv)))
+        assert val == want_val
+        assert np.array_equal(g_u, want_u) and np.array_equal(g_v, want_v)
+        G_u, G_v = obj.stoch_grads(i, u0, v0, K, stream(16, "cv_init", i))
+        draws = stream(16, "cv_init", i).integers(0, rows, size=(K, batch))
+        for k, r in enumerate(draws):
+            _, want_u, want_v = reference.logistic_grads(A[r], B[r], y[r], u0, v0, rho)
+            assert np.array_equal(G_u[k], want_u) and np.array_equal(G_v[k], want_v)
+
+
+def pixel_and_float_oracles(n=4, cap=40, rho=0.01, batch_size=20):
+    """The same label-sorted corpus as uint8 pixel shards (partition_clients)
+    and as float64 shards built the old way (reference.capped_shards)."""
+    rng = stream(17, "probe")
+    pixels = rng.integers(0, 256, size=(203, 784)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=203)
+    pixel = dataio.partition_clients(RawDataset(images=pixels, labels=labels), n,
+                                     "by_label", 9, 392, 392, cap=cap)
+    flt = reference.capped_shards(pixels, labels, n, "by_label", 9, 392, 392, cap)
+    return (LogisticObjective(pixel, rho=rho, batch_size=batch_size),
+            LogisticObjective(flt, rho=rho, batch_size=batch_size))
+
+
+def assert_close(got, want):
+    # aim 2's tolerance for logistic iterates
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14), np.max(np.abs(got - want))
+
+
+def test_pixel_shards_match_float_shards_within_tolerance():
+    pixel, flt = pixel_and_float_oracles()
+    assert all(s.X.dtype == np.uint8 for s in pixel.shards)
+    rng = stream(17, "point")
+    u = 0.1 * rng.standard_normal(392)
+    v = 0.1 * rng.standard_normal(392)
+    for i in range(pixel.n):
+        val, g_u, g_v = pixel.value_and_grads(i, u, v)
+        want_val, want_u, want_v = flt.value_and_grads(i, u, v)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        assert_close(g_u, want_u)
+        assert_close(g_v, want_v)
+        G_u, G_v = pixel.stoch_grads(i, u, v, 5, stream(17, "cv_init", i))
+        W_u, W_v = flt.stoch_grads(i, u, v, 5, stream(17, "cv_init", i))
+        assert_close(G_u, W_u)
+        assert_close(G_v, W_v)
+
+    hp = HyperParams(gamma_u=0.05, gamma_v=0.05, eta_u=1.0, eta_v=1.0, K=5, T=5, m=3)
+    got = run_training("scaffold_p", pixel, hp, seed=17)
+    want = run_training("scaffold_p", flt, hp, seed=17)
+    assert [tr.sampled for tr in got.traces] == [tr.sampled for tr in want.traces]
+    for a, b in ((got.u, want.u), (got.v_all, want.v_all),
+                 (got.server.c, want.server.c), (got.clients.C, want.clients.C)):
+        assert_close(a, b)
+    assert [tr.f_value for tr in got.traces] == pytest.approx(
+        [tr.f_value for tr in want.traces], rel=1e-12)
 
 
 # ------------------------------------------------------------- block passes
