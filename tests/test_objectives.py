@@ -397,7 +397,7 @@ def float_shards(rng, n, rows, d_u, d_v):
     contiguous (A, B, y) arrays for the float64 reference loop."""
     blocks = [(rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v)),
                np.where(rng.random(rows) < 0.5, -1.0, 1.0)) for _ in range(n)]
-    shards = [ClientShard(client_id=i + 1, A=A.copy(), B=B.copy(), y=y)
+    shards = [ClientShard(client_id=i + 1, A=A, B=B, y=y)
               for i, (A, B, y) in enumerate(blocks)]
     return shards, blocks
 
