@@ -9,6 +9,7 @@ estimates for a config's objective at its initial point). Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -36,11 +37,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command-line value the command cannot use (exit 2)."""
+
+
 def _cmd_stepsize(args) -> int:
-    gamma, eta_u, eta_v = fedcore.recommended_step_sizes(
-        args.variant, args.L, args.K, args.T, args.F0,
-        args.sigma_u, args.sigma_v, args.b, args.m, args.n,
-    )
+    # every input is a command-line value, so each rejection is a usage error
+    try:
+        gamma, eta_u, eta_v = fedcore.recommended_step_sizes(
+            args.variant, args.L, args.K, args.T, args.F0,
+            args.sigma_u, args.sigma_v, args.b, args.m, args.n,
+        )
+    except ValueError as e:
+        raise UsageError(e) from e
     print(f"gamma = {gamma:.17g}")
     print(f"eta_u_min = {eta_u:.17g}")
     print(f"eta_v_min = {eta_v:.17g}")
@@ -60,6 +69,20 @@ def _cmd_estimate(args) -> int:
     print(f"b2_hat = {est.b2_hat:.17g}")
     print(f"F0 = {est.F0:.17g}")
     return 0
+
+
+def _probe_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 probe points, got {value}")
+    return value
+
+
+def _positive_radius(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"radius must be finite and > 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="print constant estimates at a config's initial point")
     est.add_argument("--config", required=True)
-    est.add_argument("--probes", type=int, default=120)
-    est.add_argument("--radius", type=float, default=1.0)
+    est.add_argument("--probes", type=_probe_count, default=120)
+    est.add_argument("--radius", type=_positive_radius, default=1.0)
     est.set_defaults(func=_cmd_estimate)
     return p
 
@@ -104,7 +127,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (harness.ConfigError, FileNotFoundError) as e:
+    except (harness.ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failures: bad data, diverged runs, IO

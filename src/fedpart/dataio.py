@@ -82,8 +82,10 @@ class ClientShard:
     B / scale, labels y in {-1,+1}.
 
     The features are stored once, in their given dtype, as the C-contiguous
-    matrix X = [A | B] (N_i, d_u + d_v); A and B are its column views. Image
-    shards keep uint8 pixels with scale 255.
+    matrix X = [A | B] (N_i, d_u + d_v); A and B are its column views. When
+    A and B already are the first and last columns of one such matrix, that
+    matrix is X, not a copy of it. Image shards keep uint8 pixels with scale
+    255. Labels are held as float64.
     """
 
     client_id: int  # 1-based
@@ -96,15 +98,32 @@ class ClientShard:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
-        X = np.hstack([self.A, self.B])
+        X = _joined(self.A, self.B)
+        if X is None:
+            X = np.hstack([self.A, self.B])
         d_u = self.A.shape[1]
         object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
         object.__setattr__(self, "A", X[:, :d_u])
         object.__setattr__(self, "B", X[:, d_u:])
 
     @property
     def n_rows(self) -> int:
         return self.y.shape[0]
+
+
+def _joined(A, B):
+    """The C-contiguous matrix whose first columns are A and last columns
+    are B, when both are views of it; otherwise None."""
+    X = A.base
+    if not (isinstance(X, np.ndarray) and X is B.base and X.ndim == 2
+            and X.flags.c_contiguous and X.shape == (A.shape[0], A.shape[1] + B.shape[1])
+            and A.dtype == B.dtype == X.dtype and A.strides == B.strides == X.strides):
+        return None
+    start = X.ctypes.data
+    if A.ctypes.data != start or B.ctypes.data != start + A.shape[1] * X.itemsize:
+        return None
+    return X
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
@@ -216,8 +235,9 @@ def partition_clients(
     which maximizes heterogeneity. Each shard keeps the first `cap` rows of
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
-    uint8 rows are gathered, and they stay uint8 pixels: the first d_u
-    columns are A and the last d_v are B, with scale 255.
+    uint8 rows are gathered, once, and they stay uint8 pixels: the gathered
+    rows are the shard's X, its first d_u columns A and its last d_v B, with
+    scale 255.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -387,7 +387,14 @@ def recommended_step_sizes(variant: str, L: float, K: int, T: int, F0: float,
       the returned bound assumes that standard initialization.)
     - scaffoldp: gamma = 1 / (72LK max(n^(2/3)/m, 1) + sqrt((37LKT/F0) *
       (sigma_u^2/m + m sigma_v^2/n))); eta_u >= sqrt(m), eta_v >= sqrt(n/m).
+
+    Raises ValueError for a non-finite L, F0, sigma_u, sigma_v or b and
+    for any input outside its range.
     """
+    named = {"L": L, "F0": F0, "sigma_u": sigma_u, "sigma_v": sigma_v, "b": b}
+    bad = [name for name, x in named.items() if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
     if L <= 0 or K < 1 or T < 1 or F0 <= 0:
         raise ValueError("L, K, T, F0 must be positive")
     if sigma_u < 0 or sigma_v < 0 or b < 0:

@@ -17,6 +17,7 @@ All probe randomness comes from `rng.stream`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,13 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
     Samples base points x = (u, v) within `radius` of the origin and short
     displacements delta, and maximizes |grad f_i(x+delta) - grad f_i(x)| /
     |delta| over probes and clients. The probe step is radius/1000, small
-    enough to read local curvature.
+    enough to read local curvature. Raises ValueError for fewer than 2
+    probe points or a radius that is not finite and > 0.
     """
     if probe_points < 2:
         raise ValueError("need at least 2 probe points")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     d_u, d_v = oracle.d_u, oracle.d_v
     step = radius * 1e-3
     best = 0.0

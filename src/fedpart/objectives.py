@@ -15,12 +15,16 @@ are provided:
   rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient,
   full-batch or minibatch, comes from `kernels.logistic_grads` on the
   shard's stored feature matrix X = [A | B] (`dataio.ClientShard`).
+  Minibatch gradients and local steps equal the float64 loop bitwise on
+  float shards; full-batch values and gradients sum over row chunks and
+  match it within rtol 1e-12 and atol 1e-14 (see `kernels`).
 
 Two block methods work on the client state held as arrays:
 `value_and_grads_all` evaluates all n clients in one pass and
 `local_steps_block` runs the local steps of a round's sampled clients in one
 kernel call. The generic `value_and_grads_all` loops over the per-client
-`value_and_grads`; the quadratic overrides it with one vectorized pass.
+`value_and_grads`; the quadratic overrides it with one vectorized pass, and
+the logistic with the same per-client pass in one set of work arrays.
 `local_steps_block` trusts the shapes checked once at run start;
 `value_and_grads` checks dimensions on every call. `stack_oracles` puts
 the oracles of R replica runs behind the same two methods over a leading
@@ -271,9 +275,10 @@ class LogisticObjective(ObjectiveOracle):
                   + rho * (|u|^2/(1+|u|^2) + |v_i|^2/(1+|v_i|^2))
 
     with (a_l | b_l) the l-th row of the shard's features X / scale. The
-    shards are held as given, in their stored dtype; each gradient casts
-    only the rows it reads into a float64 buffer. Minibatches are drawn
-    uniformly with replacement, batch_size rows per step.
+    shards are held as given, in their stored dtype, which all shards
+    share; each gradient casts only the rows it reads into float64 work
+    arrays. Minibatches are drawn uniformly with replacement, batch_size
+    rows per step.
     """
 
     def __init__(self, shards: "list[ClientShard]", rho: float = 0.01, batch_size: int = 1):
@@ -285,33 +290,57 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError("batch_size must be >= 1")
         d_u = shards[0].A.shape[1]
         d_v = shards[0].B.shape[1]
+        dtype = shards[0].X.dtype
         for s in shards:
             if s.A.shape[0] == 0:
                 raise ValueError(f"shard {s.client_id} is empty")
             if s.A.shape[1] != d_u or s.B.shape[1] != d_v:
                 raise ValueError("all shards must share (d_u, d_v)")
+            if s.X.dtype != dtype:
+                raise ValueError(f"all shards must share one feature dtype, got {dtype} "
+                                 f"and {s.X.dtype}")
         self.shards = list(shards)
         self.rho = float(rho)
         self.batch_size = int(batch_size)
         self.n = len(shards)
         self.d_u = d_u
         self.d_v = d_v
+        self.dtype = dtype
 
-    def value_and_grads(self, i, u, v):
+    def _full_batch(self, i, u, v, work, g_u, g_v):
         _check_dims(u, v, self.d_u, self.d_v)
         s = self.shards[i]
-        margin, g_u, g_v = kernels.logistic_grads(s.X, s.y, s.scale, slice(None), u, v,
-                                                  self.rho, np.empty(s.X.shape))
-        value = float(np.logaddexp(0.0, -margin).mean()) + self.rho * _reg_value(u, v)
-        return value, g_u, g_v
+        loss = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work, g_u, g_v)
+        return loss + self.rho * _reg_value(u, v)
+
+    def value_and_grads(self, i, u, v):
+        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
+        g_u, g_v = np.empty(self.d_u), np.empty(self.d_v)
+        return self._full_batch(i, u, v, work, g_u, g_v), g_u, g_v
+
+    def value_and_grads_all(self, u, V):
+        if len(V) != self.n:
+            raise ValueError(f"V has {len(V)} rows, expected {self.n}")
+        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
+        G_u = np.empty((self.n, self.d_u))
+        G_v = np.empty((self.n, self.d_v))
+        vals = np.array([self._full_batch(i, u, v, work, g_u, g_v)
+                         for i, (v, g_u, g_v) in enumerate(zip(V, G_u, G_v))])
+        return vals, G_u, G_v
 
     def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]
         rows = rng.integers(0, s.n_rows, size=(K, self.batch_size))
-        Z = np.empty((self.batch_size, self.d_u + self.d_v))
-        _, G_u, G_v = zip(*(kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, self.rho, Z)
-                            for r in rows))
-        return np.stack(G_u), np.stack(G_v)
+        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
+        denom = s.scale * self.batch_size
+        G_u = np.empty((K, self.d_u))
+        G_v = np.empty((K, self.d_v))
+        for r, g_u, g_v in zip(rows, G_u, G_v):
+            _, P_u, P_v = kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, work)
+            kernels.logistic_finish(P_u, P_v, denom, u, v, self.rho, work)
+            g_u[:] = P_u
+            g_v[:] = P_v
+        return G_u, G_v
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         shards = [self.shards[i] for i in ids]
@@ -319,5 +348,5 @@ class LogisticObjective(ObjectiveOracle):
                for s, g in zip(shards, rngs)]
         return kernels.logistic_local_steps(
             u, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
-            np.empty((self.batch_size, self.d_u + self.d_v)),
+            kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size),
         )

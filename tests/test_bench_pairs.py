@@ -38,3 +38,31 @@ def test_compare_records_the_bound_verdict_of_the_median_ratio():
     assert s["change_wins"] == 1 and s["pairs"] == 3
     got = bench_pairs.compare(_runs([(40, 43), (40, 42)], "peak_rss_mb"), [LOWER])
     assert not got["peak_rss_mb"]["within_bound"]
+
+
+def test_pairs_alternate_which_side_runs_first():
+    assert [bench_pairs.pair_order(k)[0] for k in range(4)] == [
+        "parent", "change", "parent", "change"]
+    assert all(sorted(bench_pairs.pair_order(k)) == ["change", "parent"] for k in range(4))
+
+
+def test_run_pytest_times_a_node_with_the_checkout_src_on_the_path(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "probe_mod.py").write_text("VALUE = 3\n")
+    (tmp_path / "test_probe.py").write_text(
+        "import probe_mod\n\n"
+        "def test_ok():\n    assert probe_mod.VALUE == 3\n\n"
+        "def test_bad():\n    assert probe_mod.VALUE == 4\n")
+    ok = bench_pairs.run_pytest(str(tmp_path), "test_probe.py::test_ok")
+    assert ok["correct"] and ok["failed"] == 0 and ok["attempted"] == 1 and ok["wall_s"] > 0
+    bad = bench_pairs.run_pytest(str(tmp_path), "test_probe.py::test_bad")
+    assert not bad["correct"] and bad["failed"] == 1
+
+
+def test_compare_summarizes_wall_seconds_without_a_bound():
+    # ratios 0.8, 0.9, 1.1: the change is faster in two pairs of three
+    got = bench_pairs.compare(_runs([(10, 8), (10, 9), (10, 11)], "wall_s"), [bench_pairs.WALL])
+    s = got["wall_s"]
+    assert s["median_paired_ratio"] == 0.9 and s["change_wins"] == 2 and s["pairs"] == 3
+    assert s["bound"] is None and s["within_bound"]
+    assert got["all_correct"] and got["attempted"] == {"parent": 3, "change": 3}

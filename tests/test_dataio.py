@@ -346,6 +346,21 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def test_partition_allocates_the_kept_pixels_once():
+    # each shard's X is the block of rows gathered from the corpus, with A
+    # and B its column views: no second, joined copy of the kept pixels
+    rng = stream(29, "probe")
+    ds = RawDataset(images=rng.integers(0, 256, size=(3000, 784)).astype(np.uint8),
+                    labels=rng.integers(0, 10, size=3000))
+    shards, peak = _traced_peak(dataio.partition_clients, ds, 3, "iid", 4, 300, 484)
+    kept = sum(s.X.nbytes for s in shards)
+    assert kept == ds.images.nbytes
+    for s in shards:
+        assert s.X.base is None and s.A.base is s.X and s.B.base is s.X
+    # the order and the labels take 8 bytes a row beside the 784 pixels
+    assert peak < 1.1 * kept, (peak, kept)
+
+
 def test_build_oracle_peak_memory(mnist_paths):
     # at its peak build_oracle holds the inflated IDX payload and the shards
     # the run keeps, and no float copy of the whole corpus; inflating a file

@@ -799,6 +799,15 @@ def test_step_sizes_degenerate_cases():
         assert g == pytest.approx(1.0 / (72 * L * K), rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["L", "F0", "sigma_u", "sigma_v", "b"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_step_sizes_reject_non_finite_inputs(name, bad):
+    args = dict(variant="fedavgp_partial", L=1.0, K=1, T=3, F0=1.0,
+                sigma_u=1.0, sigma_v=0.0, b=0.0, m=1, n=1)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        recommended_step_sizes(**{**args, name: bad})
+
+
 def test_step_sizes_one_over_35():
     g, eu, ev = recommended_step_sizes("fedavgp_partial", 1.0, 1, 3, 1.0,
                                        sigma_u=1.0, sigma_v=0.0, b=0.0, m=1, n=1)

@@ -540,6 +540,34 @@ def test_cli_stepsize_rejects_bad_variant(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--F0", "nan"), ("--L", "inf"), ("--L", "nan"),
+                                        ("--sigma-u", "nan"), ("--sigma-v", "inf"),
+                                        ("--b", "nan"), ("--F0", "-1")])
+def test_cli_stepsize_rejects_bad_numbers_as_usage_errors(capsys, flag, value):
+    args = {"--L": "1", "--K": "1", "--T": "3", "--F0": "1", "--m": "1", "--n": "1",
+            flag: value}
+    rc = cli.main(["stepsize", "--variant", "fedavgp_partial",
+                   *(x for kv in args.items() for x in kv)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--radius", "-1", "radius must be finite and > 0"),
+    ("--radius", "nan", "radius must be finite and > 0"),
+    ("--radius", "0", "radius must be finite and > 0"),
+    ("--probes", "1", "need at least 2 probe points"),
+])
+def test_cli_estimate_rejects_bad_probe_settings_as_usage_errors(tmp_path, capsys, flag, value,
+                                                                 message):
+    cfg_path = write_cfg(tmp_path, n=4, d_u=3, d_v=2, spread=1.3, sigma_u=0.0)
+    rc = cli.main(["estimate", "--config", cfg_path, flag, value])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_cli_estimate(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, n=4, d_u=3, d_v=2, spread=1.3, sigma_u=0.0)
     rc = cli.main(["estimate", "--config", cfg_path])

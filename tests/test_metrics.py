@@ -175,6 +175,13 @@ def test_smoothness_needs_probes():
         metrics.estimate_smoothness(obj, 1, 1.0, stream(0, "smooth"))
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_smoothness_needs_finite_positive_radius(radius):
+    obj = quad(np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        metrics.estimate_smoothness(obj, 2, radius, stream(0, "smooth"))
+
+
 def test_dissimilarity_identical_clients_is_zero():
     obj = quad([[1.0, 2.0]] * 3, np.zeros((3, 2)))
     v_all = [np.zeros(2)] * 3

@@ -12,7 +12,7 @@ import pytest
 
 import fedpart
 import reference
-from fedpart import dataio
+from fedpart import dataio, kernels
 from fedpart.dataio import ClientShard, RawDataset
 from fedpart.fedcore import HyperParams, run_training
 from fedpart.objectives import LogisticObjective, QuadraticObjective
@@ -404,7 +404,8 @@ def float_shards(rng, n, rows, d_u, d_v):
 
 def test_logistic_float_shards_equal_float64_loop_bitwise():
     # scale 1.0: x / 1.0 and 1.0 * rows are exact, and the column views of
-    # one cast block give the gemvs of separate A[r] and B[r]
+    # one cast block give the gemvs of separate A[r] and B[r]; the 300-row
+    # full batch sums over row chunks, so it matches within tolerance
     rng = stream(16, "probe")
     d_u, d_v, rows, batch, K, rho = 40, 30, 300, 50, 6, 0.05
     shards, blocks = float_shards(rng, 3, rows, d_u, d_v)
@@ -427,13 +428,60 @@ def test_logistic_float_shards_equal_float64_loop_bitwise():
         margin, want_u, want_v = reference.logistic_grads(A, B, y, u0, v0, rho)
         want_val = (float(np.logaddexp(0.0, -margin).mean())
                     + rho * (su / (1.0 + su) + sv / (1.0 + sv)))
-        assert val == want_val
-        assert np.array_equal(g_u, want_u) and np.array_equal(g_v, want_v)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        assert_close(g_u, want_u)
+        assert_close(g_v, want_v)
         G_u, G_v = obj.stoch_grads(i, u0, v0, K, stream(16, "cv_init", i))
         draws = stream(16, "cv_init", i).integers(0, rows, size=(K, batch))
         for k, r in enumerate(draws):
             _, want_u, want_v = reference.logistic_grads(A[r], B[r], y[r], u0, v0, rho)
             assert np.array_equal(G_u[k], want_u) and np.array_equal(G_v[k], want_v)
+
+
+CHUNK = kernels._CHUNK_ROWS
+CHUNK_EDGES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+def test_full_batch_matches_float64_loop_at_chunk_edges():
+    rng = stream(18, "probe")
+    d_u, d_v, rho = 7, 4, 0.05
+    blocks = [float_shards(rng, 1, rows, d_u, d_v)[1][0] for rows in CHUNK_EDGES]
+    obj = LogisticObjective([ClientShard(client_id=i + 1, A=A, B=B, y=y)
+                             for i, (A, B, y) in enumerate(blocks)], rho=rho)
+    u = rng.standard_normal(d_u)
+    V = rng.standard_normal((obj.n, d_v))
+    vals, G_u, G_v = obj.value_and_grads_all(u, V)
+    su = float(u @ u)
+    for i, ((A, B, y), v) in enumerate(zip(blocks, V)):
+        margin, want_u, want_v = reference.logistic_grads(A, B, y, u, v, rho)
+        sv = float(v @ v)
+        want_val = (float(np.logaddexp(0.0, -margin).mean())
+                    + rho * (su / (1.0 + su) + sv / (1.0 + sv)))
+        val, g_u, g_v = obj.value_and_grads(i, u, v)
+        assert val == pytest.approx(want_val, rel=1e-12)
+        assert_close(g_u, want_u)
+        assert_close(g_v, want_v)
+        # the metrics pass gives each client's own call bitwise
+        assert vals[i] == val
+        assert np.array_equal(G_u[i], g_u) and np.array_equal(G_v[i], g_v)
+
+
+# blocks of at least 4 columns: the backward product of a strided block of
+# 1-3 columns is not bitwise that of its contiguous copy (README, numerics)
+@pytest.mark.parametrize("batch,d_u,d_v", [(1, 5, 4), (3, 4, 7), (CHUNK + 1, 6, 4)])
+def test_logistic_step_kernel_equals_float64_loop_bitwise(batch, d_u, d_v):
+    rng = stream(19, "probe")
+    shards, blocks = float_shards(rng, 3, 2 * CHUNK + 3, d_u, d_v)
+    K, rho = 5, 0.05
+    u0 = rng.standard_normal(d_u)
+    V0 = rng.standard_normal((3, d_v))
+    Corr = rng.standard_normal((3, d_u))
+    idx = [rng.integers(0, 2 * CHUNK + 3, size=(K, batch)) for _ in range(3)]
+    U, V = kernels.logistic_local_steps(
+        u0, V0, [(s.X, s.y, s.scale) for s in shards], rho, 0.2, 0.1, idx, Corr,
+        kernels.LogisticWork(d_u, d_v, np.float64, batch))
+    U_ref, V_ref = reference.logistic_local_steps(u0, V0, blocks, rho, 0.2, 0.1, idx, Corr)
+    assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
 
 
 def pixel_and_float_oracles(n=4, cap=40, rho=0.01, batch_size=20):

@@ -1,6 +1,8 @@
 """Paired benchmark runs of two commits.
 
     python3 tools/bench_pairs.py --label pr7 --parent HEAD~1 --change HEAD --seeds 7001-7010
+    python3 tools/bench_pairs.py --label pr11 --parent HEAD~1 --change HEAD --seeds 11001-11010 \
+        --pytest tests/test_acceptance.py::test_criterion_09_corpus_trends
 
 Exports each commit with `git archive` into its own temporary directory and
 runs the benchmark that BENCHMARK.json declares (`perfbench/run.py
@@ -13,7 +15,14 @@ median and quartiles, the pairs the change wins (ties count for neither),
 the median of the per-seed ratios change / parent, and whether that median
 ratio is within the metric's BENCHMARK.json bound (at least 1 - bound for a
 higher-is-better metric, at most 1 + bound for a lower-is-better one).
-Exits 1 when any run is incorrect or any metric is out of its bound.
+
+With `--pytest NODE` it then runs that pytest node (`python -m pytest -q
+NODE`, with the checkout's `src` on PYTHONPATH) from each copy, one pair per
+seed in the same alternation, and records each side's wall seconds
+(`wall_s`, lower is better, no bound) and their median paired ratio under
+"pytest". The seed only orders the pair; the node gets no seed.
+Exits 1 when any run is incorrect, any pytest run fails, or any metric is
+out of its bound.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -66,6 +76,25 @@ def run_once(checkout: str, command: list[str], workload: str, seed: int,
                 "exit": proc.returncode}
 
 
+def run_pytest(checkout: str, node: str) -> dict:
+    """Wall seconds of `python -m pytest -q NODE` in `checkout` and whether
+    it passed."""
+    path = os.environ.get("PYTHONPATH")
+    src = os.path.join(checkout, "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.DEVNULL)
+    wall = time.perf_counter() - start
+    return {"correct": proc.returncode == 0, "attempted": 1,
+            "failed": int(proc.returncode != 0), "wall_s": wall}
+
+
+def pair_order(k: int) -> tuple[str, str]:
+    """Which side runs first in the k-th pair (from 0): the parent on even k."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def summarize(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
@@ -73,7 +102,9 @@ def summarize(values: list[float]) -> dict:
 
 def within_bound(ratio: float, metric: dict) -> bool:
     """Whether a median paired ratio change / parent is no worse than the
-    metric's bound allows."""
+    metric's bound allows; a metric without a bound always is."""
+    if "bound" not in metric:
+        return True
     if metric["better"] == "higher":
         return ratio >= 1.0 - metric["bound"]
     return ratio <= 1.0 + metric["bound"]
@@ -109,12 +140,22 @@ def compare(runs: list[dict], metrics: list[dict]) -> dict:
             "change_wins": sum(sign * (c - p) > 0 for p, c in got),
             "pairs": len(got),
             "median_paired_ratio": round(ratio, 4),
-            "bound": m["bound"],
+            "bound": m.get("bound"),
             "within_bound": within_bound(ratio, m),
             "parent_runs": [round(v, 4) for v in parent],
             "change_runs": [round(v, 4) for v in change],
         }
     return out
+
+
+WALL = {"name": "wall_s", "better": "lower"}
+
+
+def write_json(path: str, result: dict) -> None:
+    with open(path + ".tmp", "w") as f:
+        json.dump(result, f, indent=1)
+        f.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def main() -> int:
@@ -127,6 +168,8 @@ def main() -> int:
     ap.add_argument("--workloads", default=None,
                     help="comma-separated subset of BENCHMARK.json's workloads (default all)")
     ap.add_argument("--note", default="", help="what the change does, copied into the file")
+    ap.add_argument("--pytest", default=None, metavar="NODE",
+                    help="also time this pytest node, one pair per seed")
     args = ap.parse_args()
     if len(args.seeds) < 10:
         ap.error("--seeds needs at least 10 seeds, one pair each")
@@ -165,8 +208,7 @@ def main() -> int:
         out_path = os.path.join(ROOT, f"BENCH_{args.label}.json")
         for w in workloads:
             for k, seed in enumerate(args.seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                for side in order:
+                for side in pair_order(k):
                     res = run_once(dirs[side], command, w, seed, seconds)
                     run = {"workload": w, "seed": seed, "side": side,
                            "correct": res["correct"], "attempted": res["attempted"],
@@ -176,10 +218,19 @@ def main() -> int:
                     print(json.dumps(run), file=sys.stderr, flush=True)
                 result["end_to_end"][w] = compare(
                     [r for r in result["runs"] if r["workload"] == w], bench["end_to_end"])
-                with open(out_path + ".tmp", "w") as f:
-                    json.dump(result, f, indent=1)
-                    f.write("\n")
-                os.replace(out_path + ".tmp", out_path)
+                write_json(out_path, result)
+        if args.pytest:
+            result["pytest"] = {"node": args.pytest,
+                                "command": f"python -m pytest -q -p no:cacheprovider {args.pytest}"}
+            for k, seed in enumerate(args.seeds):
+                for side in pair_order(k):
+                    run = {"pytest": args.pytest, "seed": seed, "side": side,
+                           **run_pytest(dirs[side], args.pytest)}
+                    result["runs"].append(run)
+                    print(json.dumps(run), file=sys.stderr, flush=True)
+                result["pytest"].update(compare(
+                    [r for r in result["runs"] if r.get("pytest") == args.pytest], [WALL]))
+                write_json(out_path, result)
         ok = True
         for w, summary in result["end_to_end"].items():
             if not summary["all_correct"]:
@@ -194,6 +245,14 @@ def main() -> int:
                           f"wins {s['change_wins']}/{s['pairs']} "
                           f"{'within' if s['within_bound'] else 'OUT OF'} bound {m['bound']:g}",
                           file=sys.stderr)
+        if args.pytest:
+            s = result["pytest"]
+            ok = ok and s["all_correct"]
+            print(f"pytest {args.pytest}: wall_s parent {s['wall_s']['parent']['median']} "
+                  f"change {s['wall_s']['change']['median']} ratio "
+                  f"{s['wall_s']['median_paired_ratio']} wins {s['wall_s']['change_wins']}/"
+                  f"{s['wall_s']['pairs']}{'' if s['all_correct'] else ', some runs FAILED'}",
+                  file=sys.stderr)
         print(out_path)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
