@@ -116,8 +116,8 @@ def _joined(A, B):
     """The C-contiguous matrix whose first columns are A and last columns
     are B, when both are views of it; otherwise None."""
     X = A.base
-    if not (isinstance(X, np.ndarray) and X is B.base and X.ndim == 2
-            and X.flags.c_contiguous and X.shape == (A.shape[0], A.shape[1] + B.shape[1])
+    if not (isinstance(X, np.ndarray) and X is B.base and X.flags.c_contiguous
+            and X.shape == (A.shape[0], A.shape[1] + B.shape[1])
             and A.dtype == B.dtype == X.dtype and A.strides == B.strides == X.strides):
         return None
     start = X.ctypes.data

@@ -225,6 +225,12 @@ def test_logistic_constructor_rejects_bad_input():
     other = ClientShard(client_id=2, A=np.zeros((1, 3)), B=np.zeros((1, 1)), y=np.ones(1))
     with pytest.raises(ValueError):
         LogisticObjective([good, other])
+    pixels = ClientShard(client_id=2, A=np.zeros((1, 2), dtype=np.uint8),
+                         B=np.zeros((1, 1), dtype=np.uint8), y=np.ones(1), scale=255.0)
+    with pytest.raises(ValueError, match="one feature dtype"):
+        LogisticObjective([good, pixels])
+    with pytest.raises(ValueError, match="V has 2 rows, expected 1"):
+        LogisticObjective([good]).value_and_grads_all(np.zeros(2), np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------- stochastic
