@@ -1,7 +1,7 @@
 """Paired benchmark runs of two commits.
 
     python3 tools/bench_pairs.py --label pr7 --parent HEAD~1 --change HEAD --seeds 7001-7010
-    python3 tools/bench_pairs.py --label pr11 --parent HEAD~1 --change HEAD --seeds 11001-11010 \
+    python3 tools/bench_pairs.py --label c9 --parent HEAD~1 --change HEAD --seeds 11001-11010 \
         --pytest tests/test_acceptance.py::test_criterion_09_corpus_trends
 
 Exports each commit with `git archive` into its own temporary directory and
