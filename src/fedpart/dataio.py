@@ -6,8 +6,9 @@ sizes, then raw unsigned bytes. Parsing is bit-exact and strict: wrong
 magic, short payloads and trailing bytes are all distinct errors. Gzipped
 files are inflated transparently when read from disk, and every format or
 inflate error met while loading a file names that file. Images stay uint8
-pixels: each shard keeps its rows as stored, with scale 255, and a logistic
-gradient casts only the rows it reads (`kernels.logistic_grads`).
+pixels: a shard's gathered rows are its one feature matrix X = [A | B]
+(`ClientShard`, the only place that knows the split), with scale 255, and a
+logistic gradient casts only the rows it reads (`kernels.logistic_grads`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,52 +79,51 @@ class RawDataset:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's rows: shared features A / scale, personal features
-    B / scale, labels y in {-1,+1}.
+    """One client's rows: features X / scale and labels y in {-1,+1}.
 
-    The features are stored once, in their given dtype, as the C-contiguous
-    matrix X = [A | B] (N_i, d_u + d_v); A and B are its column views. When
-    A and B already are the first and last columns of one such matrix, that
-    matrix is X, not a copy of it. Image shards keep uint8 pixels with scale
-    255. Labels are held as float64.
+    X = [A | B] (N_i, d_u + d_v): the shared features A are its first d_u
+    columns and the personal features B the rest, both column views of X.
+    X keeps its dtype and is stored as given when C-contiguous, else as one
+    contiguous copy; image shards keep uint8 pixels with scale 255. Labels
+    are held as float64. ValueError unless X is 2-D, y has one label a row,
+    1 <= d_u < X.shape[1] and scale is finite and > 0.
     """
 
     client_id: int  # 1-based
-    A: np.ndarray  # (N_i, d_u)
-    B: np.ndarray  # (N_i, d_v)
+    X: np.ndarray  # (N_i, d_u + d_v)
     y: np.ndarray  # (N_i,)
+    d_u: int
     scale: float = 1.0
-    X: np.ndarray = field(init=False, repr=False, compare=False)  # (N_i, d_u + d_v)
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
-        X = _joined(self.A, self.B)
-        if X is None:
-            X = np.hstack([self.A, self.B])
-        d_u = self.A.shape[1]
+        X = np.ascontiguousarray(self.X)
+        y = np.asarray(self.y, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if y.shape != X.shape[:1]:
+            raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},): one label a row")
+        if not 1 <= self.d_u <= X.shape[1] - 1:
+            raise ValueError(f"d_u must be in [1, {X.shape[1] - 1}], got {self.d_u!r}")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=np.float64))
-        object.__setattr__(self, "A", X[:, :d_u])
-        object.__setattr__(self, "B", X[:, d_u:])
+        object.__setattr__(self, "y", y)
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.X[:, : self.d_u]
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.X[:, self.d_u :]
+
+    @property
+    def d_v(self) -> int:
+        return self.X.shape[1] - self.d_u
 
     @property
     def n_rows(self) -> int:
         return self.y.shape[0]
-
-
-def _joined(A, B):
-    """The C-contiguous matrix whose first columns are A and last columns
-    are B, when both are views of it; otherwise None."""
-    X = A.base
-    if not (isinstance(X, np.ndarray) and X is B.base and X.flags.c_contiguous
-            and X.shape == (A.shape[0], A.shape[1] + B.shape[1])
-            and A.dtype == B.dtype == X.dtype and A.strides == B.strides == X.strides):
-        return None
-    start = X.ctypes.data
-    if A.ctypes.data != start or B.ctypes.data != start + A.shape[1] * X.itemsize:
-        return None
-    return X
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
@@ -236,8 +236,7 @@ def partition_clients(
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
     uint8 rows are gathered, once, and they stay uint8 pixels: the gathered
-    rows are the shard's X, its first d_u columns A and its last d_v B, with
-    scale 255.
+    rows are the shard's X, with scale 255.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -262,9 +261,8 @@ def partition_clients(
     for i, size in enumerate(_block_sizes(dataset.count, n)):
         rows = order[start : start + size][:cap]
         start += size
-        x = dataset.images[rows]
-        shards.append(ClientShard(client_id=i + 1, A=x[:, :d_u], B=x[:, d_u:], y=y_all[rows],
-                                  scale=255.0))
+        shards.append(ClientShard(client_id=i + 1, X=dataset.images[rows], y=y_all[rows],
+                                  d_u=d_u, scale=255.0))
     return shards
 
 

@@ -419,15 +419,14 @@ def run_sweep(spec: SweepSpec) -> str:
     """Run all (value, seed) cells; write per-cell traces and a summary CSV.
 
     Summary rows: one per cell plus one aggregate row per axis value
-    (seed column "mean"). Quadratic cells of one axis value run as one
-    replica run over the seeds (`run_experiments`), the values one after
-    another; logistic cells, each with its own data shards, run one at a
-    time. Each cell is bitwise its config run alone, so the summary is
+    (seed column "mean"). The cells of one axis value run as one replica
+    run over the seeds (`run_experiments`), the values one after another.
+    Each cell is bitwise its config run alone, so the summary is
     deterministic.
     """
     cells = [(value, seed) for value in spec.values for seed in spec.seeds]
     configs = [cell_config(spec, value, seed) for value, seed in cells]
-    group = len(spec.seeds) if configs[0].objective == QUADRATIC else 1
+    group = len(spec.seeds)
     all_traces = [result.traces for j in range(0, len(configs), group)
                   for _, result in run_experiments(configs[j:j + group])]
 

@@ -288,13 +288,11 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError("rho must be >= 0")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        d_u = shards[0].A.shape[1]
-        d_v = shards[0].B.shape[1]
-        dtype = shards[0].X.dtype
+        d_u, d_v, dtype = shards[0].d_u, shards[0].d_v, shards[0].X.dtype
         for s in shards:
-            if s.A.shape[0] == 0:
+            if s.n_rows == 0:
                 raise ValueError(f"shard {s.client_id} is empty")
-            if s.A.shape[1] != d_u or s.B.shape[1] != d_v:
+            if (s.d_u, s.d_v) != (d_u, d_v):
                 raise ValueError("all shards must share (d_u, d_v)")
             if s.X.dtype != dtype:
                 raise ValueError(f"all shards must share one feature dtype, got {dtype} "

@@ -27,6 +27,34 @@ def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
     return u, v
 
 
+def fedsim(oracle, hp, seed, T):
+    """Straight-line FedSim: sample, K plain SGD steps, plain averaging
+    (eta_u = eta_v = 1), written without the fedcore round machinery."""
+    u = np.zeros(oracle.d_u)
+    v = [np.zeros(oracle.d_v) for _ in range(oracle.n)]
+    for t in range(T):
+        g = stream(seed, "sample", t)
+        idx = np.arange(oracle.n)
+        for j in range(hp.m):
+            r = int(g.integers(j, oracle.n))
+            idx[j], idx[r] = idx[r], idx[j]
+        ids = np.sort(idx[: hp.m])
+        new_u = []
+        for i in ids:
+            i = int(i)
+            rng = stream(seed, "local", t, i)
+            uu = u.copy()
+            vv = v[i].copy()
+            for _ in range(hp.K):
+                gu, gv = oracle.stoch_grad(i, uu, vv, rng)
+                uu = uu - hp.gamma_u * gu
+                vv = vv - hp.gamma_v * gv
+            new_u.append(uu)
+            v[i] = vv
+        u = np.sum(new_u, axis=0) / hp.m
+    return u, v
+
+
 def logistic_grads(A, B, y, u, v, rho):
     """(margin, g_u, g_v) of the regularized logistic loss over float64 rows
     (A, B, y), each block read as given: the package's gradient before
@@ -83,5 +111,5 @@ def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
         y = y_all[rows]
         if size > cap:
             A, B, y = A[:cap].copy(), B[:cap].copy(), y[:cap].copy()
-        shards.append(ClientShard(client_id=i + 1, A=A, B=B, y=y))
+        shards.append(ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=A.shape[1]))
     return shards

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from fedpart import dataio, harness, metrics
 from fedpart.fedcore import (
     HyperParams,
@@ -189,30 +190,6 @@ def test_criterion_06_reduction_suite():
     ok_b = dev_b <= 1e-14
 
     # (c) eta_u = eta_v = 1: matches a straight-line FedSim implementation
-    def fedsim(oracle, hp, seed, T):
-        u = np.zeros(oracle.d_u)
-        v = [np.zeros(oracle.d_v) for _ in range(oracle.n)]
-        for t in range(T):
-            g = stream(seed, "sample", t)
-            idx = np.arange(oracle.n)
-            for j in range(hp.m):
-                r = int(g.integers(j, oracle.n))
-                idx[j], idx[r] = idx[r], idx[j]
-            ids = np.sort(idx[: hp.m])
-            new_u = []
-            for i in ids:
-                i = int(i)
-                lr = stream(seed, "local", t, i)
-                uu, vv = u.copy(), v[i].copy()
-                for _ in range(hp.K):
-                    gu, gv = oracle.stoch_grad(i, uu, vv, lr)
-                    uu = uu - hp.gamma_u * gu
-                    vv = vv - hp.gamma_v * gv
-                new_u.append(uu)
-                v[i] = vv
-            u = np.sum(new_u, axis=0) / hp.m
-        return u, v
-
     rng = stream(71, "probe")
     dev_c = 0.0
     for case in range(5):
@@ -227,7 +204,7 @@ def test_criterion_06_reduction_suite():
                           eta_u=1.0, eta_v=1.0,
                           K=int(rng.integers(1, 5)), T=3, m=m)
         res = run_training("fedavg_p", obj3, hp3, seed=200 + case)
-        u_ref, v_ref = fedsim(obj3, hp3, seed=200 + case, T=3)
+        u_ref, v_ref = reference.fedsim(obj3, hp3, seed=200 + case, T=3)
         dev_c = max(dev_c, _max_dev([res.u], [u_ref]), _max_dev(res.v_all, v_ref))
     ok_c = dev_c <= 1e-12
 
@@ -275,9 +252,9 @@ def test_criterion_08_gradient_correctness():
                                      sigma_u=0.0, sigma_v=0.0, seed=8)
     rng = stream(72, "probe")
     shards = [dataio.ClientShard(client_id=i + 1,
-                                 A=rng.standard_normal((12, 4)),
-                                 B=rng.standard_normal((12, 3)),
-                                 y=np.where(rng.integers(0, 2, 12) > 0, 1.0, -1.0))
+                                 X=np.hstack([rng.standard_normal((12, 4)),
+                                              rng.standard_normal((12, 3))]),
+                                 y=np.where(rng.integers(0, 2, 12) > 0, 1.0, -1.0), d_u=4)
               for i in range(3)]
     logit = LogisticObjective(shards=shards, rho=0.05)
 

@@ -1,7 +1,9 @@
 """tools/bench_pairs.py: the paired summary and its bound verdict."""
 
 import importlib.util
+import json
 import os
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -66,3 +68,15 @@ def test_compare_summarizes_wall_seconds_without_a_bound():
     assert s["median_paired_ratio"] == 0.9 and s["change_wins"] == 2 and s["pairs"] == 3
     assert s["bound"] is None and s["within_bound"]
     assert got["all_correct"] and got["attempted"] == {"parent": 3, "change": 3}
+
+
+def test_run_once_records_the_exit_code_of_every_run(tmp_path):
+    # the workload arguments reach the command as its sys.argv
+    silent = bench_pairs.run_once(str(tmp_path), [sys.executable, "-c", "raise SystemExit(3)"],
+                                  "w", 1, 0.5)
+    assert silent == {"correct": False, "attempted": 0, "failed": 0, "exit": 3}
+    line = json.dumps({"correct": True, "attempted": 4, "failed": 1,
+                       "metrics": {"rounds_per_s": {"value": 12.5}}})
+    ok = bench_pairs.run_once(str(tmp_path), [sys.executable, "-c", f"print({line!r})"],
+                              "w", 1, 0.5)
+    assert ok == {"correct": True, "attempted": 4, "failed": 1, "exit": 0, "rounds_per_s": 12.5}

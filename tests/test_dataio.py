@@ -179,19 +179,47 @@ def test_shard_holds_features_once_as_one_matrix():
     for dtype in (np.uint8, np.float64):
         A = rng.integers(0, 256, size=(5, 3)).astype(dtype)
         B = rng.integers(0, 256, size=(5, 2)).astype(dtype)
-        shard = ClientShard(client_id=1, A=A, B=B, y=np.ones(5))
-        assert shard.X.dtype == dtype and shard.X.flags.c_contiguous
-        assert np.array_equal(shard.X, np.hstack([A, B]))
-        assert np.shares_memory(shard.A, shard.X) and np.shares_memory(shard.B, shard.X)
+        X = np.hstack([A, B])
+        shard = ClientShard(client_id=1, X=X, y=np.ones(5), d_u=3)
+        assert shard.X is X
+        assert shard.A.base is X and shard.B.base is X
         assert np.array_equal(shard.A, A) and np.array_equal(shard.B, B)
-        assert shard.scale == 1.0
+        assert (shard.d_u, shard.d_v, shard.scale) == (3, 2, 1.0)
+        # any other layout is copied once into a C-contiguous X of its dtype
+        strided = ClientShard(client_id=1, X=np.asfortranarray(X), y=np.ones(5), d_u=3)
+        assert strided.X.flags.c_contiguous and strided.X.dtype == dtype
+        assert np.array_equal(strided.X, X)
 
 
 @pytest.mark.parametrize("scale", [0.0, -255.0, math.inf, -math.inf, math.nan])
 def test_shard_scale_must_be_finite_and_positive(scale):
     with pytest.raises(ValueError, match="scale"):
-        ClientShard(client_id=1, A=np.zeros((1, 2)), B=np.zeros((1, 1)), y=np.ones(1),
-                    scale=scale)
+        ClientShard(client_id=1, X=np.zeros((1, 3)), y=np.ones(1), d_u=2, scale=scale)
+
+
+@pytest.mark.parametrize("y_shape", [(4,), (2,), (3, 1)])
+def test_shard_needs_one_label_a_row(y_shape):
+    # stoch_grads draws rows below the label count: more labels than rows
+    # would read a clipped row in place of a missing one, fewer would never
+    # draw the last rows
+    rng = stream(23, "probe")
+    X = rng.standard_normal((3, 3))
+    with pytest.raises(ValueError, match="one label a row"):
+        shard = ClientShard(client_id=1, X=X, y=np.ones(y_shape), d_u=2)
+        LogisticObjective([shard], batch_size=8).stoch_grads(
+            0, np.zeros(2), np.zeros(1), 4, stream(23, "local"))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
+def test_shard_features_must_be_2d(shape):
+    with pytest.raises(ValueError, match="X must be 2-D"):
+        ClientShard(client_id=1, X=np.ones(shape), y=np.ones(2), d_u=1)
+
+
+@pytest.mark.parametrize("d_u", [0, -1, 3, 4])
+def test_shard_blocks_must_both_be_nonempty(d_u):
+    with pytest.raises(ValueError, match=r"d_u must be in \[1, 2\]"):
+        ClientShard(client_id=1, X=np.ones((2, 3)), y=np.ones(2), d_u=d_u)
 
 
 # -------------------------------------------------------------- partitioning

@@ -284,9 +284,10 @@ def test_init_control_variates_match_per_draw_loop():
         C, c = init_control_variates(u0, v0, obj, K=K, seed=K)
         C_ref, c_ref = _per_draw_control_variates(u0, v0, obj, K, seed=K)
         assert np.array_equal(C, C_ref) and np.array_equal(c, c_ref)
-    shards = [dataio.ClientShard(client_id=i + 1, A=rng.standard_normal((9, 3)),
-                                 B=rng.standard_normal((9, 2)),
-                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0))
+    shards = [dataio.ClientShard(client_id=i + 1,
+                                 X=np.hstack([rng.standard_normal((9, 3)),
+                                              rng.standard_normal((9, 2))]),
+                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3)
               for i in range(3)]
     logit = LogisticObjective(shards, rho=0.05, batch_size=5)
     v0 = rng.standard_normal((3, 2))
@@ -542,9 +543,10 @@ def _small_oracle(objective):
     if objective == "quadratic":
         return dataio.synth_quadratic(10, 3, 2, spread=1.0, sigma_u=1.0, sigma_v=0.5, seed=3)[0]
     rng = stream(75, "probe")
-    shards = [dataio.ClientShard(client_id=i + 1, A=rng.standard_normal((9, 3)),
-                                 B=rng.standard_normal((9, 2)),
-                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0))
+    shards = [dataio.ClientShard(client_id=i + 1,
+                                 X=np.hstack([rng.standard_normal((9, 3)),
+                                              rng.standard_normal((9, 2))]),
+                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3)
               for i in range(10)]
     return LogisticObjective(shards, rho=0.05, batch_size=4)
 
@@ -702,34 +704,6 @@ def test_run_training_custom_start_is_copied():
 # ----------------------------------------------------------- reduction suite
 
 
-def _fedsim_reference(oracle, hp, seed, T):
-    """Straight-line FedSim: sample, K plain SGD steps, plain averaging
-    (eta_u = eta_v = 1), written without the fedcore round machinery."""
-    u = np.zeros(oracle.d_u)
-    v = [np.zeros(oracle.d_v) for _ in range(oracle.n)]
-    for t in range(T):
-        g = stream(seed, "sample", t)
-        idx = np.arange(oracle.n)
-        for j in range(hp.m):
-            r = int(g.integers(j, oracle.n))
-            idx[j], idx[r] = idx[r], idx[j]
-        ids = np.sort(idx[: hp.m])
-        new_u = []
-        for i in ids:
-            i = int(i)
-            rng = stream(seed, "local", t, i)
-            uu = u.copy()
-            vv = v[i].copy()
-            for _ in range(hp.K):
-                gu, gv = oracle.stoch_grad(i, uu, vv, rng)
-                uu = uu - hp.gamma_u * gu
-                vv = vv - hp.gamma_v * gv
-            new_u.append(uu)
-            v[i] = vv
-        u = np.sum(new_u, axis=0) / hp.m
-    return u, v
-
-
 def test_fedavg_with_unit_outer_steps_matches_fedsim_reference():
     rng = stream(67, "probe")
     for case in range(5):
@@ -741,7 +715,7 @@ def test_fedavg_with_unit_outer_steps_matches_fedsim_reference():
         hp = hp_of(gamma_u=float(rng.uniform(0.01, 0.2)),
                    gamma_v=float(rng.uniform(0.01, 0.2)), K=K, T=3, m=m)
         res = run_training("fedavg_p", obj, hp, seed=100 + case)
-        u_ref, v_ref = _fedsim_reference(obj, hp, seed=100 + case, T=3)
+        u_ref, v_ref = reference.fedsim(obj, hp, seed=100 + case, T=3)
         assert np.allclose(res.u, u_ref, rtol=1e-12, atol=1e-12), case
         for i in range(n):
             assert np.allclose(res.v_all[i], v_ref[i], rtol=1e-12, atol=1e-12)

@@ -619,7 +619,8 @@ def test_cli_sweep_malformed_spec_is_config_error(tmp_path, capsys, bad):
 
 
 def test_logistic_sweep_cells_equal_direct_runs(tmp_path, mnist_paths):
-    # logistic cells run one at a time; each equals its config run alone
+    # each axis value's seeds run as one replica run; each cell equals its
+    # config run alone
     images, labels = mnist_paths
     base = dict(algorithm="scaffold_p", objective="logistic_mnist", n=4, m=3, K=2, T=6,
                 batch_size=5, per_client_cap=40, images_path=images, labels_path=labels,

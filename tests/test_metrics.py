@@ -29,9 +29,9 @@ def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01):
     shards = [
         ClientShard(
             client_id=i + 1,
-            A=rng.standard_normal((rows, d_u)),
-            B=rng.standard_normal((rows, d_v)),
+            X=np.hstack([rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v))]),
             y=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
+            d_u=d_u,
         )
         for i in range(n)
     ]

@@ -31,9 +31,9 @@ def quad(centers_u, centers_v, sigma_u=0.0, sigma_v=0.0):
 def one_row_logistic(a, b, c, rho=0.0, batch_size=1):
     shard = ClientShard(
         client_id=1,
-        A=np.asarray([a], dtype=float),
-        B=np.asarray([b], dtype=float),
+        X=np.hstack([np.asarray([a], dtype=float), np.asarray([b], dtype=float)]),
         y=np.asarray([c], dtype=float),
+        d_u=len(a),
     )
     return LogisticObjective([shard], rho=rho, batch_size=batch_size)
 
@@ -44,9 +44,9 @@ def random_logistic(rng, n=2, rows=7, d_u=3, d_v=2, rho=0.01, batch_size=1):
         shards.append(
             ClientShard(
                 client_id=i + 1,
-                A=rng.standard_normal((rows, d_u)),
-                B=rng.standard_normal((rows, d_v)),
+                X=np.hstack([rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v))]),
                 y=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
+                d_u=d_u,
             )
         )
     return LogisticObjective(shards, rho=rho, batch_size=batch_size)
@@ -214,19 +214,19 @@ def test_logistic_regularizer_gradient_bounded():
 def test_logistic_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         LogisticObjective([])
-    empty = ClientShard(client_id=1, A=np.zeros((0, 2)), B=np.zeros((0, 1)), y=np.zeros(0))
+    empty = ClientShard(client_id=1, X=np.zeros((0, 3)), y=np.zeros(0), d_u=2)
     with pytest.raises(ValueError):
         LogisticObjective([empty])
-    good = ClientShard(client_id=1, A=np.zeros((1, 2)), B=np.zeros((1, 1)), y=np.ones(1))
+    good = ClientShard(client_id=1, X=np.zeros((1, 3)), y=np.ones(1), d_u=2)
     with pytest.raises(ValueError):
         LogisticObjective([good], rho=-0.1)
     with pytest.raises(ValueError):
         LogisticObjective([good], batch_size=0)
-    other = ClientShard(client_id=2, A=np.zeros((1, 3)), B=np.zeros((1, 1)), y=np.ones(1))
+    other = ClientShard(client_id=2, X=np.zeros((1, 4)), y=np.ones(1), d_u=3)
     with pytest.raises(ValueError):
         LogisticObjective([good, other])
-    pixels = ClientShard(client_id=2, A=np.zeros((1, 2), dtype=np.uint8),
-                         B=np.zeros((1, 1), dtype=np.uint8), y=np.ones(1), scale=255.0)
+    pixels = ClientShard(client_id=2, X=np.zeros((1, 3), dtype=np.uint8), y=np.ones(1), d_u=2,
+                         scale=255.0)
     with pytest.raises(ValueError, match="one feature dtype"):
         LogisticObjective([good, pixels])
     with pytest.raises(ValueError, match="V has 2 rows, expected 1"):
@@ -303,8 +303,8 @@ def test_logistic_single_row_batches_average_to_full_gradient():
     per_row_v = []
     for r in range(shard.n_rows):
         single = LogisticObjective(
-            [ClientShard(client_id=1, A=shard.A[r : r + 1], B=shard.B[r : r + 1],
-                         y=shard.y[r : r + 1])],
+            [ClientShard(client_id=1, X=shard.X[r : r + 1], y=shard.y[r : r + 1],
+                         d_u=shard.d_u)],
             rho=0.0,
         )
         gu, gv = grads(single, 0, u, v)
@@ -356,7 +356,7 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     rng = stream(13, "probe")
     obj = random_logistic(rng, n=1, rows=12, d_u=4, d_v=3, rho=0.05, batch_size=3)
     s = obj.shards[0]
-    scaled = ClientShard(client_id=s.client_id, A=500.0 * s.A, B=500.0 * s.B, y=s.y)
+    scaled = ClientShard(client_id=s.client_id, X=500.0 * s.X, y=s.y, d_u=s.d_u)
     obj = LogisticObjective([scaled], rho=obj.rho, batch_size=obj.batch_size)
     u0 = rng.standard_normal(4)
     v0 = rng.standard_normal(3)
@@ -403,7 +403,7 @@ def float_shards(rng, n, rows, d_u, d_v):
     contiguous (A, B, y) arrays for the float64 reference loop."""
     blocks = [(rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v)),
                np.where(rng.random(rows) < 0.5, -1.0, 1.0)) for _ in range(n)]
-    shards = [ClientShard(client_id=i + 1, A=A, B=B, y=y)
+    shards = [ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=d_u)
               for i, (A, B, y) in enumerate(blocks)]
     return shards, blocks
 
@@ -452,7 +452,7 @@ def test_full_batch_matches_float64_loop_at_chunk_edges():
     rng = stream(18, "probe")
     d_u, d_v, rho = 7, 4, 0.05
     blocks = [float_shards(rng, 1, rows, d_u, d_v)[1][0] for rows in CHUNK_EDGES]
-    obj = LogisticObjective([ClientShard(client_id=i + 1, A=A, B=B, y=y)
+    obj = LogisticObjective([ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=d_u)
                              for i, (A, B, y) in enumerate(blocks)], rho=rho)
     u = rng.standard_normal(d_u)
     V = rng.standard_normal((obj.n, d_v))

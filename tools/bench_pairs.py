@@ -10,11 +10,12 @@ runs the benchmark that BENCHMARK.json declares (`perfbench/run.py
 alternating which side runs first: the parent first on the 1st, 3rd, ...
 seed of a workload, the change first on the others. Writes
 BENCH_<label>.json to the root of this checkout, rewritten after every pair,
-with every run and, for each workload and end-to-end metric: each side's
-median and quartiles, the pairs the change wins (ties count for neither),
-the median of the per-seed ratios change / parent, and whether that median
-ratio is within the metric's BENCHMARK.json bound (at least 1 - bound for a
-higher-is-better metric, at most 1 + bound for a lower-is-better one).
+with every run (the benchmark's exit code as `exit`) and, for each workload
+and end-to-end metric: each side's median and quartiles, the pairs the
+change wins (ties count for neither), the median of the per-seed ratios
+change / parent, and whether that median ratio is within the metric's
+BENCHMARK.json bound (at least 1 - bound for a higher-is-better metric, at
+most 1 + bound for a lower-is-better one).
 
 With `--pytest NODE` it then runs that pytest node (`python -m pytest -q
 NODE`, with the checkout's `src` on PYTHONPATH) from each copy, one pair per
@@ -66,14 +67,19 @@ def export(rev: str, into: str) -> str:
 
 def run_once(checkout: str, command: list[str], workload: str, seed: int,
              seconds: float) -> dict:
+    """One benchmark run's record: whether it was correct, its attempted and
+    failed operations, the command's exit code and each metric's value. A
+    run whose last output line is not a JSON result is incorrect."""
     cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     try:
-        return json.loads(proc.stdout.strip().split("\n")[-1])
+        res = json.loads(proc.stdout.strip().split("\n")[-1])
     except (json.JSONDecodeError, IndexError):
-        return {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                "exit": proc.returncode}
+        res = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    return {"correct": res["correct"], "attempted": res["attempted"], "failed": res["failed"],
+            "exit": proc.returncode,
+            **{name: m["value"] for name, m in res["metrics"].items()}}
 
 
 def run_pytest(checkout: str, node: str) -> dict:
@@ -209,11 +215,8 @@ def main() -> int:
         for w in workloads:
             for k, seed in enumerate(args.seeds):
                 for side in pair_order(k):
-                    res = run_once(dirs[side], command, w, seed, seconds)
                     run = {"workload": w, "seed": seed, "side": side,
-                           "correct": res["correct"], "attempted": res["attempted"],
-                           "failed": res["failed"],
-                           **{name: m["value"] for name, m in res["metrics"].items()}}
+                           **run_once(dirs[side], command, w, seed, seconds)}
                     result["runs"].append(run)
                     print(json.dumps(run), file=sys.stderr, flush=True)
                 result["end_to_end"][w] = compare(
