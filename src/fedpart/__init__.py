@@ -15,7 +15,7 @@ from .fedcore import (
 )
 from .harness import ExperimentConfig, SweepSpec, load_config, run_experiment, run_sweep
 from .metrics import ConstantEstimates, estimate_constants
-from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective, stack_oracles
+from .objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective, join_replicas
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,7 @@ __all__ = [
     "SweepSpec",
     "TrainingResult",
     "estimate_constants",
+    "join_replicas",
     "load_config",
     "partition_clients",
     "recommended_step_sizes",
@@ -42,7 +43,6 @@ __all__ = [
     "run_round",
     "run_sweep",
     "run_training",
-    "stack_oracles",
     "synth_quadratic",
     "__version__",
 ]

@@ -35,13 +35,15 @@ planning nor the generator resets.
 Replicas. Runs that differ only in their seed run in lock-step as one
 replica run (`run_replicas`): the state gains a leading replica axis R,
 u (R, d_u), V (R, n, d_v) and, for the corrected variant, c (R, d_u) and
-C (R, n, d_u). Each replica keeps its own oracle (stacked into one
-`objectives.OracleStack`), its own ("cv_init", i) streams and its own
-`round_streams`, and a round makes one local-step block call, one
-expression each for merge, aggregation and control, one metrics pass and
-one finite check over all R. Sums run over the same axis of the same rows
-in the same order as in a run alone, so every replica is bitwise the same
-config run alone. A single run (`run_training`) is the case R = 1.
+C (R, n, d_u). Every sampled client starts from the server's u and its own
+v_i, so R replicas of n clients are the R * n clients of one joined
+objective (`objectives.join_replicas`), replica r's client i its client
+r * n + i. Each replica keeps its own ("cv_init", i) and round streams; a
+round makes one local-step call, one expression each for merge,
+aggregation and control, one metrics pass and one finite check over all R.
+Sums run over the same axis of the same rows in the same order as in a run
+alone, so every replica is bitwise its config run alone; `run_training` is
+the case R = 1.
 
 Run invariants (a known algorithm, m <= n, gamma_u > 0 for the corrected
 variant) are checked once, by `init_states`, before any draw; the
@@ -58,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .objectives import OracleStack, stack_oracles
+from .objectives import ObjectiveOracle, join_replicas
 from .rng import StreamPool, stream_keys
 
 FEDAVG_P = "fedavg_p"
@@ -83,14 +85,15 @@ class HyperParams:
         # zero is allowed (a zero step is the identity); init_states
         # demands gamma_u > 0 for the corrected algorithm's control update
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+            x = getattr(self, name)
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+        for name, least in (("K", 1), ("T", 0), ("m", 1)):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {x!r}")
+            if x < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -269,13 +272,13 @@ def replica_streams(seeds, n: int, m: int, rounds: range):
         yield ts[0], np.array(ids), list(rngs)
 
 
-def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
+def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracle,
               hp: HyperParams, t: int, ids: np.ndarray, rngs, seeds) -> list[RoundTrace]:
-    """Outer round t of R replicas: replica r's ascending sampled ids in
-    ids[r] and one local generator per id in rngs[r] (as `replica_streams`
-    yields them); seeds[r] is replica r's run seed. Mutates server and the
-    sampled client rows in place and returns one trace per replica; all R
-    share the round's wall_ms.
+    """Outer round t of R replicas on their joined `oracle`: replica r's
+    ascending sampled ids in ids[r] and one local generator per id in
+    rngs[r] (as `replica_streams` yields them); seeds[r] is replica r's run
+    seed. Mutates server and the sampled client rows in place and returns
+    one trace per replica; all R share the round's wall_ms.
 
     The control-variate correction applies when the state carries control
     variates (`clients.C`, set by `init_states` for scaffold_p). Metrics are
@@ -286,19 +289,23 @@ def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
     """
     corrected = clients.C is not None
     t0 = time.perf_counter()
-    rows = np.arange(len(ids))[:, None]
+    (R, m), n = ids.shape, clients.V.shape[1]
+    rows = np.arange(R)[:, None]
     V_old = clients.V[rows, ids]
     C_old = clients.C[rows, ids] if corrected else None
-    Corr = C_old - server.c[:, None] if corrected else np.zeros((*ids.shape, oracle.d_u))
+    Corr = C_old - server.c[:, None] if corrected else np.zeros((R, m, oracle.d_u))
+    # replica r's client i is the joined oracle's client r * n + i
     U_K, V_K = oracle.local_steps_block(
-        ids, server.u, V_old, Corr, hp.K, hp.gamma_u, hp.gamma_v, rngs
+        (ids + n * rows).ravel(), np.repeat(server.u, m, axis=0), V_old.reshape(R * m, -1),
+        Corr.reshape(R * m, -1), hp.K, hp.gamma_u, hp.gamma_v, [g for row in rngs for g in row]
     )
+    U_K, V_K = U_K.reshape(R, m, -1), V_K.reshape(R, m, -1)
     clients.V[rows, ids] = merge_personal(V_old, V_K, hp.eta_v)
     if corrected:
         C_next = update_client_control(C_old, server.c[:, None], server.u[:, None], U_K,
                                        hp.K, hp.gamma_u)
         clients.C[rows, ids] = C_next
-        server.c = update_server_control(server.c, C_next - C_old, oracle.n)
+        server.c = update_server_control(server.c, C_next - C_old, n)
     server.u = aggregate_shared(server.u, U_K, hp.eta_u)
     _check_finite(t, seeds, u=server.u, v=clients.V, c=server.c, c_i=clients.C)
 
@@ -311,21 +318,23 @@ def run_round(server: ServerState, clients: ClientStates, oracle: OracleStack,
             in zip(*(x.tolist() for x in metric_rows), (ids + 1).tolist())]
 
 
-def init_states(algorithm: str, oracle: OracleStack, hp: HyperParams, seeds,
+def init_states(algorithm: str, oracles, hp: HyperParams, seeds,
                 u0=None, v0_all=None):
-    """Fresh replica (server, clients) for the R = len(seeds) replicas of
-    the stack `oracle`, all at the given (default all-zeros) start.
+    """Fresh replica (server, clients) for R = len(seeds) replicas, replica
+    r on oracles[r] with seeds[r], all at the given (default all-zeros)
+    start.
 
-    Owns the run's invariants and checks them before any draw: a known
-    algorithm, m <= n, and gamma_u > 0 for scaffold_p (its control update
-    divides by K gamma_u). Copies the start and checks its shapes: u0
-    (d_u,), v0_all (n, d_v). Only scaffold_p states carry control variates,
-    replica r's from its own oracle and seed.
+    Owns the run's invariants and checks them before any draw: one seed per
+    oracle, a known algorithm, m <= n, and gamma_u > 0 for scaffold_p (its
+    control update divides by K gamma_u). Copies the start and checks its
+    shapes: u0 (d_u,), v0_all (n, d_v). Only scaffold_p states carry control
+    variates, replica r's from its own oracle and seed.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if len(seeds) != len(oracle.oracles):
-        raise ValueError(f"{len(seeds)} seeds for {len(oracle.oracles)} oracles")
+    if not seeds or len(seeds) != len(oracles):
+        raise ValueError(f"{len(seeds)} seeds for {len(oracles)} oracles; need one per replica")
+    oracle = oracles[0]
     if hp.m > oracle.n:
         raise ValueError(f"m={hp.m} exceeds n={oracle.n}")
     if algorithm == SCAFFOLD_P and hp.gamma_u <= 0:
@@ -340,7 +349,7 @@ def init_states(algorithm: str, oracle: OracleStack, hp: HyperParams, seeds,
     clients = ClientStates(V=np.tile(V0, (R, 1, 1)))
     if algorithm == SCAFFOLD_P:
         C, c = zip(*(init_control_variates(u0, V0, o, hp.K, seed)
-                     for o, seed in zip(oracle.oracles, seeds)))
+                     for o, seed in zip(oracles, seeds)))
         clients.C, server.c = np.stack(C), np.stack(c)
     return server, clients
 
@@ -351,10 +360,11 @@ def run_replicas(algorithm: str, oracles, hp: HyperParams, seeds,
     lock-step: run r on oracles[r] with seeds[r]. Returns one result per
     run, each bitwise the same run alone (`run_training`) except wall_ms,
     which is the shared replica round's time."""
-    oracle = stack_oracles(oracles)
-    server, clients = init_states(algorithm, oracle, hp, seeds, u0, v0_all)
+    oracle = join_replicas(oracles)
+    server, clients = init_states(algorithm, oracles, hp, seeds, u0, v0_all)
+    n = clients.V.shape[1]
     rounds = [run_round(server, clients, oracle, hp, t, ids, rngs, seeds)
-              for t, ids, rngs in replica_streams(seeds, oracle.n, hp.m, range(hp.T))]
+              for t, ids, rngs in replica_streams(seeds, n, hp.m, range(hp.T))]
     return [TrainingResult.of_replica(r, [traces[r] for traces in rounds], server, clients)
             for r in range(len(seeds))]
 

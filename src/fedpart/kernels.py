@@ -3,10 +3,10 @@ sampled clients at once, and the one regularized logistic gradient that
 every logistic path uses.
 
 All randomness is pre-drawn by the caller (noise rows / minibatch indices),
-which keeps the kernels pure. Every client starts from the same shared
-`u0` and its own row of `V0`; `Corr` holds one control-variate correction
-c_i - c per row (zeros for the uncorrected algorithm), and the u-direction
-is g - corr.
+which keeps the kernels pure. Every client starts from its own row of `V0`
+and from `u0`, one shared start or one row per client; `Corr` holds one
+control-variate correction c_i - c per row (zeros for the uncorrected
+algorithm), and the u-direction is g - corr.
 
 The quadratic kernel is elementwise on one fused (m, d_u + d_v) block of
 (u | v) rows, with per-column step sizes and zero v-columns in Corr; x - 0.0
@@ -154,9 +154,9 @@ def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr, work)
     returned (U, V) in place.
     """
     U = np.empty_like(Corr)
+    U[:] = u0
     V = np.empty_like(V0)
     for (X, y, scale), steps, corr_u, u, v, v0 in zip(shards, idx, Corr, U, V, V0):
-        u[:] = u0
         v[:] = v0
         denom = scale * steps.shape[1]
         for r in steps:

@@ -35,11 +35,17 @@ class ConstantEstimates:
 def round_metrics(oracle, u, v_all, m: int):
     """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass.
 
-    Over an `objectives.OracleStack` (u (R, d_u), v_all (R, n, d_v)) each
-    is an (R,) array whose entry r is bitwise replica r's value alone.
+    For R replicas on their joined oracle (`objectives.join_replicas`;
+    u (R, d_u), v_all (R, n, d_v)) the pass covers all R * n clients and
+    each quantity is an (R,) array whose entry r is bitwise replica r's
+    value alone.
     """
-    vals, G_u, G_v = oracle.value_and_grads_all(u, v_all)
-    n = oracle.n
+    V = np.asarray(v_all)
+    *lead, n, d_v = V.shape  # lead is (R,) for replicas, () for one run
+    vals, G_u, G_v = oracle.value_and_grads_all(np.repeat(u, n, axis=0) if lead else u,
+                                                V.reshape(-1, d_v))
+    vals = vals.reshape(*lead, n)
+    G_u, G_v = G_u.reshape(*lead, n, oracle.d_u), G_v.reshape(*lead, n, d_v)
     gbar = G_u.sum(axis=-2) / n
     g_v = np.square(G_v).sum(axis=-1).sum(axis=-1) / n
     # |gbar|^2 per replica, the same dot as a single run's `gbar @ gbar`

@@ -22,13 +22,14 @@ are provided:
 Two block methods work on the client state held as arrays:
 `value_and_grads_all` evaluates all n clients in one pass and
 `local_steps_block` runs the local steps of a round's sampled clients in one
-kernel call. The generic `value_and_grads_all` loops over the per-client
-`value_and_grads`; the quadratic overrides it with one vectorized pass, and
-the logistic with the same per-client pass in one set of work arrays.
-`local_steps_block` trusts the shapes checked once at run start;
-`value_and_grads` checks dimensions on every call. `stack_oracles` puts
-the oracles of R replica runs behind the same two methods over a leading
-replica axis, one array pass for all-quadratic replicas.
+kernel call; both take u as one start (d_u,) or one start per row. The
+generic `value_and_grads_all` loops over the per-client `value_and_grads`;
+the quadratic overrides it with one vectorized pass, and the logistic with
+the same per-client pass in one set of work arrays. `local_steps_block`
+trusts the shapes checked once at run start; `value_and_grads` checks
+dimensions on every call. `join_replicas` makes the oracles of R replica
+runs one objective over R * n clients, so the block methods serve every
+replica in one call without knowing that replicas exist.
 
 Oracles are immutable after construction; every stochastic evaluation takes
 its generator as an explicit argument.
@@ -86,13 +87,17 @@ class ObjectiveOracle:
         return g_u[0], g_v[0]
 
     def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
-        """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at (u, V)."""
-        vals, G_u, G_v = zip(*(self.value_and_grads(i, u, v) for i, v in enumerate(V)))
+        """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at
+        (u, V), u one start (d_u,) or one per row (n, d_u)."""
+        U = np.broadcast_to(u, (len(V), self.d_u))
+        vals, G_u, G_v = zip(*(self.value_and_grads(i, u_i, v)
+                               for i, (u_i, v) in enumerate(zip(U, V))))
         return np.array(vals), np.stack(G_u), np.stack(G_v)
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
         """K simultaneous SGD steps for clients ids (ascending) from
-        (u, V[j]) with generator rngs[j]; returns (U_K, V_K) rows.
+        (u, V[j]) with generator rngs[j], u one start (d_u,) or one per row
+        (len(ids), d_u); returns (U_K, V_K) rows.
 
         Both gradients of each step are evaluated at the same (u_k, v_k)
         and the same draw; the u-direction is g_u - Corr[j]."""
@@ -155,11 +160,29 @@ class QuadraticObjective(ObjectiveOracle):
                 (v - self.centers_v[i]) + noise[:, self.d_u :])
 
     def value_and_grads_all(self, u, V):
-        return _quad_values_and_grads(self.centers_u, self.centers_v, u, V)
+        DU = u - self.centers_u
+        DV = np.asarray(V) - self.centers_v
+        return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
 
     def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        return _quad_steps(self._centers[ids], self._noise_scale, u, V, Corr,
-                           K, gamma_u, gamma_v, rngs)
+        # one fused (m, d) block of (u | v) rows against the gathered
+        # (a_i | b_i) rows; row j's draw of stoch_grads fills z[j], and
+        # noise[k] holds step k's rows
+        centers = self._centers[ids]
+        m, d = centers.shape
+        z = np.empty((m, K, d))
+        for g, z_j in zip(rngs, z):
+            g.standard_normal(out=z_j)
+        noise = np.multiply(z.transpose(1, 0, 2), self._noise_scale, out=np.empty((K, m, d)))
+        W = np.empty((m, d))
+        W[:, :self.d_u] = u
+        W[:, self.d_u:] = V
+        Corr_w = np.zeros_like(W)
+        Corr_w[:, :self.d_u] = Corr
+        steps = np.full(d, gamma_v)
+        steps[:self.d_u] = gamma_u
+        W = kernels.quad_local_steps(W, centers, steps, noise, Corr_w)
+        return W[:, :self.d_u], W[:, self.d_u:]
 
     def dissimilarity_b2(self) -> float:
         """Exact b^2 = (1/n) sum_i |a_i - abar|^2, constant in (u, v)."""
@@ -174,92 +197,6 @@ class QuadraticObjective(ObjectiveOracle):
 def _row_sq_norms(X: np.ndarray) -> np.ndarray:
     """|x|^2 of each row (last axis), bitwise equal to the per-row `x @ x`."""
     return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
-
-
-def _quad_values_and_grads(centers_u, centers_v, u, V):
-    # values (..., n) and gradient rows at u (..., 1, d_u) or (d_u,), V (..., n, d_v)
-    DU = u - centers_u
-    DV = np.asarray(V) - centers_v
-    return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
-
-
-def _quad_steps(centers, noise_scale, u, V, Corr, K, gamma_u, gamma_v, rngs):
-    """Local steps of the gathered (a_i | b_i) rows `centers` (..., m, d):
-    u (..., 1, d_u) or (d_u,), V (..., m, d_v), Corr (..., m, d_u), one
-    generator per row in `rngs`, in row order."""
-    *lead, m, d = centers.shape
-    d_u = d - V.shape[-1]
-    # row j's draw of stoch_grads fills z[j]; noise[k] holds step k's rows
-    z = np.empty((*lead, m, K, d))
-    for g, z_j in zip(rngs, z.reshape(-1, K, d)):
-        g.standard_normal(out=z_j)
-    steps_first = (z.ndim - 2, *range(z.ndim - 2), z.ndim - 1)
-    noise = np.multiply(z.transpose(steps_first), noise_scale, out=np.empty((K, *lead, m, d)))
-    W = np.empty(centers.shape)
-    W[..., :d_u] = u
-    W[..., d_u:] = V
-    Corr_w = np.zeros_like(W)
-    Corr_w[..., :d_u] = Corr
-    steps = np.full(d, gamma_v)
-    steps[:d_u] = gamma_u
-    W = kernels.quad_local_steps(W, centers, steps, noise, Corr_w)
-    return W[..., :d_u], W[..., d_u:]
-
-
-class OracleStack:
-    """R oracles of equal (n, d_u, d_v), one per replica run, as one oracle
-    over a leading replica axis: the two block methods take ids (R, m),
-    u (R, d_u), V (R, m, d_v) or (R, n, d_v), Corr (R, m, d_u) and one list
-    of m generators per replica, and return the single-oracle results
-    stacked. This class runs each replica's own method in turn;
-    `stack_oracles` gives all-quadratic replicas one array pass instead.
-    """
-
-    def __init__(self, oracles):
-        self.oracles = tuple(oracles)
-        shapes = {(o.n, o.d_u, o.d_v) for o in self.oracles}
-        if len(shapes) != 1:
-            raise ValueError(f"need oracles that share (n, d_u, d_v), got {sorted(shapes)}")
-        ((self.n, self.d_u, self.d_v),) = shapes
-
-    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        U_K, V_K = zip(*(o.local_steps_block(*rows, K, gamma_u, gamma_v, g)
-                         for o, *rows, g in zip(self.oracles, ids, u, V, Corr, rngs)))
-        return np.stack(U_K), np.stack(V_K)
-
-    def value_and_grads_all(self, u, V):
-        vals, G_u, G_v = zip(*(o.value_and_grads_all(u_r, V_r)
-                               for o, u_r, V_r in zip(self.oracles, u, V)))
-        return np.stack(vals), np.stack(G_u), np.stack(G_v)
-
-
-class _QuadraticStack(OracleStack):
-    # every replica's rows in one (R, m, d) local-step block and one
-    # (R, n, .) metrics pass; per element the same operations as R blocks
-    def __init__(self, oracles):
-        super().__init__(oracles)
-        self.centers_u = np.stack([o.centers_u for o in self.oracles])
-        self.centers_v = np.stack([o.centers_v for o in self.oracles])
-        self._centers = np.stack([o._centers for o in self.oracles])
-        self._noise_scale = np.stack([o._noise_scale for o in self.oracles])[:, None, :]
-        self._replica = np.arange(len(self.oracles))[:, None]
-
-    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        return _quad_steps(self._centers[self._replica, ids], self._noise_scale,
-                           u[:, None, :], V, Corr, K, gamma_u, gamma_v,
-                           [g for row in rngs for g in row])
-
-    def value_and_grads_all(self, u, V):
-        return _quad_values_and_grads(self.centers_u, self.centers_v, u[:, None, :], V)
-
-
-def stack_oracles(oracles) -> OracleStack:
-    """One oracle over a leading replica axis for the given per-replica
-    oracles (see `OracleStack`)."""
-    oracles = list(oracles)
-    if oracles and all(isinstance(o, QuadraticObjective) for o in oracles):
-        return _QuadraticStack(oracles)
-    return OracleStack(oracles)
 
 
 def _reg_value(u: np.ndarray, v: np.ndarray) -> float:
@@ -320,10 +257,11 @@ class LogisticObjective(ObjectiveOracle):
         if len(V) != self.n:
             raise ValueError(f"V has {len(V)} rows, expected {self.n}")
         work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
+        U = np.broadcast_to(u, (self.n, self.d_u))
         G_u = np.empty((self.n, self.d_u))
         G_v = np.empty((self.n, self.d_v))
-        vals = np.array([self._full_batch(i, u, v, work, g_u, g_v)
-                         for i, (v, g_u, g_v) in enumerate(zip(V, G_u, G_v))])
+        vals = np.array([self._full_batch(i, u_i, v, work, g_u, g_v)
+                         for i, (u_i, v, g_u, g_v) in enumerate(zip(U, V, G_u, G_v))])
         return vals, G_u, G_v
 
     def stoch_grads(self, i, u, v, K, rng):
@@ -348,3 +286,43 @@ class LogisticObjective(ObjectiveOracle):
             u, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
             kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size),
         )
+
+
+def _share(oracles, *names) -> None:
+    values = {tuple(getattr(o, name) for name in names) for o in oracles}
+    if len(values) != 1:
+        raise ValueError(f"replicas must share ({', '.join(names)}), got {sorted(values)}")
+
+
+def join_replicas(oracles) -> ObjectiveOracle:
+    """One objective whose clients are the given replica oracles' clients in
+    turn: replica r's client i is client r * n + i. A single oracle comes
+    back unchanged.
+
+    Replicas must be all quadratic or all logistic, of one (n, d_u, d_v)
+    and one noise level (quadratic) or rho and batch size (logistic);
+    quadratic centers are concatenated, logistic shards shared, not copied.
+    Raises ValueError otherwise, and for an empty list.
+    """
+    oracles = list(oracles)
+    if not oracles:
+        raise ValueError("need at least one oracle")
+    if len(oracles) == 1:
+        return oracles[0]
+    kinds = {type(o) for o in oracles}
+    if len(kinds) != 1:
+        raise ValueError(f"cannot join replicas of mixed types "
+                         f"{sorted(k.__name__ for k in kinds)}")
+    _share(oracles, "n", "d_u", "d_v")
+    first = oracles[0]
+    if type(first) is QuadraticObjective:
+        _share(oracles, "sigma_u", "sigma_v")
+        return QuadraticObjective(np.concatenate([o.centers_u for o in oracles]),
+                                  np.concatenate([o.centers_v for o in oracles]),
+                                  first.sigma_u, first.sigma_v)
+    if type(first) is LogisticObjective:
+        _share(oracles, "rho", "batch_size")
+        return LogisticObjective([s for o in oracles for s in o.shards],
+                                 first.rho, first.batch_size)
+    raise ValueError(f"cannot join replicas of {type(first).__name__}; "
+                     "replica runs need quadratic or logistic objectives")

@@ -3,7 +3,10 @@
 import importlib.util
 import json
 import os
+import shutil
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -80,3 +83,22 @@ def test_run_once_records_the_exit_code_of_every_run(tmp_path):
     ok = bench_pairs.run_once(str(tmp_path), [sys.executable, "-c", f"print({line!r})"],
                               "w", 1, 0.5)
     assert ok == {"correct": True, "attempted": 4, "failed": 1, "exit": 0, "rounds_per_s": 12.5}
+
+
+def test_unknown_workload_is_a_usage_error_before_any_run(monkeypatch, capsys):
+    def export(rev, into):
+        shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), into)
+        return rev
+
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--label", "probe", "--parent", "a",
+                                      "--change", "b", "--seeds", "1-10",
+                                      "--workloads", "quad-sweep,quad-swep"])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main()
+    assert exit_info.value.code == 2
+    assert "--workloads: quad-swep not among BENCHMARK.json's quad-sweep" in capsys.readouterr().err

@@ -33,7 +33,7 @@ from fedpart.fedcore import (
     update_client_control,
     update_server_control,
 )
-from fedpart.objectives import LogisticObjective, QuadraticObjective, stack_oracles
+from fedpart.objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective, join_replicas
 from fedpart.rng import stream
 
 
@@ -74,6 +74,21 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError, match="m"):
         hp_of(m=0)
     hp_of(gamma_u=0.0, gamma_v=0.0)  # zero steps allowed
+
+
+@pytest.mark.parametrize("name", ["gamma_u", "gamma_v", "eta_u", "eta_v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_hyperparams_reject_non_finite_steps(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and >= 0"):
+        hp_of(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["K", "T", "m"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_hyperparams_reject_non_int_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        hp_of(**{name: value})
+    assert hp_of(**{name: np.int64(2)}) is not None  # numpy ints are ints
 
 
 # ----------------------------------------------------------------- sampling
@@ -335,14 +350,13 @@ def test_update_server_control():
 def init_one(algorithm, obj, hp, seed):
     """The replica (server, clients) of obj run alone, as run_training
     starts it."""
-    return init_states(algorithm, stack_oracles([obj]), hp, [seed])
+    return init_states(algorithm, [obj], hp, [seed])
 
 
 def run_rounds(server, clients, obj, hp, seed, rounds):
     """run_round over `rounds` on the streams replica_streams draws for the
     one replica; its traces."""
-    stack = stack_oracles([obj])
-    return [run_round(server, clients, stack, hp, t, ids, rngs, [seed])[0]
+    return [run_round(server, clients, obj, hp, t, ids, rngs, [seed])[0]
             for t, ids, rngs in replica_streams([seed], obj.n, hp.m, rounds)]
 
 
@@ -433,7 +447,7 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
         with pytest.raises(ValueError, match=match):
             run_training(algorithm, obj, hp, seed=0)
     with pytest.raises(ValueError, match="1 seeds for 2 oracles"):
-        init_states("scaffold_p", stack_oracles([obj, obj]), hp_of(), [0])
+        init_states("scaffold_p", [obj, obj], hp_of(), [0])
     assert draws == []
     # a zero u-step is the identity for the uncorrected algorithm
     res = run_training("fedavg_p", obj, hp_of(gamma_u=0.0, T=3, m=2), seed=0)
@@ -531,18 +545,17 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
     if algorithm == fedcore.SCAFFOLD_P:
         C, c = _per_draw_control_variates(server.u[0], clients.V[0], oracle, hp.K, seed)
         clients.C, server.c = C[None], c[None]
-    stack = stack_oracles([oracle])
     traces = []
     for t in range(hp.T):
         ids, rngs = _fresh_streams(seed, oracle.n, hp.m, t)
-        traces += run_round(server, clients, stack, hp, t, ids[None], [rngs], [seed])
+        traces += run_round(server, clients, oracle, hp, t, ids[None], [rngs], [seed])
     return TrainingResult.of_replica(0, traces, server, clients)
 
 
-def _small_oracle(objective):
+def _small_oracle(objective, probe=75):
     if objective == "quadratic":
         return dataio.synth_quadratic(10, 3, 2, spread=1.0, sigma_u=1.0, sigma_v=0.5, seed=3)[0]
-    rng = stream(75, "probe")
+    rng = stream(probe, "probe")
     shards = [dataio.ClientShard(client_id=i + 1,
                                  X=np.hstack([rng.standard_normal((9, 3)),
                                               rng.standard_normal((9, 2))]),
@@ -625,19 +638,75 @@ def test_replicas_share_round_time_and_span_a_key_block():
     assert all(a.wall_ms == b.wall_ms == c.wall_ms for a, b, c in zip(*(r.traces for r in got)))
 
 
-def test_replica_stack_runs_logistic_replicas_one_by_one():
-    obj = _small_oracle("logistic")
+def test_joined_logistic_replicas_equal_runs_alone():
+    # two replicas on different shards: a wrong r * n + i offset would run
+    # one replica on the other's data
+    objs = [_small_oracle("logistic", probe) for probe in (75, 76)]
     hp = hp_of(gamma_u=0.01, gamma_v=0.02, K=3, T=9, m=8)
-    got = run_replicas("scaffold_p", [obj, obj], hp, [1, 2])
-    for res, seed in zip(got, [1, 2]):
-        _assert_same_run(res, run_training("scaffold_p", obj, hp, seed))
+    for algorithm in fedcore.ALGORITHMS:
+        got = run_replicas(algorithm, objs, hp, [1, 2])
+        for res, obj, seed in zip(got, objs, [1, 2]):
+            _assert_same_run(res, run_training(algorithm, obj, hp, seed))
 
 
-def test_stack_oracles_rejects_mismatched_shapes():
-    with pytest.raises(ValueError, match="share"):
-        stack_oracles([quad([[1.0]], [[1.0]]), quad([[1.0, 2.0]], [[1.0]])])
-    with pytest.raises(ValueError, match=r"share \(n, d_u, d_v\), got \[\]"):
-        stack_oracles([])
+def test_join_replicas_lays_replicas_out_in_turn():
+    a = quad([[1.0], [2.0]], [[3.0], [4.0]], sigma_u=0.5)
+    b = quad([[5.0], [6.0]], [[7.0], [8.0]], sigma_u=0.5)
+    joined = join_replicas([a, b])
+    assert np.array_equal(joined.centers_u, [[1.0], [2.0], [5.0], [6.0]])
+    assert np.array_equal(joined.centers_v, [[3.0], [4.0], [7.0], [8.0]])
+    assert (joined.sigma_u, joined.sigma_v) == (0.5, 0.0)
+    logistic = [_small_oracle("logistic", probe) for probe in (75, 76)]
+    shards = join_replicas(logistic).shards
+    assert len(shards) == 20
+    assert all(s is t for s, t in zip(shards, logistic[0].shards + logistic[1].shards))
+    assert join_replicas([a]) is a and join_replicas((o for o in [logistic[0]])) is logistic[0]
+
+
+class _Delegate(ObjectiveOracle):
+    """A custom objective: a quadratic's per-client and block methods behind
+    the generic `value_and_grads_all`."""
+
+    def __init__(self, inner):
+        self.inner, self.n, self.d_u, self.d_v = inner, inner.n, inner.d_u, inner.d_v
+
+    def value_and_grads(self, i, u, v):
+        return self.inner.value_and_grads(i, u, v)
+
+    def stoch_grads(self, *args):
+        return self.inner.stoch_grads(*args)
+
+    def local_steps_block(self, *args):
+        return self.inner.local_steps_block(*args)
+
+
+def test_join_replicas_rejects_what_one_objective_cannot_hold():
+    one = quad([[1.0]], [[1.0]])
+    logistic = _small_oracle("logistic")
+    for oracles, match in (
+            ([], "need at least one oracle"),
+            ([one, quad([[1.0, 2.0]], [[1.0]])], r"share \(n, d_u, d_v\)"),
+            ([one, quad([[1.0], [2.0]], [[1.0], [2.0]])], r"share \(n, d_u, d_v\)"),
+            ([one, logistic], r"mixed types \['LogisticObjective', 'QuadraticObjective'\]"),
+            ([one, quad([[1.0]], [[1.0]], sigma_u=0.1)], r"share \(sigma_u, sigma_v\)"),
+            ([one, quad([[1.0]], [[1.0]], sigma_v=0.1)], r"share \(sigma_u, sigma_v\)"),
+            ([logistic, LogisticObjective(logistic.shards, rho=0.5, batch_size=4)],
+             r"share \(rho, batch_size\)"),
+            ([logistic, LogisticObjective(logistic.shards, rho=0.05, batch_size=2)],
+             r"share \(rho, batch_size\)"),
+            ([_Delegate(one), _Delegate(one)], "cannot join replicas of _Delegate")):
+        with pytest.raises(ValueError, match=match):
+            join_replicas(oracles)
+
+
+def test_custom_objective_runs_alone_but_not_as_replicas():
+    obj = _small_oracle("quadratic")
+    hp = hp_of(gamma_u=0.01, gamma_v=0.02, eta_u=1.5, K=3, T=5, m=4)
+    for algorithm in fedcore.ALGORITHMS:
+        _assert_same_run(run_training(algorithm, _Delegate(obj), hp, seed=3),
+                         run_training(algorithm, obj, hp, seed=3))
+    with pytest.raises(ValueError, match="need quadratic or logistic objectives"):
+        run_replicas("fedavg_p", [_Delegate(obj)] * 2, hp, [1, 2])
 
 
 # ------------------------------------------------------------- run_training

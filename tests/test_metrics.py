@@ -12,7 +12,7 @@ from fedpart.objectives import (
     LogisticObjective,
     ObjectiveOracle,
     QuadraticObjective,
-    stack_oracles,
+    join_replicas,
 )
 from fedpart.rng import stream
 
@@ -42,10 +42,10 @@ def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01):
 def test_round_metrics_over_a_stack_equal_single_formulas_bitwise(n, d):
     # a run alone's formulas, written out with its reductions
     objs = [dataio.synth_quadratic(n, d, d, 1.0, 0.0, 0.0, seed)[0] for seed in (1, 2, 3)]
-    stack = stack_oracles(objs)
+    joined = join_replicas(objs)
     rng = stream(33, "probe")
     u, V = rng.standard_normal((3, d)), rng.standard_normal((3, n, d))
-    got = metrics.round_metrics(stack, u, V, 7)
+    got = metrics.round_metrics(joined, u, V, 7)
     for r, obj in enumerate(objs):
         vals, G_u, G_v = obj.value_and_grads_all(u[r], V[r])
         gbar = G_u.sum(axis=0) / n

@@ -5,12 +5,16 @@ The quadratic f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with isotropic
 Gaussian gradient noise is linear-Gaussian and separable per coordinate, so
 the expected stationary `grad_norm_u + grad_norm_v_hat` of FedAvg-P solves
 one scalar recursion per block (the discrete Lyapunov equation of linear
-SGD, taken in expectation over client sampling).
+SGD, taken in expectation over client sampling). Scaffold-P's u block
+couples u with the n control variates, so its floor solves one linear
+fixed point per coordinate instead.
 
 K local steps with step gamma contract the distance to a client's center by
 q = (1 - gamma)^K and add, per coordinate, the noise variance
 N = gamma^2 sigma^2 / d * (1 - q^2) / (1 - (1 - gamma)^2).
 """
+
+import numpy as np
 
 
 def _local(gamma, K, sigma, d):
@@ -40,8 +44,68 @@ def fedavg_p_floor(obj, hp):
     """
     n, m = obj.n, hp.m
     q_u, N_u = _local(hp.gamma_u, hp.K, obj.sigma_u, obj.d_u)
-    q_v, N_v = _local(hp.gamma_v, hp.K, obj.sigma_v, obj.d_v)
     V_S = (n - m) / (m * (n - 1)) * obj.dissimilarity_b2() if n > 1 else 0.0
     u = _stationary(hp.eta_u, q_u, (1.0 - q_u) ** 2 * V_S + obj.d_u * N_u / m)
-    v = _stationary(hp.eta_v, q_v, obj.d_v * N_v)
-    return u + (m / n) * v
+    return u + (m / n) * _personal_floor(obj, hp)
+
+
+def _personal_floor(obj, hp):
+    """Stationary (1/n) sum_i |v_i - b_i|^2, the same for both algorithms:
+    a client's v_i moves only in the rounds that sample it, uncorrected."""
+    q_v, N_v = _local(hp.gamma_v, hp.K, obj.sigma_v, obj.d_v)
+    return _stationary(hp.eta_v, q_v, obj.d_v * N_v)
+
+
+def scaffold_p_floor(obj, hp):
+    """Expected stationary grad_norm_u + grad_norm_v_hat of Scaffold-P on
+    the `QuadraticObjective` obj with `HyperParams` hp.
+
+    u term, per coordinate: K corrected local steps return
+    u_i = q u + (1 - q) r_i + w_i with r_i = a_i + c_i - c and w_i the
+    client's local noise (variance N_u), and refresh
+    c_i <- c_i - c + (u - u_i) / (K gamma_u); the server takes
+    u <- (1 - eta_u) u + (eta_u / m) sum of the sampled u_i. c stays the mean
+    of the c_i, so over the state x = (1, u, c_1..c_n) a round is affine in
+    the inclusion indicators z_i:
+
+        x' = (A_0 + sum_i z_i A_i) x + sum_i z_i b_i w_i.
+
+    Its stationary second moment M = E[x x^T] is the fixed point of one
+    linear map, which needs only P(i in S) = m/n and
+    P(i, j in S) = m (m - 1) / (n (n - 1)); E|u - abar|^2 is read off M.
+    v term: FedAvg-P's, since the correction acts on u only.
+    """
+    n, m, K, eta = obj.n, hp.m, hp.K, hp.eta_u
+    q, N = _local(hp.gamma_u, K, obj.sigma_u, obj.d_u)
+    beta = 1.0 / (K * hp.gamma_u)
+    p1 = m / n
+    p2 = m * (m - 1) / (n * (n - 1)) if n > 1 else 0.0
+    s = n + 2
+    one, u = np.eye(s)[0], np.eye(s)[1]
+    c = np.r_[0.0, 0.0, np.full(n, 1.0 / n)]
+    A_0 = np.eye(s)
+    A_0[1, 1] = 1.0 - eta
+    b = np.zeros((n, s))
+    b[:, 1] = eta / m
+    b[np.arange(n), 2 + np.arange(n)] = -beta
+    D = p1 * N * (b.T @ b)
+    u_term = 0.0
+    for centers in obj.centers_u.T:
+        A = np.zeros((n, s, s))
+        for i, a_i in enumerate(centers):
+            r_i = a_i * one - c
+            r_i[2 + i] += 1.0
+            A[i, 1] = (eta / m) * (q * u + (1.0 - q) * r_i)
+            A[i, 2 + i] = -c + beta * (1.0 - q) * (u - r_i)
+        S = A.sum(axis=0)
+        L = (np.kron(A_0, A_0) + p1 * (np.kron(S, A_0) + np.kron(A_0, S))
+             + (p1 - p2) * sum(np.kron(A_i, A_i) for A_i in A) + p2 * np.kron(S, S))
+        # the constant coordinate's own equation is M[0, 0] = 1
+        lhs = np.eye(s * s) - L
+        lhs[0] = np.eye(s * s)[0]
+        rhs = D.ravel().copy()
+        rhs[0] = 1.0
+        M = np.linalg.solve(lhs, rhs).reshape(s, s)
+        abar = centers.mean()
+        u_term += M[1, 1] - 2.0 * abar * M[0, 1] + abar * abar
+    return u_term + (m / n) * _personal_floor(obj, hp)

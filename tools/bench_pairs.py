@@ -190,8 +190,12 @@ def main() -> int:
         # both sides run the benchmark as the change declares it
         with open(os.path.join(dirs["change"], "BENCHMARK.json")) as f:
             bench = json.load(f)
-        workloads = args.workloads.split(",") if args.workloads else [
-            w["name"] for w in bench["workloads"]]
+        declared = [w["name"] for w in bench["workloads"]]
+        workloads = args.workloads.split(",") if args.workloads else declared
+        unknown = [w for w in workloads if w not in declared]
+        if unknown:
+            ap.error(f"--workloads: {', '.join(unknown)} not among BENCHMARK.json's "
+                     f"{', '.join(declared)}")
         command = [sys.executable if bench["command"][0] == "python3" else bench["command"][0],
                    *bench["command"][1:]]
         seconds = bench["run_seconds"]
