@@ -27,6 +27,14 @@ def criterion_03(gamma=0.02):
                             K=4, T=800, m=8)
 
 
+def criterion_04(m):
+    # criterion 4's instance, 500 rounds from the noiseless fixed point
+    # (u = abar, v_i = b_i), where Scaffold-P's control variates start
+    obj, _ = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
+    return obj, HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
+                            K=10, T=500, m=m)
+
+
 def criterion_05(K=5):
     obj, _ = dataio.synth_quadratic(10, 5, 5, spread=1.5, sigma_u=0.0, sigma_v=0.0, seed=5)
     return obj, HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
@@ -50,14 +58,6 @@ def test_closed_form_gives_the_recorded_criterion_floors():
     # criterion 4's two m: an exact ratio of 5.05 against its target of 4
     assert [theory.scaffold_p_floor(*criterion_04(m)) for m in (2, 8)] == pytest.approx(
         [2.3449e-3, 4.6421e-4], rel=1e-4)
-
-
-def criterion_04(m):
-    # criterion 4's instance, 500 rounds from the noiseless fixed point
-    # (u = abar, v_i = b_i), where Scaffold-P's control variates start
-    obj, _ = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
-    return obj, HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
-                            K=10, T=500, m=m)
 
 
 def assert_tail_mean_matches(algorithm, obj, hp, exact, burn, **start):
