@@ -1,9 +1,12 @@
 """Experiment harness: config loading/validation, single runs, sweeps.
 
-Configs are flat JSON key-value files; unknown keys are rejected. A run
-writes one CSV row per round plus a config echo alongside the output, with
-all defaults resolved, so loading the echo reproduces an identical run.
-All files are written atomically (temp file + rename).
+Configs are flat JSON key-value files; unknown keys are rejected. Every
+field of a config or sweep spec is checked by one rule (`_check_kinds`):
+its annotation gives the kind it takes, `_RANGES` the bounds of a numeric
+field and `_CHOICES` the values of a named option. A run writes one CSV row
+per round plus a config echo alongside the output, with all defaults
+resolved, so loading the echo reproduces an identical run. All files are
+written atomically (temp file + rename).
 
 The "floor" of a run is the mean of grad_norm_u + grad_norm_v_hat over the
 final min(100, T//5) rounds: the steady-state plateau the theory's noise
@@ -26,18 +29,32 @@ from .objectives import LogisticObjective
 
 QUADRATIC = "quadratic"
 LOGISTIC = "logistic_mnist"
-OBJECTIVES = (QUADRATIC, LOGISTIC)
-PARTITIONS = ("iid", "by_label")
-SWEEP_AXES = ("gamma", "m", "K")
 
 CSV_HEADER = "t,f_value,grad_norm_u,grad_norm_v,grad_norm_v_hat,sampled,wall_ms"
 
-# every count field stays below 2^32, so each round t and client id is one
-# stream-key word (rng.stream_keys); the largest arrays a run allocates are
-# held to _MAX_ELEMENTS entries (2 GiB of float64) before any allocation
-_COUNT_FIELDS = ("n", "m", "K", "T", "batch_size", "per_client_cap", "d_u", "d_v")
-_MAX_COUNT = 2**32 - 1
+# (least, most) of each numeric field. Every count stays below 2^32, so
+# each round t and client id is one stream-key word (rng.stream_keys), and
+# a seed below 2^64 is the whole seed word, so no two seeds name the same
+# streams. The largest arrays a run allocates are held to _MAX_ELEMENTS
+# entries (2 GiB of float64) before any allocation.
+_COUNT = 2**32 - 1
+_RANGES = {
+    "n": (1, _COUNT), "m": (1, _COUNT), "K": (1, _COUNT), "T": (0, _COUNT),
+    "seed": (0, 2**64 - 1), "batch_size": (1, _COUNT), "rho": (0, math.inf),
+    "d_u": (1, _COUNT), "d_v": (1, _COUNT), "spread": (0, math.inf),
+    "sigma_u": (0, math.inf), "sigma_v": (0, math.inf), "per_client_cap": (1, _COUNT),
+}
 _MAX_ELEMENTS = 2**28
+_CHOICES = {
+    "algorithm": fedcore.ALGORITHMS,
+    "objective": (QUADRATIC, LOGISTIC),
+    "partition": ("iid", "by_label"),
+    "axis": ("gamma", "m", "K"),
+}
+# annotation -> (the type a value must have, what the reason calls it)
+_KINDS = {"int": (int, "an integer"), "float": (float, "a finite number"),
+          "str": (str, "a non-empty string"), "list": (list, "a non-empty list"),
+          "dict": (dict, "a mapping")}
 
 
 class ConfigError(Exception):
@@ -57,6 +74,41 @@ class ValidationError(ConfigError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field}: {reason}")
+
+
+def _check_kinds(obj) -> None:
+    """Check each field of a JSON-facing dataclass, in field order, against
+    its annotation, then its `_RANGES` and `_CHOICES` entries.
+
+    int takes an int; float a finite number, stored as a float (json has no
+    int/float distinction a writer can rely on); str a non-empty string,
+    list a non-empty list and dict a mapping. A field whose default is None
+    may also be None. bool is never a number.
+    """
+    for f in dataclasses.fields(obj):
+        name, val = f.name, getattr(obj, f.name)
+        if val is None and f.default is None:
+            continue
+        want, what = _KINDS[f.type.split(" ")[0]]  # "float | None" -> float
+        if want is float and isinstance(val, int) and not isinstance(val, bool):
+            try:
+                val = float(val)
+            except OverflowError:
+                raise ValidationError(name, f"must be {what}, got an integer "
+                                      "beyond the double range") from None
+        if (not isinstance(val, want) or isinstance(val, bool)
+                or (want is float and not math.isfinite(val))
+                or (want in (str, list) and not val)):
+            raise ValidationError(name, f"must be {what}, got {getattr(obj, name)!r}")
+        setattr(obj, name, val)
+        if name in _RANGES:
+            least, most = _RANGES[name]
+            if val < least:
+                raise ValidationError(name, f"must be >= {least}, got {val!r}")
+            if val > most:  # most is 2^k - 1 or inf
+                raise ValidationError(name, f"must be below 2^{most.bit_length()}, got {val!r}")
+        if name in _CHOICES and val not in _CHOICES[name]:
+            raise ValidationError(name, f"must be one of {_CHOICES[name]}, got {val!r}")
 
 
 @dataclass
@@ -95,61 +147,21 @@ class ExperimentConfig:
     output: str = "trace.csv"
 
     def __post_init__(self):
-        self._check_enums()
-        self._check_numbers()
-        if self.n < 1:
-            raise ValidationError("n", "n >= 1 required")
-        if self.m < 1:
-            raise ValidationError("m", "m >= 1 required")
+        _check_kinds(self)
         if self.m > self.n:
-            raise ValidationError("m", "m <= n required")
-        if self.K < 1:
-            raise ValidationError("K", "K >= 1 required")
-        if self.T < 0:
-            raise ValidationError("T", "T >= 0 required")
-        for name in _COUNT_FIELDS:
-            val = getattr(self, name)
-            if val is not None and val > _MAX_COUNT:
-                raise ValidationError(name, f"must be below 2^32, got {val}")
+            raise ValidationError("m", f"must be <= n = {self.n}, got {self.m}")
         if self.d_u is None:
             self.d_u = 5 if self.objective == QUADRATIC else 392
         if self.d_v is None:
             self.d_v = 5 if self.objective == QUADRATIC else 784 - self.d_u
         self._resolve_steps()
-        self._validate()
+        if self.objective == LOGISTIC:
+            if self.d_u + self.d_v != 784 or self.d_v < 1:
+                raise ValidationError("d_u", "d_u + d_v must equal 784 with d_v >= 1, "
+                                      f"got d_u = {self.d_u}, d_v = {self.d_v}")
+            if self.images_path is None or self.labels_path is None:
+                raise ValidationError("images_path", "logistic_mnist needs images_path and labels_path")
         self._check_sizes()
-
-    def _check_enums(self):
-        if self.algorithm not in fedcore.ALGORITHMS:
-            raise ValidationError("algorithm", f"must be one of {fedcore.ALGORITHMS}")
-        if self.objective not in OBJECTIVES:
-            raise ValidationError("objective", f"must be one of {OBJECTIVES}")
-        if self.partition not in PARTITIONS:
-            raise ValidationError("partition", f"must be one of {PARTITIONS}")
-
-    def _check_numbers(self):
-        # int fields take ints; float fields take ints or finite floats and
-        # store them as floats (json has no int/float distinction a writer
-        # can rely on); a field whose default is None may also be None
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            if val is None and f.default is None:
-                continue
-            if f.type.startswith("int"):
-                ok, want = isinstance(val, int), "an integer"
-            elif f.type.startswith("float"):
-                want = "a finite number"
-                try:
-                    ok = isinstance(val, (int, float)) and math.isfinite(val)
-                except OverflowError:  # an int beyond the double range
-                    raise ValidationError(f.name, f"must be {want}, got an integer "
-                                          "beyond the double range") from None
-                if ok and not isinstance(val, bool):
-                    setattr(self, f.name, float(val))
-            else:
-                continue
-            if isinstance(val, bool) or not ok:
-                raise ValidationError(f.name, f"must be {want}, got {val!r}")
 
     def _resolve_steps(self):
         if self.gamma is not None and (self.gamma_u is not None or self.gamma_v is not None):
@@ -160,6 +172,7 @@ class ExperimentConfig:
             self.eta_u = math.sqrt(self.m)
         if self.eta_v is None:
             self.eta_v = math.sqrt(self.n / self.m)
+        self._check_steps("eta_u", "eta_v")
         if self.gamma_u is None:
             base = 0.001 if self.gamma is None else self.gamma
             if base <= 0:
@@ -167,32 +180,14 @@ class ExperimentConfig:
             self.gamma_u = base / self.eta_u
             self.gamma_v = base / self.eta_v
         self.gamma = None
+        self._check_steps("gamma_u", "gamma_v")
 
-    def _validate(self):
-        for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
+    def _check_steps(self, *names):
+        for name in names:
             val = getattr(self, name)
             # a resolved step gamma / eta can overflow to inf from finite inputs
             if not 0 < val < math.inf:
                 raise ValidationError(name, f"must be finite and > 0, got {val!r}")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size", "batch_size >= 1 required")
-        if self.rho < 0:
-            raise ValidationError("rho", "rho >= 0 required")
-        for name in ("d_u", "d_v"):
-            if getattr(self, name) < 1:
-                raise ValidationError(name, f"{name} >= 1 required")
-        for name in ("spread", "sigma_u", "sigma_v"):
-            if getattr(self, name) < 0:
-                raise ValidationError(name, "must be >= 0")
-        if self.per_client_cap < 1:
-            raise ValidationError("per_client_cap", "per_client_cap >= 1 required")
-        if not self.output:
-            raise ValidationError("output", "output path required")
-        if self.objective == LOGISTIC:
-            if self.d_u + self.d_v != 784:
-                raise ValidationError("d_u", f"d_u + d_v must equal 784, got {self.d_u + self.d_v}")
-            if not self.images_path or not self.labels_path:
-                raise ValidationError("images_path", "logistic_mnist needs images_path and labels_path")
 
     def _check_sizes(self):
         # V, C and the quadratic centers have n rows; a round's local-step
@@ -211,13 +206,8 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict:
         """Resolved key-value form; loading it reproduces this config exactly."""
-        out = {}
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            if val is None:
-                continue
-            out[f.name] = val
-        return out
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if getattr(self, f.name) is not None}
 
     def hyper_params(self) -> fedcore.HyperParams:
         return fedcore.HyperParams(
@@ -227,14 +217,21 @@ class ExperimentConfig:
         )
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+def _from_mapping(cls, raw: dict, what: str):
+    """cls(**raw) for a JSON-facing dataclass; UnknownKey for a key that
+    names no field, ValidationError for a missing field without default."""
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields}
+    if unknown:
+        raise UnknownKey(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+    for f in fields:
+        if f.name not in raw and f.default is dataclasses.MISSING:
+            raise ValidationError(f.name, f"required {what} key")
+    return cls(**raw)
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _FIELD_NAMES
-    if unknown:
-        raise UnknownKey(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    return ExperimentConfig(**raw)
+    return _from_mapping(ExperimentConfig, raw, "config")
 
 
 def _load_json_object(path: str) -> dict:
@@ -287,17 +284,20 @@ def echo_path_for(output: str) -> str:
     return base + ".config.json"
 
 
-def build_oracle(config: ExperimentConfig):
-    """Instantiate the configured objective (and its data) for this run."""
+def build_oracle(config: ExperimentConfig, corpus: dataio.RawDataset | None = None):
+    """Instantiate the configured objective (and its data) for this run. A
+    logistic config partitions `corpus`, its IDX pair already loaded, when
+    given, and loads the pair otherwise."""
     if config.objective == QUADRATIC:
         obj, _ = dataio.synth_quadratic(
             config.n, config.d_u, config.d_v,
             config.spread, config.sigma_u, config.sigma_v, config.seed,
         )
         return obj
-    ds = dataio.load_mnist(config.images_path, config.labels_path)
+    if corpus is None:
+        corpus = dataio.load_mnist(config.images_path, config.labels_path)
     shards = dataio.partition_clients(
-        ds, config.n, config.partition, config.seed, config.d_u, config.d_v,
+        corpus, config.n, config.partition, config.seed, config.d_u, config.d_v,
         cap=config.per_client_cap,
     )
     return LogisticObjective(shards, rho=config.rho, batch_size=config.batch_size)
@@ -315,7 +315,10 @@ def run_experiments(configs: list[ExperimentConfig]):
     shared = dict(first.to_mapping(), seed=0, output="")
     if any(dict(c.to_mapping(), seed=0, output="") != shared for c in configs):
         raise ValueError("replica configs may differ only in seed and output")
-    results = fedcore.run_replicas(first.algorithm, [build_oracle(c) for c in configs],
+    # the configs name one corpus: parse it once, partition it per seed
+    corpus = (dataio.load_mnist(first.images_path, first.labels_path)
+              if first.objective == LOGISTIC else None)
+    results = fedcore.run_replicas(first.algorithm, [build_oracle(c, corpus) for c in configs],
                                    first.hyper_params(), [c.seed for c in configs])
     for config, result in zip(configs, results):
         _atomic_write_text(config.output, trace_csv_text(result.traces))
@@ -367,49 +370,24 @@ class SweepSpec:
     def __post_init__(self):
         # every check runs before any cell does; the cells' own configs are
         # validated by run_sweep before the first one runs
-        if not isinstance(self.base, dict):
-            raise ValidationError("base", "base must be a config mapping")
-        if self.axis not in SWEEP_AXES:
-            raise ValidationError("axis", f"must be one of {SWEEP_AXES}")
+        _check_kinds(self)
         if self.seeds is None:
             self.seeds = [self.base.get("seed", 0)]
         for name in ("values", "seeds"):
             items = getattr(self, name)
-            if not isinstance(items, (list, tuple)) or not items:
-                raise ValidationError(name, f"{name} must be a non-empty list, got {items!r}")
             # equal entries would share one trace file and one summary mean
             dups = sorted({repr(x) for j, x in enumerate(items) if x in items[:j]})
             if dups:
                 raise ValidationError(name, f"duplicate {name}: {', '.join(dups)}")
-        if self.threshold is not None and not _finite_number(self.threshold):
-            raise ValidationError("threshold", f"must be a finite number, got {self.threshold!r}")
-        if not isinstance(self.out_dir, str) or not self.out_dir:
-            raise ValidationError("out_dir", f"must be a directory path, got {self.out_dir!r}")
-
-
-def _finite_number(x) -> bool:
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int beyond the double range
-        return False
-
-
-_SWEEP_KEYS = {"base", "axis", "values", "seeds", "threshold", "out_dir"}
 
 
 def load_sweep_spec(path: str) -> SweepSpec:
-    raw = _load_json_object(path)
-    unknown = set(raw) - _SWEEP_KEYS
-    if unknown:
-        raise UnknownKey(f"unknown sweep key(s): {', '.join(sorted(unknown))}")
-    if "base" not in raw or "axis" not in raw or "values" not in raw:
-        raise ValidationError("base", "sweep needs base, axis and values")
-    return SweepSpec(**raw)
+    return _from_mapping(SweepSpec, _load_json_object(path), "sweep")
 
 
 def cell_config(spec: SweepSpec, value, seed: int) -> ExperimentConfig:
     raw = dict(spec.base)
-    raw[spec.axis] = value  # every SWEEP_AXES entry is a config field
+    raw[spec.axis] = value  # every axis choice is a config field
     raw["seed"] = seed
     raw["output"] = os.path.join(spec.out_dir, f"{spec.axis}_{value!r}_seed{seed}.csv")
     return config_from_mapping(raw)

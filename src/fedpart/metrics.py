@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .objectives import _row_sq_norms
 from .rng import stream
 
 
@@ -48,8 +49,7 @@ def round_metrics(oracle, u, v_all, m: int):
     G_u, G_v = G_u.reshape(*lead, n, oracle.d_u), G_v.reshape(*lead, n, d_v)
     gbar = G_u.sum(axis=-2) / n
     g_v = np.square(G_v).sum(axis=-1).sum(axis=-1) / n
-    # |gbar|^2 per replica, the same dot as a single run's `gbar @ gbar`
-    g_u = np.matmul(gbar[..., None, :], gbar[..., :, None])[..., 0, 0]
+    g_u = _row_sq_norms(gbar)  # per replica, the same dot as a single run's `gbar @ gbar`
     return vals.sum(axis=-1) / n, g_u, g_v, (m / n) * g_v
 
 

@@ -23,13 +23,13 @@ Two block methods work on the client state held as arrays:
 `value_and_grads_all` evaluates all n clients in one pass and
 `local_steps_block` runs the local steps of a round's sampled clients in one
 kernel call; both take u as one start (d_u,) or one start per row. The
-generic `value_and_grads_all` loops over the per-client `value_and_grads`;
-the quadratic overrides it with one vectorized pass, and the logistic with
-the same per-client pass in one set of work arrays. `local_steps_block`
-trusts the shapes checked once at run start; `value_and_grads` checks
-dimensions on every call. `join_replicas` makes the oracles of R replica
-runs one objective over R * n clients, so the block methods serve every
-replica in one call without knowing that replicas exist.
+generic `value_and_grads_all` loops over the per-client `value_and_grads`,
+which the logistic uses; the quadratic overrides it with one vectorized
+pass. `local_steps_block` trusts the shapes checked once at run start;
+`value_and_grads` checks dimensions on every call. `join_replicas` makes
+the oracles of R replica runs one objective over R * n clients, so the
+block methods serve every replica in one call without knowing that
+replicas exist.
 
 Oracles are immutable after construction; every stochastic evaluation takes
 its generator as an explicit argument.
@@ -88,8 +88,11 @@ class ObjectiveOracle:
 
     def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
         """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at
-        (u, V), u one start (d_u,) or one per row (n, d_u)."""
-        U = np.broadcast_to(u, (len(V), self.d_u))
+        (u, V), u one start (d_u,) or one per row (n, d_u); raises
+        ValueError unless V has n rows."""
+        if len(V) != self.n:
+            raise ValueError(f"V has {len(V)} rows, expected {self.n}")
+        U = np.broadcast_to(u, (self.n, self.d_u))
         vals, G_u, G_v = zip(*(self.value_and_grads(i, u_i, v)
                                for i, (u_i, v) in enumerate(zip(U, V))))
         return np.array(vals), np.stack(G_u), np.stack(G_v)
@@ -242,27 +245,13 @@ class LogisticObjective(ObjectiveOracle):
         self.d_v = d_v
         self.dtype = dtype
 
-    def _full_batch(self, i, u, v, work, g_u, g_v):
+    def value_and_grads(self, i, u, v):
         _check_dims(u, v, self.d_u, self.d_v)
         s = self.shards[i]
-        loss = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work, g_u, g_v)
-        return loss + self.rho * _reg_value(u, v)
-
-    def value_and_grads(self, i, u, v):
         work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
         g_u, g_v = np.empty(self.d_u), np.empty(self.d_v)
-        return self._full_batch(i, u, v, work, g_u, g_v), g_u, g_v
-
-    def value_and_grads_all(self, u, V):
-        if len(V) != self.n:
-            raise ValueError(f"V has {len(V)} rows, expected {self.n}")
-        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
-        U = np.broadcast_to(u, (self.n, self.d_u))
-        G_u = np.empty((self.n, self.d_u))
-        G_v = np.empty((self.n, self.d_v))
-        vals = np.array([self._full_batch(i, u_i, v, work, g_u, g_v)
-                         for i, (u_i, v, g_u, g_v) in enumerate(zip(U, V, G_u, G_v))])
-        return vals, G_u, G_v
+        loss = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work, g_u, g_v)
+        return loss + self.rho * _reg_value(u, v), g_u, g_v
 
     def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]

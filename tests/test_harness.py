@@ -6,10 +6,12 @@ the file format and the deterministic numerics together. wall_ms is the one
 column allowed to vary between runs.
 """
 
+import dataclasses
 import gzip
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +124,13 @@ def test_int_fields_are_strict():
     {"rho": float("inf")},
     {"sigma_v": None},
     {"d_u": 2.5},
+    {"seed": -1},
+    {"seed": 2**64},
+    {"output": 5},
+    {"output": ["a"]},
+    {"output": ""},
+    {"images_path": True},
+    {"images_path": 0},
 ])
 def test_number_fields_are_typed(raw):
     (field, val), = raw.items()
@@ -156,7 +165,12 @@ def test_more_validation():
                        (dict(rho=-0.1), "rho"), (dict(gamma=0.0), "gamma"),
                        (dict(algorithm="sgd"), "algorithm"),
                        (dict(partition="dirichlet"), "partition"),
-                       (dict(output=""), "output"), (dict(d_v=0), "d_v")):
+                       (dict(output=""), "output"), (dict(d_v=0), "d_v"),
+                       (dict(eta_u=0), "eta_u"), (dict(eta_v=0.0), "eta_v"),
+                       (dict(seed=-1), "seed"), (dict(seed=2**64), "seed"),
+                       (dict(labels_path=True), "labels_path"),
+                       (dict(objective="logistic_mnist", d_u=784, images_path="i",
+                             labels_path="l"), "d_u")):
         with pytest.raises(ValidationError) as ei:
             config_from_mapping(raw)
         assert ei.value.field == field, raw
@@ -175,6 +189,7 @@ def test_count_fields_are_bounded():
     assert ei.value.field == "n"
     cfg = config_from_mapping({"T": 2**32 - 1, "per_client_cap": 2**32 - 1})
     assert cfg.T == 2**32 - 1
+    assert config_from_mapping({"seed": 2**64 - 1}).seed == 2**64 - 1
     for raw, field, what in (
             ({"n": 2**27, "m": 1}, "n", "n * (d_u + d_v) = 1342177280"),
             ({"d_u": 10**8}, "n", "n * (d_u + d_v) = 1000000050"),
@@ -189,6 +204,15 @@ def test_count_fields_are_bounded():
     # at the limit, and batch_size is not a quadratic size
     config_from_mapping({"n": 2**28 // 10, "m": 1})
     config_from_mapping({"batch_size": 2**32 - 1})
+
+
+def test_readme_config_table_lists_every_field():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    keys = {key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_mapping_round_trip():
@@ -321,6 +345,10 @@ def test_sweep_spec_validation(tmp_path):
     p.write_text(json.dumps({"axis": "K", "values": [1]}))
     with pytest.raises(ValidationError, match="base"):
         load_sweep_spec(str(p))
+    p.write_text(json.dumps({"base": {}, "values": [1]}))
+    with pytest.raises(ValidationError) as ei:
+        load_sweep_spec(str(p))
+    assert ei.value.field == "axis"
     p.write_text('{"axis": "K", "values": [1' + "0" * 5000 + "]}")
     with pytest.raises(ParseError, match="digits"):
         load_sweep_spec(str(p))
@@ -493,6 +521,24 @@ def test_cli_run_infinite_resolved_step_is_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out.csv")
 
 
+@pytest.mark.parametrize("over", [
+    {"output": 5}, {"output": ["a"]}, {"output": ""},
+    {"images_path": True}, {"images_path": 0},
+    {"seed": -1}, {"seed": 2**64},
+], ids=["output_int", "output_list", "output_empty", "images_true", "images_zero",
+        "seed_negative", "seed_2_64"])
+def test_cli_run_malformed_field_is_config_error(tmp_path, capsys, monkeypatch, over):
+    # a logistic config whose other keys are valid; nothing is read or written
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, **{"objective": "logistic_mnist", "images_path": "i.idx",
+                                 "labels_path": "l.idx", "n": 2, "m": 1, "T": 1,
+                                 "d_u": 392, "d_v": 392, **over})
+    assert cli.main(["run", "--config", cfg]) == 2
+    field = next(iter(over))
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_cli_run_divergence_is_runtime_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, gamma=None, gamma_u=50.0, gamma_v=0.1, K=20, T=10,
                     sigma_u=0.0)
@@ -602,8 +648,11 @@ def test_cli_sweep(tmp_path, capsys):
     {"values": 5},
     {"seeds": 3},
     {"threshold": "x"},
+    {"threshold": True},
     {"out_dir": 5},
-], ids=["base_list", "values_int", "seeds_int", "threshold_str", "out_dir_int"])
+    {"axis": 1},
+], ids=["base_list", "values_int", "seeds_int", "threshold_str", "threshold_bool",
+        "out_dir_int", "axis_int"])
 def test_cli_sweep_malformed_spec_is_config_error(tmp_path, capsys, bad):
     # rejected with exit 2 before any cell runs: no trace or summary appears
     out_dir = tmp_path / "sw"
@@ -616,6 +665,36 @@ def test_cli_sweep_malformed_spec_is_config_error(tmp_path, capsys, bad):
     field = next(iter(bad))
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not out_dir.exists()
+
+
+def test_cli_sweep_aliasing_seeds_are_config_error(tmp_path, capsys):
+    # -1 and 2^64 - 1 would name the same streams: two identical traces
+    # averaged as if independent
+    out_dir = tmp_path / "sw"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": dict(TINY, T=20), "axis": "K", "values": [1, 2],
+                                "seeds": [-1, 2**64 - 1], "out_dir": str(out_dir)}))
+    assert cli.main(["sweep", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed: must be >= 0, got -1")
+    assert not out_dir.exists()
+
+
+def test_logistic_replica_group_loads_the_corpus_once(tmp_path, mnist_paths, monkeypatch):
+    images, labels = mnist_paths
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return load_mnist(*args)
+
+    load_mnist = harness.dataio.load_mnist
+    monkeypatch.setattr(harness.dataio, "load_mnist", counted)
+    configs = [config_from_mapping(dict(
+        algorithm="fedavg_p", objective="logistic_mnist", n=4, m=3, K=2, T=2,
+        per_client_cap=40, images_path=images, labels_path=labels, partition="iid",
+        seed=seed, output=str(tmp_path / f"s{seed}.csv"))) for seed in (0, 1, 2)]
+    assert len(harness.run_experiments(configs)) == 3
+    assert calls == [(images, labels)]
 
 
 def test_logistic_sweep_cells_equal_direct_runs(tmp_path, mnist_paths):
