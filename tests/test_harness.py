@@ -167,7 +167,6 @@ def test_more_validation():
                        (dict(partition="dirichlet"), "partition"),
                        (dict(output=""), "output"), (dict(d_v=0), "d_v"),
                        (dict(eta_u=0), "eta_u"), (dict(eta_v=0.0), "eta_v"),
-                       (dict(seed=-1), "seed"), (dict(seed=2**64), "seed"),
                        (dict(labels_path=True), "labels_path"),
                        (dict(objective="logistic_mnist", d_u=784, images_path="i",
                              labels_path="l"), "d_u")):
