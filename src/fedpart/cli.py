@@ -9,7 +9,6 @@ estimates for a config's objective at its initial point). Exit codes:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -21,7 +20,7 @@ from .rng import stream
 
 def _cmd_run(args) -> int:
     cfg = harness.load_config(args.config)
-    if args.output:
+    if args.output is not None:
         cfg = replace(cfg, output=args.output)
     path, result = harness.run_experiment(cfg)
     floor = harness.floor_of(result.traces)
@@ -60,29 +59,20 @@ def _cmd_estimate(args) -> int:
     cfg = harness.load_config(args.config)
     oracle = harness.build_oracle(cfg)
     u0 = np.zeros(oracle.d_u)
-    v0 = [np.zeros(oracle.d_v) for _ in range(oracle.n)]
-    est = metrics.estimate_constants(
-        oracle, u0, v0, stream(cfg.seed, "probe"),
-        probe_points=args.probes, radius=args.radius,
-    )
+    v0 = np.zeros((oracle.n, oracle.d_v))
+    # the probe settings are command-line values: the estimator's rejection
+    # of them is a usage error
+    try:
+        est = metrics.estimate_constants(
+            oracle, u0, v0, stream(cfg.seed, "probe"),
+            probe_points=args.probes, radius=args.radius,
+        )
+    except ValueError as e:
+        raise UsageError(e) from e
     print(f"L_hat = {est.L_hat:.17g}")
     print(f"b2_hat = {est.b2_hat:.17g}")
     print(f"F0 = {est.F0:.17g}")
     return 0
-
-
-def _probe_count(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 probe points, got {value}")
-    return value
-
-
-def _positive_radius(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"radius must be finite and > 0, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="print constant estimates at a config's initial point")
     est.add_argument("--config", required=True)
-    est.add_argument("--probes", type=_probe_count, default=120)
-    est.add_argument("--radius", type=_positive_radius, default=1.0)
+    est.add_argument("--probes", type=int, default=120)
+    est.add_argument("--radius", type=float, default=1.0)
     est.set_defaults(func=_cmd_estimate)
     return p
 

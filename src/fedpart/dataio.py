@@ -126,35 +126,35 @@ class ClientShard:
         return self.y.shape[0]
 
 
-def parse_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into (count, rows*cols) uint8 pixel rows, a
-    read-only view of `data` (no copy)."""
-    if len(data) < 16:
-        raise Truncated(f"image header needs 16 bytes, got {len(data)}")
-    magic, count, rows, cols = struct.unpack_from(">IIII", data, 0)
-    if magic != IMAGES_MAGIC:
-        raise BadMagic(f"expected magic 0x{IMAGES_MAGIC:08x}, got 0x{magic:08x}")
-    expected = 16 + count * rows * cols
+def _parse_idx(data: bytes, magic: int, ndim: int, what: str):
+    """(dims, payload) of an IDX file: its `ndim` header dimensions and its
+    uint8 payload, a flat read-only view of `data` (no copy). The header
+    must carry `magic` and promise exactly the bytes that follow it."""
+    head = 4 + 4 * ndim
+    if len(data) < head:
+        raise Truncated(f"{what} header needs {head} bytes, got {len(data)}")
+    got, *dims = struct.unpack_from(f">{ndim + 1}I", data, 0)
+    if got != magic:
+        raise BadMagic(f"expected magic 0x{magic:08x}, got 0x{got:08x}")
+    expected = head + math.prod(dims)
     if len(data) < expected:
         raise Truncated(f"header promises {expected} bytes, got {len(data)}")
     if len(data) > expected:
         raise TrailingBytes(f"{len(data) - expected} bytes beyond promised payload")
-    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows * cols)
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=head)
+
+
+def parse_idx_images(data: bytes) -> np.ndarray:
+    """Parse an IDX image file into (count, rows*cols) uint8 pixel rows, a
+    read-only view of `data` (no copy)."""
+    (count, rows, cols), pixels = _parse_idx(data, IMAGES_MAGIC, 3, "image")
+    return pixels.reshape(count, rows * cols)
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
     """Parse an IDX label file into an int64 array of digits 0-9."""
-    if len(data) < 8:
-        raise Truncated(f"label header needs 8 bytes, got {len(data)}")
-    magic, count = struct.unpack_from(">II", data, 0)
-    if magic != LABELS_MAGIC:
-        raise BadMagic(f"expected magic 0x{LABELS_MAGIC:08x}, got 0x{magic:08x}")
-    expected = 8 + count
-    if len(data) < expected:
-        raise Truncated(f"header promises {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise TrailingBytes(f"{len(data) - expected} bytes beyond promised payload")
-    labels = np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    _, digits = _parse_idx(data, LABELS_MAGIC, 1, "label")
+    labels = digits.astype(np.int64)
     if labels.size and labels.max() > 9:
         bad = int(labels[labels > 9][0])
         raise LabelOutOfRange(f"label {bad} outside 0..9")

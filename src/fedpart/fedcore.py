@@ -61,7 +61,7 @@ import numpy as np
 
 from . import metrics
 from .objectives import ObjectiveOracle, join_replicas
-from .rng import StreamPool, stream_keys
+from .rng import SEED_MAX, StreamPool, stream_keys
 
 FEDAVG_P = "fedavg_p"
 SCAFFOLD_P = "scaffold_p"
@@ -222,7 +222,7 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
     c = mean c_i. Returns (C, c).
 
     Each client draws one (K, .) block from its own ("cv_init", i) stream,
-    value-identical to K stoch_grad draws; the K gradients are summed left
+    value-identical to K one-draw blocks; the K gradients are summed left
     to right for all clients at once. The n stream keys are derived in one
     call and one pooled generator is rewound to each in turn.
     """
@@ -324,16 +324,19 @@ def init_states(algorithm: str, oracles, hp: HyperParams, seeds,
     r on oracles[r] with seeds[r], all at the given (default all-zeros)
     start.
 
-    Owns the run's invariants and checks them before any draw: one seed per
-    oracle, a known algorithm, m <= n, and gamma_u > 0 for scaffold_p (its
-    control update divides by K gamma_u). Copies the start and checks its
-    shapes: u0 (d_u,), v0_all (n, d_v). Only scaffold_p states carry control
-    variates, replica r's from its own oracle and seed.
+    Owns the run's invariants and checks them before any draw: one seed in
+    [0, 2^64) per oracle, a known algorithm, m <= n, and gamma_u > 0 for
+    scaffold_p (its control update divides by K gamma_u). Copies the start
+    and checks its shapes: u0 (d_u,), v0_all (n, d_v). Only scaffold_p
+    states carry control variates, replica r's from its own oracle and seed.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if not seeds or len(seeds) != len(oracles):
         raise ValueError(f"{len(seeds)} seeds for {len(oracles)} oracles; need one per replica")
+    for seed in seeds:
+        if not 0 <= seed <= SEED_MAX:
+            raise ValueError(f"seed {seed!r} is outside [0, 2^64)")
     oracle = oracles[0]
     if hp.m > oracle.n:
         raise ValueError(f"m={hp.m} exceeds n={oracle.n}")

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dataio, fedcore
 from .objectives import LogisticObjective
+from .rng import SEED_MAX
 
 QUADRATIC = "quadratic"
 LOGISTIC = "logistic_mnist"
@@ -40,7 +41,7 @@ CSV_HEADER = "t,f_value,grad_norm_u,grad_norm_v,grad_norm_v_hat,sampled,wall_ms"
 _COUNT = 2**32 - 1
 _RANGES = {
     "n": (1, _COUNT), "m": (1, _COUNT), "K": (1, _COUNT), "T": (0, _COUNT),
-    "seed": (0, 2**64 - 1), "batch_size": (1, _COUNT), "rho": (0, math.inf),
+    "seed": (0, SEED_MAX), "batch_size": (1, _COUNT), "rho": (0, math.inf),
     "d_u": (1, _COUNT), "d_v": (1, _COUNT), "spread": (0, math.inf),
     "sigma_u": (0, math.inf), "sigma_v": (0, math.inf), "per_client_cap": (1, _COUNT),
 }

@@ -12,7 +12,7 @@ These are per-run sample-path values of the theory's expectations; tests
 average over seeds where variance matters. Constant estimation recovers the
 smoothness L, the gradient dissimilarity b^2 (pointwise slack, a variance,
 hence nonnegative) and the initial gap F0 feeding the step-size formulas.
-All probe randomness comes from `rng.stream`.
+All probe randomness comes from the generator the caller passes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import _row_sq_norms
-from .rng import stream
 
 
 @dataclass(frozen=True)
@@ -96,15 +95,15 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
     return best
 
 
-def estimate_initial_gap(oracle, u0, v_all0, iters: int = 500, lr: float | None = None) -> float:
+def estimate_initial_gap(oracle, u0, v_all0, lr: float, iters: int = 500) -> float:
     """F0 = f(u0, v0) - inf f.
 
     Uses the objective's exact infimum when it exposes one; otherwise runs a
     deterministic full-gradient descent (u first, then v at the new u) and
     reports f(u0, v0) minus the best value seen, an upper-bound proxy on the
-    true gap. Without `lr` the step is 0.5 / L_hat from a 30-point probe.
-    Each iteration takes two oracle passes: the pass that values the new
-    point also gives the next u-gradient.
+    true gap. The descent steps with `lr`. Each iteration takes two oracle
+    passes: the pass that values the new point also gives the next
+    u-gradient.
     """
     u = np.array(u0, dtype=np.float64)
     V = np.array(v_all0, dtype=np.float64)
@@ -112,8 +111,6 @@ def estimate_initial_gap(oracle, u0, v_all0, iters: int = 500, lr: float | None 
     f0 = float(vals.mean())
     if hasattr(oracle, "infimum"):
         return f0 - float(oracle.infimum())
-    if lr is None:
-        lr = 0.5 / max(estimate_smoothness(oracle, 30, 1.0, stream(0, "probe")), 1e-12)
     best = f0
     for _ in range(iters):
         u = u - lr * G_u.mean(axis=0)

@@ -62,8 +62,8 @@ class ObjectiveOracle:
     Subclasses provide n, d_u, d_v, `value_and_grads`, `stoch_grads` and
     `local_steps_block`. `value_and_grads_all` here loops over clients.
     `local_steps_block` consumes each client's generator exactly as K
-    successive `stoch_grad` draws would, so it draws the same randomness
-    as the per-step loop over `stoch_grad` that the tests compare it to.
+    successive one-draw `stoch_grads` calls would, so it draws the same
+    randomness as the per-step loop that the tests compare it to.
     """
 
     n: int
@@ -80,11 +80,6 @@ class ObjectiveOracle:
         """(K, d_u) and (K, d_v) stacks of K independent stochastic gradients
         at (u, v), one batched draw value-identical to K single draws."""
         raise NotImplementedError
-
-    def stoch_grad(self, i: int, u: np.ndarray, v: np.ndarray, rng: np.random.Generator):
-        _check_dims(u, v, self.d_u, self.d_v)
-        g_u, g_v = self.stoch_grads(i, u, v, 1, rng)
-        return g_u[0], g_v[0]
 
     def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
         """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at

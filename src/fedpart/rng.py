@@ -28,7 +28,7 @@ from zlib import crc32
 
 import numpy as np
 
-_SEED_MASK = 0xFFFFFFFFFFFFFFFF
+SEED_MAX = 2**64 - 1  # the largest run seed; a stream reads any seed mod 2^64
 _WORD_MASK = 0xFFFFFFFF
 
 # SeedSequence's hash constants (numpy.random.bit_generator); pool of 4 words
@@ -52,7 +52,7 @@ def _words(x: int) -> list[int]:
 
 
 def _prefix(seed: int, tag: str) -> list[int]:
-    return _words(seed & _SEED_MASK) + [crc32(tag.encode("ascii"))]
+    return _words(seed & SEED_MAX) + [crc32(tag.encode("ascii"))]
 
 
 def stream(seed: int, tag: str, *path: int) -> np.random.Generator:

@@ -8,6 +8,13 @@ from fedpart.dataio import ClientShard
 from fedpart.rng import stream
 
 
+def stoch_grad(oracle, i, u, v, rng):
+    """One stochastic gradient (g_u, g_v) at (u, v): row 0 of a one-draw
+    `stoch_grads` block."""
+    g_u, g_v = oracle.stoch_grads(i, u, v, 1, rng)
+    return g_u[0], g_v[0]
+
+
 def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
     """K simultaneous SGD steps on (u, v) for client i, one `stoch_grad`
     draw per step.
@@ -19,7 +26,7 @@ def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):
     u = u0.copy()
     v = v0.copy()
     for _ in range(K):
-        g_u, g_v = oracle.stoch_grad(i, u, v, rng)
+        g_u, g_v = stoch_grad(oracle, i, u, v, rng)
         if corr_u is not None:
             g_u = g_u - corr_u
         u = u - gamma_u * g_u
@@ -46,7 +53,7 @@ def fedsim(oracle, hp, seed, T):
             uu = u.copy()
             vv = v[i].copy()
             for _ in range(hp.K):
-                gu, gv = oracle.stoch_grad(i, uu, vv, rng)
+                gu, gv = stoch_grad(oracle, i, uu, vv, rng)
                 uu = uu - hp.gamma_u * gu
                 vv = vv - hp.gamma_v * gv
             new_u.append(uu)

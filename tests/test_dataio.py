@@ -294,6 +294,8 @@ def test_partition_too_few_examples():
         dataio.partition_clients(ds, 4, "iid", seed=0, d_u=2, d_v=2)
     with pytest.raises(ValueError):
         dataio.partition_clients(ds, 2, "sorted", seed=0, d_u=2, d_v=2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        dataio.partition_clients(ds, 0, "iid", seed=0, d_u=2, d_v=2)
 
 
 def test_partition_dim_mismatch():

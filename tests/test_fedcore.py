@@ -276,14 +276,14 @@ def test_init_control_variates_deterministic_and_averaged():
 
 
 def _per_draw_control_variates(u0, v0, oracle, K, seed):
-    """The per-draw loop init_control_variates batches: one stoch_grad call
+    """The per-draw loop init_control_variates batches: one single draw
     per averaged gradient, accumulated left to right, client by client."""
     c_list = []
     for i in range(oracle.n):
         g = stream(seed, "cv_init", i)
         acc = np.zeros(oracle.d_u)
         for _ in range(K):
-            g_u, _ = oracle.stoch_grad(i, u0, v0[i], g)
+            g_u, _ = reference.stoch_grad(oracle, i, u0, v0[i], g)
             acc = acc + g_u
         c_list.append(acc / K)
     return np.stack(c_list), np.stack(c_list).mean(axis=0)
@@ -448,7 +448,12 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
             run_training(algorithm, obj, hp, seed=0)
     with pytest.raises(ValueError, match="1 seeds for 2 oracles"):
         init_states("scaffold_p", [obj, obj], hp_of(), [0])
+    # a stream reads its seed mod 2^64: -1 would replay the run of 2^64 - 1
+    for seeds in ([-1], [2**64], [3, -1]):
+        with pytest.raises(ValueError, match=rf"seed {seeds[-1]} is outside \[0, 2\^64\)"):
+            run_replicas("scaffold_p", [obj] * len(seeds), hp_of(), seeds)
     assert draws == []
+    assert len(run_training("scaffold_p", obj, hp_of(T=3), seed=2**64 - 1).traces) == 3
     # a zero u-step is the identity for the uncorrected algorithm
     res = run_training("fedavg_p", obj, hp_of(gamma_u=0.0, T=3, m=2), seed=0)
     assert len(res.traces) == 3 and np.array_equal(res.u, np.zeros(1))

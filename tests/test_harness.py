@@ -6,6 +6,7 @@ the file format and the deterministic numerics together. wall_ms is the one
 column allowed to vary between runs.
 """
 
+import argparse
 import dataclasses
 import gzip
 import json
@@ -212,6 +213,19 @@ def test_readme_config_table_lists_every_field():
     keys = {key for line in section.splitlines() if line.startswith("| `")
             for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
     assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+def test_readme_names_every_cli_subcommand_and_option():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    names = [f"fedpart {command}" for command in sub.choices]
+    names += [opt for command in sub.choices.values() for a in command._actions
+              if not isinstance(a, argparse._HelpAction) for opt in a.option_strings]
+    missing = [name for name in names
+               if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", readme)]
+    assert missing == []
 
 
 def test_mapping_round_trip():
@@ -467,6 +481,22 @@ def test_cli_run_output_override(tmp_path, capsys):
     assert rc == 0
     assert os.path.exists(other)
     assert not os.path.exists(tmp_path / "out.csv")
+
+
+def test_cli_run_empty_output_is_config_error(tmp_path, capsys):
+    rc = cli.main(["run", "--config", write_cfg(tmp_path), "--output", ""])
+    assert rc == 2
+    assert "output: must be a non-empty string, got ''" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+        harness._atomic_write_text(str(path), "t\n\ud800")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

@@ -211,7 +211,7 @@ def test_initial_gap_quadratic_uses_exact_infimum():
     u0 = np.zeros(2)
     v0 = [np.zeros(2) for _ in range(4)]
     f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
-    got = metrics.estimate_initial_gap(obj, u0, v0)
+    got = metrics.estimate_initial_gap(obj, u0, v0, lr=1.0)  # the infimum needs no step
     assert got == pytest.approx(f0 - b2 / 2.0, rel=1e-12)
 
 
@@ -221,7 +221,8 @@ def test_initial_gap_logistic_descent_proxy():
     u0 = np.zeros(obj.d_u)
     v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
     f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
-    gap = metrics.estimate_initial_gap(obj, u0, v0, iters=200)
+    L = metrics.estimate_smoothness(obj, 30, 1.0, stream(0, "probe"))
+    gap = metrics.estimate_initial_gap(obj, u0, v0, lr=0.5 / L, iters=200)
     assert 0.0 <= gap <= f0
     assert gap > 0.05  # descent actually made progress from log 2
 
@@ -269,16 +270,6 @@ def test_initial_gap_two_passes_per_iteration():
         gap = metrics.estimate_initial_gap(obj, u0, v0, iters=iters, lr=0.3)
         assert obj.passes == 2 * iters + 1
         assert gap == three_pass_gap(obj, u0, v0, iters, 0.3)
-
-
-def test_initial_gap_default_step_probes_a_stream():
-    rng = stream(52, "probe")
-    obj = random_logistic(rng, rho=0.01)
-    u0 = np.zeros(obj.d_u)
-    v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
-    L = metrics.estimate_smoothness(obj, 30, 1.0, stream(0, "probe"))
-    assert metrics.estimate_initial_gap(obj, u0, v0, iters=20) == (
-        metrics.estimate_initial_gap(obj, u0, v0, iters=20, lr=0.5 / L))
 
 
 def test_estimate_constants_probes_smoothness_once():
