@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import QuadraticObjective
-from .rng import stream
+from .rng import check_seed, stream
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -89,7 +89,6 @@ class ClientShard:
     1 <= d_u < X.shape[1] and scale is finite and > 0.
     """
 
-    client_id: int  # 1-based
     X: np.ndarray  # (N_i, d_u + d_v)
     y: np.ndarray  # (N_i,)
     d_u: int
@@ -236,8 +235,9 @@ def partition_clients(
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
     uint8 rows are gathered, once, and they stay uint8 pixels: the gathered
-    rows are the shard's X, with scale 255.
+    rows are the shard's X, with scale 255. Checks the seed, whatever the scheme.
     """
+    check_seed(seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     if cap is not None and cap < 1:
@@ -258,11 +258,10 @@ def partition_clients(
     y_all = binarize_labels(dataset.labels).astype(np.float64)
     shards = []
     start = 0
-    for i, size in enumerate(_block_sizes(dataset.count, n)):
+    for size in _block_sizes(dataset.count, n):
         rows = order[start : start + size][:cap]
         start += size
-        shards.append(ClientShard(client_id=i + 1, X=dataset.images[rows], y=y_all[rows],
-                                  d_u=d_u, scale=255.0))
+        shards.append(ClientShard(X=dataset.images[rows], y=y_all[rows], d_u=d_u, scale=255.0))
     return shards
 
 
@@ -280,8 +279,9 @@ def synth_quadratic(
     Client centers a_i = h_i * spread * e with e = ones/sqrt(d_u) and h_i
     standard normal recentered to mean zero, so the dissimilarity constant
     b^2 = spread^2 * (1/n) sum h_i^2 is returned exactly alongside the
-    objective. Personal centers b_i are standard normal.
+    objective. Personal centers b_i are standard normal. Checks the seed.
     """
+    check_seed(seed)
     if n < 1:
         raise ValueError("n must be >= 1")
     if spread < 0:

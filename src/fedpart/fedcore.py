@@ -61,7 +61,7 @@ import numpy as np
 
 from . import metrics
 from .objectives import ObjectiveOracle, join_replicas
-from .rng import SEED_MAX, StreamPool, stream_keys
+from .rng import StreamPool, check_seed, stream_keys
 
 FEDAVG_P = "fedavg_p"
 SCAFFOLD_P = "scaffold_p"
@@ -335,8 +335,7 @@ def init_states(algorithm: str, oracles, hp: HyperParams, seeds,
     if not seeds or len(seeds) != len(oracles):
         raise ValueError(f"{len(seeds)} seeds for {len(oracles)} oracles; need one per replica")
     for seed in seeds:
-        if not 0 <= seed <= SEED_MAX:
-            raise ValueError(f"seed {seed!r} is outside [0, 2^64)")
+        check_seed(seed)
     oracle = oracles[0]
     if hp.m > oracle.n:
         raise ValueError(f"m={hp.m} exceeds n={oracle.n}")

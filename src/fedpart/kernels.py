@@ -18,8 +18,9 @@ the one logistic gradient routine: it casts the rows it reads into a float64
 buffer, applies 1/scale once per product, not per feature, and returns the
 unscaled backward products w @ A and w @ B; `logistic_finish` turns summed
 products into gradients. A minibatch is one call; the full-batch pass
-(`logistic_full_batch`) casts a shard `_CHUNK_ROWS` rows at a time and sums
-the products and loss terms over the chunks. All of them work in the arrays
+(`logistic_full_batch`) casts a shard `_CHUNK_ROWS` rows at a time, sums
+products and loss terms over the chunks and adds the regularizer's value
+and gradients. All of them work in the arrays
 of one `LogisticWork`, allocated once per call and reused by every step,
 chunk and client of it.
 
@@ -124,15 +125,15 @@ def logistic_finish(P_u, P_v, denom, u, v, rho, work):
         P += np.multiply(x, 2.0 * rho / ((1.0 + s) * (1.0 + s)), out=tmp)
 
 
-def logistic_full_batch(X, y, scale, u, v, rho, work, g_u, g_v):
-    """Mean loss over every row of a shard (see `logistic_grads`), with the
-    regularized gradients written to g_u and g_v.
+def logistic_full_batch(X, y, scale, u, v, rho, work):
+    """(value, g_u, g_v) of a shard's regularized loss: the mean loss over
+    every row (see `logistic_grads`) plus rho * (|u|^2/(1+|u|^2) +
+    |v|^2/(1+|v|^2)), and its gradients.
 
     The rows are cast `_CHUNK_ROWS` at a time into work.Z; the products
     and loss terms are summed over the chunks.
     """
-    g_u.fill(0.0)
-    g_v.fill(0.0)
+    g_u, g_v = np.zeros(u.shape), np.zeros(v.shape)
     loss = 0.0
     rows = y.shape[0]
     for start in range(0, rows, _CHUNK_ROWS):
@@ -142,7 +143,8 @@ def logistic_full_batch(X, y, scale, u, v, rho, work, g_u, g_v):
         g_v += P_v
         loss += float(np.logaddexp(0.0, np.negative(margin, out=margin), out=margin).sum())
     logistic_finish(g_u, g_v, scale * rows, u, v, rho, work)
-    return loss / rows
+    su, sv = float(u @ u), float(v @ v)
+    return loss / rows + rho * (su / (1.0 + su) + sv / (1.0 + sv)), g_u, g_v
 
 
 def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr, work):

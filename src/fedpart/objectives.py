@@ -12,9 +12,10 @@ are provided:
   closed form, which makes step-size theory testable against ground truth.
 - LogisticObjective: per-shard mean of log(1 + exp(-c * (a.u + b.v)))
   plus a smooth non-convex regularizer
-  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient,
-  full-batch or minibatch, comes from `kernels.logistic_grads` on the
-  shard's stored feature matrix X = [A | B] (`dataio.ClientShard`).
+  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient comes
+  from `kernels.logistic_grads` on the shard's feature matrix X = [A | B]
+  (`dataio.ClientShard`); `kernels.logistic_full_batch` returns a shard's
+  regularized value and gradients.
   Minibatch gradients and local steps equal the float64 loop bitwise on
   float shards; full-batch values and gradients sum over row chunks and
   match it within rtol 1e-12 and atol 1e-14 (see `kernels`).
@@ -197,12 +198,6 @@ def _row_sq_norms(X: np.ndarray) -> np.ndarray:
     return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
 
 
-def _reg_value(u: np.ndarray, v: np.ndarray) -> float:
-    su = float(u @ u)
-    sv = float(v @ v)
-    return su / (1.0 + su) + sv / (1.0 + sv)
-
-
 class LogisticObjective(ObjectiveOracle):
     """Per-shard regularized binary logistic loss.
 
@@ -224,9 +219,9 @@ class LogisticObjective(ObjectiveOracle):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         d_u, d_v, dtype = shards[0].d_u, shards[0].d_v, shards[0].X.dtype
-        for s in shards:
+        for i, s in enumerate(shards):
             if s.n_rows == 0:
-                raise ValueError(f"shard {s.client_id} is empty")
+                raise ValueError(f"shard {i} is empty")
             if (s.d_u, s.d_v) != (d_u, d_v):
                 raise ValueError("all shards must share (d_u, d_v)")
             if s.X.dtype != dtype:
@@ -243,10 +238,8 @@ class LogisticObjective(ObjectiveOracle):
     def value_and_grads(self, i, u, v):
         _check_dims(u, v, self.d_u, self.d_v)
         s = self.shards[i]
-        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
-        g_u, g_v = np.empty(self.d_u), np.empty(self.d_v)
-        loss = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work, g_u, g_v)
-        return loss + self.rho * _reg_value(u, v), g_u, g_v
+        return kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho,
+                                           kernels.LogisticWork(self.d_u, self.d_v, self.dtype))
 
     def stoch_grads(self, i, u, v, K, rng):
         s = self.shards[i]

@@ -41,6 +41,12 @@ _SHIFT = np.uint32(16)
 _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
+def check_seed(seed: int) -> None:
+    """ValueError naming the seed unless it is a run seed, in [0, 2^64)."""
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed {seed!r} is outside [0, 2^64)")
+
+
 def _words(x: int) -> list[int]:
     # little-endian 32-bit words of a non-negative int; 0 is the one word 0
     out = []

@@ -1,11 +1,41 @@
 """Straightforward reference implementations the package's fast paths are
-compared against. None of this runs in the package itself."""
+compared against, and the random instances and finite differences the
+tests share. None of this runs in the package itself."""
 
 import numpy as np
 
 from fedpart import dataio
 from fedpart.dataio import ClientShard
+from fedpart.objectives import LogisticObjective
 from fedpart.rng import stream
+
+
+def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01, batch_size=1):
+    """A logistic objective over n float shards of standard normal features
+    and +-1 labels, drawn from rng shard by shard."""
+    shards = [ClientShard(X=np.hstack([rng.standard_normal((rows, d_u)),
+                                       rng.standard_normal((rows, d_v))]),
+                          y=np.where(rng.random(rows) < 0.5, -1.0, 1.0), d_u=d_u)
+              for _ in range(n)]
+    return LogisticObjective(shards, rho=rho, batch_size=batch_size)
+
+
+def central_diff(oracle, i, u, v, h=1e-6):
+    """Central differences (g_u, g_v) of client i's value at (u, v)."""
+    def value(u, v):
+        return oracle.value_and_grads(i, u, v)[0]
+
+    gu = np.empty_like(u)
+    for j in range(u.size):
+        e = np.zeros_like(u)
+        e[j] = h
+        gu[j] = (value(u + e, v) - value(u - e, v)) / (2 * h)
+    gv = np.empty_like(v)
+    for j in range(v.size):
+        e = np.zeros_like(v)
+        e[j] = h
+        gv[j] = (value(u, v + e) - value(u, v - e)) / (2 * h)
+    return gu, gv
 
 
 def stoch_grad(oracle, i, u, v, rng):
@@ -118,5 +148,5 @@ def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
         y = y_all[rows]
         if size > cap:
             A, B, y = A[:cap].copy(), B[:cap].copy(), y[:cap].copy()
-        shards.append(ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=A.shape[1]))
+        shards.append(ClientShard(X=np.hstack([A, B]), y=y, d_u=A.shape[1]))
     return shards

@@ -180,13 +180,13 @@ def test_shard_holds_features_once_as_one_matrix():
         A = rng.integers(0, 256, size=(5, 3)).astype(dtype)
         B = rng.integers(0, 256, size=(5, 2)).astype(dtype)
         X = np.hstack([A, B])
-        shard = ClientShard(client_id=1, X=X, y=np.ones(5), d_u=3)
+        shard = ClientShard(X=X, y=np.ones(5), d_u=3)
         assert shard.X is X
         assert shard.A.base is X and shard.B.base is X
         assert np.array_equal(shard.A, A) and np.array_equal(shard.B, B)
         assert (shard.d_u, shard.d_v, shard.scale) == (3, 2, 1.0)
         # any other layout is copied once into a C-contiguous X of its dtype
-        strided = ClientShard(client_id=1, X=np.asfortranarray(X), y=np.ones(5), d_u=3)
+        strided = ClientShard(X=np.asfortranarray(X), y=np.ones(5), d_u=3)
         assert strided.X.flags.c_contiguous and strided.X.dtype == dtype
         assert np.array_equal(strided.X, X)
 
@@ -194,7 +194,7 @@ def test_shard_holds_features_once_as_one_matrix():
 @pytest.mark.parametrize("scale", [0.0, -255.0, math.inf, -math.inf, math.nan])
 def test_shard_scale_must_be_finite_and_positive(scale):
     with pytest.raises(ValueError, match="scale"):
-        ClientShard(client_id=1, X=np.zeros((1, 3)), y=np.ones(1), d_u=2, scale=scale)
+        ClientShard(X=np.zeros((1, 3)), y=np.ones(1), d_u=2, scale=scale)
 
 
 @pytest.mark.parametrize("y_shape", [(4,), (2,), (3, 1)])
@@ -205,7 +205,7 @@ def test_shard_needs_one_label_a_row(y_shape):
     rng = stream(23, "probe")
     X = rng.standard_normal((3, 3))
     with pytest.raises(ValueError, match="one label a row"):
-        shard = ClientShard(client_id=1, X=X, y=np.ones(y_shape), d_u=2)
+        shard = ClientShard(X=X, y=np.ones(y_shape), d_u=2)
         LogisticObjective([shard], batch_size=8).stoch_grads(
             0, np.zeros(2), np.zeros(1), 4, stream(23, "local"))
 
@@ -213,13 +213,13 @@ def test_shard_needs_one_label_a_row(y_shape):
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
 def test_shard_features_must_be_2d(shape):
     with pytest.raises(ValueError, match="X must be 2-D"):
-        ClientShard(client_id=1, X=np.ones(shape), y=np.ones(2), d_u=1)
+        ClientShard(X=np.ones(shape), y=np.ones(2), d_u=1)
 
 
 @pytest.mark.parametrize("d_u", [0, -1, 3, 4])
 def test_shard_blocks_must_both_be_nonempty(d_u):
     with pytest.raises(ValueError, match=r"d_u must be in \[1, 2\]"):
-        ClientShard(client_id=1, X=np.ones((2, 3)), y=np.ones(2), d_u=d_u)
+        ClientShard(X=np.ones((2, 3)), y=np.ones(2), d_u=d_u)
 
 
 # -------------------------------------------------------------- partitioning
@@ -244,7 +244,6 @@ def test_partition_single_client_holds_everything():
     for scheme in ("iid", "by_label"):
         shards = dataio.partition_clients(ds, 1, scheme, seed=0, d_u=2, d_v=2)
         assert len(shards) == 1
-        assert shards[0].client_id == 1
         assert sorted(_row_indices(shards[0])) == list(range(5))
 
 
@@ -271,7 +270,6 @@ def test_partition_bijection_uneven():
     for scheme in ("iid", "by_label"):
         shards = dataio.partition_clients(ds, 4, scheme, seed=3, d_u=2, d_v=2)
         assert [s.n_rows for s in shards] == [6, 6, 6, 5]
-        assert [s.client_id for s in shards] == [1, 2, 3, 4]
         assert sorted(i for s in shards for i in _row_indices(s)) == list(range(23))
 
 
@@ -296,6 +294,19 @@ def test_partition_too_few_examples():
         dataio.partition_clients(ds, 2, "sorted", seed=0, d_u=2, d_v=2)
     with pytest.raises(ValueError, match="n must be >= 1"):
         dataio.partition_clients(ds, 0, "iid", seed=0, d_u=2, d_v=2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_instance_builders_reject_seeds_outside_the_run_range(seed):
+    # a stream reads its seed mod 2^64: -1 would build the instance of 2^64 - 1
+    ds = _indexed_dataset([1, 2, 3])
+    match = rf"seed {seed} is outside \[0, 2\^64\)"
+    with pytest.raises(ValueError, match=match):
+        dataio.partition_clients(ds, 1, "iid", seed=seed, d_u=2, d_v=2)
+    with pytest.raises(ValueError, match=match):
+        dataio.synth_quadratic(2, 1, 1, spread=1.0, sigma_u=0.0, sigma_v=0.0, seed=seed)
+    assert len(dataio.partition_clients(ds, 1, "iid", seed=2**64 - 1, d_u=2, d_v=2)) == 1
+    assert dataio.synth_quadratic(2, 1, 1, 1.0, 0.0, 0.0, seed=2**64 - 1)[0].n == 2
 
 
 def test_partition_dim_mismatch():
@@ -335,7 +346,6 @@ def test_partition_cap():
     assert np.array_equal(same.A, full.A) and np.array_equal(same.y, full.y)
     small = dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=3)
     assert [s.n_rows for s in small] == [3, 3]
-    assert [s.client_id for s in small] == [1, 2]
     assert np.array_equal(small[0].A, full.A[:3])
     assert np.array_equal(small[1].B, full.B[5:8])
     with pytest.raises(ValueError):
@@ -357,7 +367,6 @@ def test_partition_matches_float_corpus_pipeline(scheme, n):
             want = reference.capped_shards(pixels, labels, n, scheme, 9, d_u, 784 - d_u, cap)
             assert len(got) == len(want) == n
             for g, w in zip(got, want):
-                assert g.client_id == w.client_id
                 assert g.X.dtype == np.uint8 and g.scale == 255.0 and w.scale == 1.0
                 assert g.y.dtype == w.y.dtype == np.float64
                 assert g.y.tobytes() == w.y.tobytes()

@@ -1,10 +1,10 @@
 """Algorithm mechanics: sampling, local steps, merging, control variates,
 full rounds and training runs, and the theory-prescribed step sizes.
 
-Matched-seed reduction tests (corrected == uncorrected for n=1; one round ==
-a parallel SGD step for K=1, m=n, eta=1; eta=1 == a straight-line
-reimplementation) are the strongest correctness evidence here: they pin the
-whole round against independently derivable behavior.
+The matched-seed reductions of the whole round (corrected == uncorrected for
+n=1, eta=1 == a straight-line reimplementation, the control-variate mean)
+are acceptance criteria 6 and 7 (`test_acceptance.py`); here one round is
+pinned to a parallel SGD step for K=1, m=n, eta=1.
 """
 
 import dataclasses
@@ -34,15 +34,8 @@ from fedpart.fedcore import (
     update_server_control,
 )
 from fedpart.objectives import LogisticObjective, ObjectiveOracle, QuadraticObjective, join_replicas
+from fedpart.objectives import QuadraticObjective as quad
 from fedpart.rng import stream
-
-
-def quad(centers_u, centers_v, **kw):
-    return QuadraticObjective(
-        centers_u=np.asarray(centers_u, dtype=float),
-        centers_v=np.asarray(centers_v, dtype=float),
-        **kw,
-    )
 
 
 def hp_of(gamma_u=0.1, gamma_v=0.1, eta_u=1.0, eta_v=1.0, K=1, T=1, m=1):
@@ -248,6 +241,32 @@ def test_replica_sums_equal_a_run_alone_bitwise(m):
         assert np.array_equal(got_c[r], c[r] + U[r].sum(axis=0) / 13)
 
 
+def test_aggregate_is_unbiased_over_sampling():
+    # frozen state, noiseless oracle: mean over sampled rounds of the
+    # aggregated u matches the full-participation aggregate
+    rng = stream(68, "probe")
+    n, m, d = 5, 2, 3
+    obj = quad(rng.standard_normal((n, d)), rng.standard_normal((n, 2)))
+    hp = hp_of(gamma_u=0.1, gamma_v=0.1, eta_u=0.9, K=3, m=m)
+    u0 = rng.standard_normal(d)
+    v0 = [rng.standard_normal(2) for _ in range(n)]
+    per_client = np.stack([
+        reference.local_steps(obj, i, u0, v0[i], hp.K, hp.gamma_u, hp.gamma_v,
+                              stream(0, "local", 0, i))[0]
+        for i in range(n)
+    ])
+    full = aggregate_shared(u0, per_client, hp.eta_u)
+    srng = stream(69, "sample", 0)
+    draws = 10_000
+    agg = np.empty((draws, d))
+    for r in range(draws):
+        ids = sample_clients(n, m, srng)
+        agg[r] = aggregate_shared(u0, per_client[ids], hp.eta_u)
+    err = np.abs(agg.mean(axis=0) - full)
+    bound = 4.0 * agg.std(axis=0) / math.sqrt(draws)
+    assert np.all(err <= bound), (err, bound)
+
+
 # ------------------------------------------------------------ control variates
 
 
@@ -299,12 +318,7 @@ def test_init_control_variates_match_per_draw_loop():
         C, c = init_control_variates(u0, v0, obj, K=K, seed=K)
         C_ref, c_ref = _per_draw_control_variates(u0, v0, obj, K, seed=K)
         assert np.array_equal(C, C_ref) and np.array_equal(c, c_ref)
-    shards = [dataio.ClientShard(client_id=i + 1,
-                                 X=np.hstack([rng.standard_normal((9, 3)),
-                                              rng.standard_normal((9, 2))]),
-                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3)
-              for i in range(3)]
-    logit = LogisticObjective(shards, rho=0.05, batch_size=5)
+    logit = reference.random_logistic(rng, n=3, rows=9, rho=0.05, batch_size=5)
     v0 = rng.standard_normal((3, 2))
     C, c = init_control_variates(u0, v0, logit, K=7, seed=1)
     C_ref, c_ref = _per_draw_control_variates(u0, v0, logit, 7, seed=1)
@@ -419,17 +433,6 @@ def test_run_round_unsampled_clients_untouched():
             if i not in sampled0:
                 assert c.v.tobytes() == before[i][0]
                 assert c.c_i.tobytes() == before[i][1]
-
-
-def test_run_round_control_mean_invariant():
-    obj = quad(np.arange(8.0).reshape(4, 2), np.ones((4, 2)), sigma_u=1.0)
-    hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=3, m=2)
-    server, clients = init_one("scaffold_p", obj, hp, seed=4)
-    for t in range(50):
-        run_rounds(server, clients, obj, hp, 4, range(t, t + 1))
-        c = server.c[0]
-        err = float(np.linalg.norm(c - np.mean(clients.C[0], axis=0)))
-        assert err <= 1e-12 * (1.0 + float(np.linalg.norm(c)))
 
 
 def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
@@ -560,13 +563,8 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
 def _small_oracle(objective, probe=75):
     if objective == "quadratic":
         return dataio.synth_quadratic(10, 3, 2, spread=1.0, sigma_u=1.0, sigma_v=0.5, seed=3)[0]
-    rng = stream(probe, "probe")
-    shards = [dataio.ClientShard(client_id=i + 1,
-                                 X=np.hstack([rng.standard_normal((9, 3)),
-                                              rng.standard_normal((9, 2))]),
-                                 y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3)
-              for i in range(10)]
-    return LogisticObjective(shards, rho=0.05, batch_size=4)
+    return reference.random_logistic(stream(probe, "probe"), n=10, rows=9, rho=0.05,
+                                     batch_size=4)
 
 
 @pytest.mark.parametrize("objective", ["quadratic", "logistic"])
@@ -773,64 +771,6 @@ def test_run_training_custom_start_is_copied():
     assert np.array_equal(res.u, [5.0])
     res.server.u[0] = 99.0
     assert u0[0] == 5.0  # caller's array untouched
-
-
-# ----------------------------------------------------------- reduction suite
-
-
-def test_fedavg_with_unit_outer_steps_matches_fedsim_reference():
-    rng = stream(67, "probe")
-    for case in range(5):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, n + 1))
-        K = int(rng.integers(1, 5))
-        obj = quad(rng.standard_normal((n, 3)), rng.standard_normal((n, 2)),
-                   sigma_u=float(rng.uniform(0, 0.5)), sigma_v=float(rng.uniform(0, 0.5)))
-        hp = hp_of(gamma_u=float(rng.uniform(0.01, 0.2)),
-                   gamma_v=float(rng.uniform(0.01, 0.2)), K=K, T=3, m=m)
-        res = run_training("fedavg_p", obj, hp, seed=100 + case)
-        u_ref, v_ref = reference.fedsim(obj, hp, seed=100 + case, T=3)
-        assert np.allclose(res.u, u_ref, rtol=1e-12, atol=1e-12), case
-        for i in range(n):
-            assert np.allclose(res.v_all[i], v_ref[i], rtol=1e-12, atol=1e-12)
-
-
-def test_single_client_scaffold_equals_fedavg():
-    obj = quad([[2.0, -1.0]], [[0.5]], sigma_u=0.7, sigma_v=0.7)
-    hp = hp_of(gamma_u=0.05, gamma_v=0.05, eta_u=0.8, eta_v=0.9, K=4, T=200, m=1)
-    a = run_training("fedavg_p", obj, hp, seed=21)
-    b = run_training("scaffold_p", obj, hp, seed=21)
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.v_all[0], b.v_all[0])
-    for ta, tb in zip(a.traces, b.traces):
-        assert ta.f_value == tb.f_value
-        assert ta.grad_norm_u == tb.grad_norm_u
-
-
-def test_aggregate_is_unbiased_over_sampling():
-    # frozen state, noiseless oracle: mean over sampled rounds of the
-    # aggregated u matches the full-participation aggregate
-    rng = stream(68, "probe")
-    n, m, d = 5, 2, 3
-    obj = quad(rng.standard_normal((n, d)), rng.standard_normal((n, 2)))
-    hp = hp_of(gamma_u=0.1, gamma_v=0.1, eta_u=0.9, K=3, m=m)
-    u0 = rng.standard_normal(d)
-    v0 = [rng.standard_normal(2) for _ in range(n)]
-    per_client = np.stack([
-        reference.local_steps(obj, i, u0, v0[i], hp.K, hp.gamma_u, hp.gamma_v,
-                              stream(0, "local", 0, i))[0]
-        for i in range(n)
-    ])
-    full = aggregate_shared(u0, per_client, hp.eta_u)
-    srng = stream(69, "sample", 0)
-    draws = 10_000
-    agg = np.empty((draws, d))
-    for r in range(draws):
-        ids = sample_clients(n, m, srng)
-        agg[r] = aggregate_shared(u0, per_client[ids], hp.eta_u)
-    err = np.abs(agg.mean(axis=0) - full)
-    bound = 4.0 * agg.std(axis=0) / math.sqrt(draws)
-    assert np.all(err <= bound), (err, bound)
 
 
 # ------------------------------------------------------ prescribed step sizes

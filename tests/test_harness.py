@@ -206,18 +206,20 @@ def test_count_fields_are_bounded():
     config_from_mapping({"batch_size": 2**32 - 1})
 
 
+def read_readme():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as f:
+        return f.read()
+
+
 def test_readme_config_table_lists_every_field():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                  encoding="utf-8").read()
-    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    section = read_readme().split("## Configuration", 1)[1].split("\n## ", 1)[0]
     keys = {key for line in section.splitlines() if line.startswith("| `")
             for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
     assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_readme_names_every_cli_subcommand_and_option():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
-                  encoding="utf-8").read()
+    readme = read_readme()
     parser = cli.build_parser()
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     names = [f"fedpart {command}" for command in sub.choices]
@@ -226,6 +228,17 @@ def test_readme_names_every_cli_subcommand_and_option():
     missing = [name for name in names
                if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", readme)]
     assert missing == []
+
+
+def test_readme_python_examples_run():
+    # the Library use examples, in order, in one namespace: later ones use
+    # the objective and hyperparameters of the first
+    blocks = re.findall(r"^```python\n(.*?)^```", read_readme(), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(namespace["results"]) == 5 and namespace["trace"].t == namespace["hp"].T - 1
 
 
 def test_mapping_round_trip():
@@ -507,47 +520,22 @@ def test_cli_run_missing_config(tmp_path, capsys):
     assert err.startswith("error:") and missing in err
 
 
-def test_cli_run_bad_config(tmp_path, capsys):
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, m=11)])
-    assert rc == 2
-    assert "m" in capsys.readouterr().err
-
-
-def test_cli_run_non_finite_number_is_config_error(tmp_path, capsys):
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, spread=float("nan"))])
-    assert rc == 2
-    assert "spread: must be a finite number" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.csv")
-
-
-def test_cli_run_integer_beyond_double_range_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("over,message", [
+    ({"m": 11}, "m: must be <= n = 3, got 11"),
+    ({"spread": float("nan")}, "spread: must be a finite number"),
     # json.dumps writes the int as 1 followed by 400 zeros
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, rho=10**400)])
-    assert rc == 2
-    assert "rho: must be a finite number" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.csv")
-
-
-def test_cli_run_absurd_client_count_is_config_error(tmp_path, capsys):
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, n=10**30, m=1, T=1)])
-    assert rc == 2
-    assert "n: must be below 2^32, got 10000000000" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.csv")
-
-
-def test_cli_run_large_representable_dimension_is_config_error(tmp_path, capsys):
+    ({"rho": 10**400}, "rho: must be a finite number"),
+    ({"n": 10**30, "m": 1, "T": 1}, "n: must be below 2^32, got 10000000000"),
     # a d_u the array limit rejects before anything is allocated
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, d_u=10**9, T=1)])
+    ({"d_u": 10**9, "T": 1}, "n: n * (d_u + d_v) = "),
+    ({"gamma": 1e308, "eta_u": 1e-308}, "gamma_u: must be finite"),
+], ids=["m_above_n", "non_finite_number", "integer_beyond_double_range", "absurd_client_count",
+        "large_representable_dimension", "infinite_resolved_step"])
+def test_cli_run_bad_value_is_config_error(tmp_path, capsys, over, message):
+    rc = cli.main(["run", "--config", write_cfg(tmp_path, **over)])
     assert rc == 2
-    assert "n: n * (d_u + d_v) = " in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.csv")
-
-
-def test_cli_run_infinite_resolved_step_is_config_error(tmp_path, capsys):
-    rc = cli.main(["run", "--config", write_cfg(tmp_path, gamma=1e308, eta_u=1e-308)])
-    assert rc == 2
-    assert "gamma_u: must be finite" in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "out.csv")
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
 
 
 @pytest.mark.parametrize("over", [

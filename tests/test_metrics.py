@@ -7,39 +7,14 @@ import numpy as np
 import pytest
 
 from fedpart import dataio, metrics
-from fedpart.dataio import ClientShard
-from fedpart.objectives import (
-    LogisticObjective,
-    ObjectiveOracle,
-    QuadraticObjective,
-    join_replicas,
-)
+from fedpart.objectives import ObjectiveOracle, join_replicas
+from fedpart.objectives import QuadraticObjective as quad
 from fedpart.rng import stream
-
-
-def quad(centers_u, centers_v, **kw):
-    return QuadraticObjective(
-        centers_u=np.asarray(centers_u, dtype=float),
-        centers_v=np.asarray(centers_v, dtype=float),
-        **kw,
-    )
-
-
-def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01):
-    shards = [
-        ClientShard(
-            client_id=i + 1,
-            X=np.hstack([rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v))]),
-            y=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
-            d_u=d_u,
-        )
-        for i in range(n)
-    ]
-    return LogisticObjective(shards, rho=rho)
+from reference import random_logistic
 
 
 @pytest.mark.parametrize("n,d", [(10, 5), (200, 50)])  # (200, 50): pairwise sums
-def test_round_metrics_over_a_stack_equal_single_formulas_bitwise(n, d):
+def test_round_metrics_of_joined_replicas_equal_single_formulas_bitwise(n, d):
     # a run alone's formulas, written out with its reductions
     objs = [dataio.synth_quadratic(n, d, d, 1.0, 0.0, 0.0, seed)[0] for seed in (1, 2, 3)]
     joined = join_replicas(objs)

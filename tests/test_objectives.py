@@ -15,41 +15,19 @@ import reference
 from fedpart import dataio, kernels
 from fedpart.dataio import ClientShard, RawDataset
 from fedpart.fedcore import HyperParams, run_training
-from fedpart.objectives import LogisticObjective, QuadraticObjective
+from fedpart.objectives import LogisticObjective
+from fedpart.objectives import QuadraticObjective as quad
 from fedpart.rng import stream
-
-
-def quad(centers_u, centers_v, sigma_u=0.0, sigma_v=0.0):
-    return QuadraticObjective(
-        centers_u=np.asarray(centers_u, dtype=float),
-        centers_v=np.asarray(centers_v, dtype=float),
-        sigma_u=sigma_u,
-        sigma_v=sigma_v,
-    )
+from reference import random_logistic
 
 
 def one_row_logistic(a, b, c, rho=0.0, batch_size=1):
     shard = ClientShard(
-        client_id=1,
         X=np.hstack([np.asarray([a], dtype=float), np.asarray([b], dtype=float)]),
         y=np.asarray([c], dtype=float),
         d_u=len(a),
     )
     return LogisticObjective([shard], rho=rho, batch_size=batch_size)
-
-
-def random_logistic(rng, n=2, rows=7, d_u=3, d_v=2, rho=0.01, batch_size=1):
-    shards = []
-    for i in range(n):
-        shards.append(
-            ClientShard(
-                client_id=i + 1,
-                X=np.hstack([rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v))]),
-                y=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
-                d_u=d_u,
-            )
-        )
-    return LogisticObjective(shards, rho=rho, batch_size=batch_size)
 
 
 def value(oracle, i, u, v):
@@ -60,23 +38,9 @@ def grads(oracle, i, u, v):
     return oracle.value_and_grads(i, u, v)[1:]
 
 
-def central_diff_grads(oracle, i, u, v, h=1e-6):
-    gu = np.empty_like(u)
-    for j in range(u.size):
-        e = np.zeros_like(u)
-        e[j] = h
-        gu[j] = (value(oracle, i, u + e, v) - value(oracle, i, u - e, v)) / (2 * h)
-    gv = np.empty_like(v)
-    for j in range(v.size):
-        e = np.zeros_like(v)
-        e[j] = h
-        gv[j] = (value(oracle, i, u, v + e) - value(oracle, i, u, v - e)) / (2 * h)
-    return gu, gv
-
-
 def fd_relative_error(oracle, i, u, v):
     gu, gv = grads(oracle, i, u, v)
-    fu, fv = central_diff_grads(oracle, i, u, v)
+    fu, fv = reference.central_diff(oracle, i, u, v)
     num = math.sqrt(float(np.square(fu - gu).sum() + np.square(fv - gv).sum()))
     den = max(math.sqrt(float(np.square(gu).sum() + np.square(gv).sum())), 1e-8)
     return num / den
@@ -154,7 +118,7 @@ def test_quad_dim_mismatch_raises():
 
 def test_logistic_value_zero_point_is_log2():
     rng = stream(1, "probe")
-    obj = random_logistic(rng, rho=0.0)
+    obj = random_logistic(rng, rows=7, rho=0.0)
     u = np.zeros(obj.d_u)
     v = np.zeros(obj.d_v)
     for i in range(obj.n):
@@ -187,7 +151,7 @@ def test_logistic_grads_at_origin():
 
 def test_logistic_finite_difference():
     rng = stream(2, "probe")
-    obj = random_logistic(rng, rho=0.01)
+    obj = random_logistic(rng, rows=7, rho=0.01)
     worst = 0.0
     for p in range(100):
         i = p % obj.n
@@ -214,19 +178,18 @@ def test_logistic_regularizer_gradient_bounded():
 def test_logistic_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         LogisticObjective([])
-    empty = ClientShard(client_id=1, X=np.zeros((0, 3)), y=np.zeros(0), d_u=2)
+    empty = ClientShard(X=np.zeros((0, 3)), y=np.zeros(0), d_u=2)
     with pytest.raises(ValueError):
         LogisticObjective([empty])
-    good = ClientShard(client_id=1, X=np.zeros((1, 3)), y=np.ones(1), d_u=2)
+    good = ClientShard(X=np.zeros((1, 3)), y=np.ones(1), d_u=2)
     with pytest.raises(ValueError):
         LogisticObjective([good], rho=-0.1)
     with pytest.raises(ValueError):
         LogisticObjective([good], batch_size=0)
-    other = ClientShard(client_id=2, X=np.zeros((1, 4)), y=np.ones(1), d_u=3)
+    other = ClientShard(X=np.zeros((1, 4)), y=np.ones(1), d_u=3)
     with pytest.raises(ValueError):
         LogisticObjective([good, other])
-    pixels = ClientShard(client_id=2, X=np.zeros((1, 3), dtype=np.uint8), y=np.ones(1), d_u=2,
-                         scale=255.0)
+    pixels = ClientShard(X=np.zeros((1, 3), dtype=np.uint8), y=np.ones(1), d_u=2, scale=255.0)
     with pytest.raises(ValueError, match="one feature dtype"):
         LogisticObjective([good, pixels])
     with pytest.raises(ValueError, match="V has 2 rows, expected 1"):
@@ -251,35 +214,18 @@ def test_stoch_grad_noise_second_moment():
     u = np.array([0.1, -0.2, 0.3])
     v = np.array([1.0, 2.0])
     gu, gv = grads(obj, 0, u, v)
-    rng = stream(5, "local", 0, 0)
-    M = 100_000
-    acc_u = 0.0
-    acc_v = 0.0
-    for _ in range(M):
-        su, sv = reference.stoch_grad(obj, 0, u, v, rng)
-        du = su - gu
-        dv = sv - gv
-        acc_u += float(du @ du)
-        acc_v += float(dv @ dv)
-    assert acc_u / M == pytest.approx(1.0, rel=0.03)
-    assert acc_v / M == pytest.approx(0.25, rel=0.03)
+    # one block of 100,000 draws, bitwise the one-draw calls in turn
+    G_u, G_v = obj.stoch_grads(0, u, v, 100_000, stream(5, "local", 0, 0))
+    assert np.square(G_u - gu).sum(axis=1).mean() == pytest.approx(1.0, rel=0.03)
+    assert np.square(G_v - gv).sum(axis=1).mean() == pytest.approx(0.25, rel=0.03)
 
 
 def _unbiasedness_check(oracle, i, u, v, seed, M=100_000):
-    gu, gv = grads(oracle, i, u, v)
-    exact = np.concatenate([gu, gv])
-    rng = stream(seed, "local", 0, i)
-    total = np.zeros_like(exact)
-    total_sq = np.zeros_like(exact)
-    for _ in range(M):
-        su, sv = reference.stoch_grad(oracle, i, u, v, rng)
-        g = np.concatenate([su, sv])
-        total += g
-        total_sq += g * g
-    mean = total / M
-    var = np.maximum(total_sq / M - mean * mean, 0.0)
-    bound = 4.0 * np.sqrt(var) / math.sqrt(M)
-    assert np.all(np.abs(mean - exact) <= bound + 1e-14)
+    exact = np.concatenate(grads(oracle, i, u, v))
+    # one block of M draws, bitwise the one-draw calls in turn
+    G = np.hstack(oracle.stoch_grads(i, u, v, M, stream(seed, "local", 0, i)))
+    bound = 4.0 * G.std(axis=0) / math.sqrt(M)
+    assert np.all(np.abs(G.mean(axis=0) - exact) <= bound + 1e-14)
 
 
 def test_stoch_grad_unbiased_quadratic():
@@ -303,8 +249,7 @@ def test_logistic_single_row_batches_average_to_full_gradient():
     per_row_v = []
     for r in range(shard.n_rows):
         single = LogisticObjective(
-            [ClientShard(client_id=1, X=shard.X[r : r + 1], y=shard.y[r : r + 1],
-                         d_u=shard.d_u)],
+            [ClientShard(X=shard.X[r : r + 1], y=shard.y[r : r + 1], d_u=shard.d_u)],
             rho=0.0,
         )
         gu, gv = grads(single, 0, u, v)
@@ -356,7 +301,7 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     rng = stream(13, "probe")
     obj = random_logistic(rng, n=1, rows=12, d_u=4, d_v=3, rho=0.05, batch_size=3)
     s = obj.shards[0]
-    scaled = ClientShard(client_id=s.client_id, X=500.0 * s.X, y=s.y, d_u=s.d_u)
+    scaled = ClientShard(X=500.0 * s.X, y=s.y, d_u=s.d_u)
     obj = LogisticObjective([scaled], rho=obj.rho, batch_size=obj.batch_size)
     u0 = rng.standard_normal(4)
     v0 = rng.standard_normal(3)
@@ -403,8 +348,7 @@ def float_shards(rng, n, rows, d_u, d_v):
     contiguous (A, B, y) arrays for the float64 reference loop."""
     blocks = [(rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v)),
                np.where(rng.random(rows) < 0.5, -1.0, 1.0)) for _ in range(n)]
-    shards = [ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=d_u)
-              for i, (A, B, y) in enumerate(blocks)]
+    shards = [ClientShard(X=np.hstack([A, B]), y=y, d_u=d_u) for A, B, y in blocks]
     return shards, blocks
 
 
@@ -452,8 +396,8 @@ def test_full_batch_matches_float64_loop_at_chunk_edges():
     rng = stream(18, "probe")
     d_u, d_v, rho = 7, 4, 0.05
     blocks = [float_shards(rng, 1, rows, d_u, d_v)[1][0] for rows in CHUNK_EDGES]
-    obj = LogisticObjective([ClientShard(client_id=i + 1, X=np.hstack([A, B]), y=y, d_u=d_u)
-                             for i, (A, B, y) in enumerate(blocks)], rho=rho)
+    obj = LogisticObjective([ClientShard(X=np.hstack([A, B]), y=y, d_u=d_u)
+                             for A, B, y in blocks], rho=rho)
     u = rng.standard_normal(d_u)
     V = rng.standard_normal((obj.n, d_v))
     vals, G_u, G_v = obj.value_and_grads_all(u, V)

@@ -21,26 +21,6 @@ from fedpart.objectives import QuadraticObjective
 SEEDS = list(range(40))
 
 
-def criterion_03(gamma=0.02):
-    obj, _ = dataio.synth_quadratic(8, 4, 4, spread=0.5, sigma_u=1.0, sigma_v=0.0, seed=3)
-    return obj, HyperParams(gamma_u=gamma, gamma_v=gamma, eta_u=1.0, eta_v=1.0,
-                            K=4, T=800, m=8)
-
-
-def criterion_04(m):
-    # criterion 4's instance, 500 rounds from the noiseless fixed point
-    # (u = abar, v_i = b_i), where Scaffold-P's control variates start
-    obj, _ = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
-    return obj, HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
-                            K=10, T=500, m=m)
-
-
-def criterion_05(K=5):
-    obj, _ = dataio.synth_quadratic(10, 5, 5, spread=1.5, sigma_u=0.0, sigma_v=0.0, seed=5)
-    return obj, HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
-                            K=K, T=800, m=9)
-
-
 def partial_personal_noise():
     # m < n and sigma_v > 0, so grad_norm_v_hat carries its (m/n) noise term,
     # with outer steps other than 1
@@ -50,14 +30,15 @@ def partial_personal_noise():
 
 
 def test_closed_form_gives_the_recorded_criterion_floors():
-    # criterion 3's two step sizes and criterion 5's three K values
-    floors = [theory.fedavg_p_floor(*criterion_03(gamma)) for gamma in (0.02, 0.005)]
-    floors += [theory.fedavg_p_floor(*criterion_05(K)) for K in (5, 20, 80)]
+    # criterion 3's two step sizes and criterion 5's three K values; a floor
+    # does not depend on T
+    floors = [theory.fedavg_p_floor(*theory.criterion_03(gamma, T=1)) for gamma in (0.02, 0.005)]
+    floors += [theory.fedavg_p_floor(*theory.criterion_05(K, T=1)) for K in (5, 20, 80)]
     assert floors == pytest.approx([1.2626e-3, 3.1328e-4, 7.4924e-4, 2.9876e-3, 1.1384e-2],
                                    rel=1e-4)
     # criterion 4's two m: an exact ratio of 5.05 against its target of 4
-    assert [theory.scaffold_p_floor(*criterion_04(m)) for m in (2, 8)] == pytest.approx(
-        [2.3449e-3, 4.6421e-4], rel=1e-4)
+    floors = [theory.scaffold_p_floor(*theory.criterion_04(m, T=1)) for m in (2, 8)]
+    assert floors == pytest.approx([2.3449e-3, 4.6421e-4], rel=1e-4)
 
 
 def assert_tail_mean_matches(algorithm, obj, hp, exact, burn, **start):
@@ -68,7 +49,10 @@ def assert_tail_mean_matches(algorithm, obj, hp, exact, burn, **start):
     assert abs(mean - exact) <= 4.0 * se, (mean, se, exact)
 
 
-@pytest.mark.parametrize("instance", [criterion_03, criterion_05, partial_personal_noise])
+@pytest.mark.parametrize("instance", [lambda: theory.criterion_03(0.02, T=800),
+                                      lambda: theory.criterion_05(5, T=800),
+                                      partial_personal_noise],
+                         ids=["criterion_03", "criterion_05", "partial_personal_noise"])
 def test_fedavg_p_tail_mean_matches_the_exact_floor(instance):
     obj, hp = instance()
     # every transient has decayed far below the floor by round 200
@@ -86,7 +70,9 @@ def test_scaffold_p_floor_reduces_to_fedavg_p_for_one_client():
 
 @pytest.mark.parametrize("m", [2, 8])
 def test_scaffold_p_tail_mean_matches_the_exact_floor(m):
-    obj, hp = criterion_04(m)
+    # criterion 4's instance, 500 rounds from the noiseless fixed point
+    # (u = abar, v_i = b_i), where Scaffold-P's control variates start
+    obj, hp = theory.criterion_04(m, T=500)
     # the start carries no transient of the means; 150 rounds let the
     # noise's second moments build up
     assert_tail_mean_matches("scaffold_p", obj, hp, theory.scaffold_p_floor(obj, hp), burn=150,

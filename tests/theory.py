@@ -1,5 +1,6 @@
 """Exact stationary floors of the synthetic quadratic, written from the
-algebra alone. None of this runs in the package itself.
+algebra alone, and the quadratic instances of acceptance criteria 3-5. None
+of this runs in the package itself.
 
 The quadratic f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with isotropic
 Gaussian gradient noise is linear-Gaussian and separable per coordinate, so
@@ -15,6 +16,9 @@ N = gamma^2 sigma^2 / d * (1 - q^2) / (1 - (1 - gamma)^2).
 """
 
 import numpy as np
+
+from fedpart import dataio
+from fedpart.fedcore import HyperParams
 
 
 def _local(gamma, K, sigma, d):
@@ -109,3 +113,24 @@ def scaffold_p_floor(obj, hp):
         abar = centers.mean()
         u_term += M[1, 1] - 2.0 * abar * M[0, 1] + abar * abar
     return u_term + (m / n) * _personal_floor(obj, hp)
+
+
+def criterion_03(gamma, T):
+    """Criterion 3's instance at step size gamma, T rounds."""
+    obj, _ = dataio.synth_quadratic(8, 4, 4, spread=0.5, sigma_u=1.0, sigma_v=0.0, seed=3)
+    return obj, HyperParams(gamma_u=gamma, gamma_v=gamma, eta_u=1.0, eta_v=1.0,
+                            K=4, T=T, m=8)
+
+
+def criterion_04(m, T):
+    """Criterion 4's instance with m clients a round, T rounds."""
+    obj, _ = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
+    return obj, HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
+                            K=10, T=T, m=m)
+
+
+def criterion_05(K, T):
+    """Criterion 5's instance with K local steps, T rounds."""
+    obj, _ = dataio.synth_quadratic(10, 5, 5, spread=1.5, sigma_u=0.0, sigma_v=0.0, seed=5)
+    return obj, HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
+                            K=K, T=T, m=9)
