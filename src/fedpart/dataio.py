@@ -235,7 +235,7 @@ def partition_clients(
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
     uint8 rows are gathered, once, and they stay uint8 pixels: the gathered
-    rows are the shard's X, with scale 255. Checks the seed, whatever the scheme.
+    rows are the shard's X, with scale 255. Checks the seed for any scheme.
     """
     check_seed(seed)
     if n < 1:

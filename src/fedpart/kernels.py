@@ -20,9 +20,8 @@ unscaled backward products w @ A and w @ B; `logistic_finish` turns summed
 products into gradients. A minibatch is one call; the full-batch pass
 (`logistic_full_batch`) casts a shard `_CHUNK_ROWS` rows at a time, sums
 products and loss terms over the chunks and adds the regularizer's value
-and gradients. All of them work in the arrays
-of one `LogisticWork`, allocated once per call and reused by every step,
-chunk and client of it.
+and gradients. All of them work in the arrays of one `LogisticWork`,
+allocated once per call and reused by every step, chunk and client of it.
 
 Numeric contract: the logistic kernel runs the clients one after another
 and makes the same calls per step as the per-client stochastic gradient,
