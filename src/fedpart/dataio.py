@@ -3,9 +3,10 @@ and synthetic quadratic instance generation.
 
 IDX files are the standard MNIST container: big-endian magic, dimension
 sizes, then raw unsigned bytes. Parsing is bit-exact and strict: wrong
-magic, short payloads and trailing bytes are all distinct errors. Gzipped
-files are inflated transparently when read from disk, and every format or
-inflate error met while loading a file names that file. Images stay uint8
+magic, short payloads, trailing bytes and labels outside 0-9 each raise
+`DataFormatError` with their own message. Gzipped files are inflated
+transparently when read from disk, and every format or inflate error met
+while loading a file names that file; a count mismatch names both files. Images stay uint8
 pixels: a shard's gathered rows are its one feature matrix X = [A | B]
 (`ClientShard`, the only place that knows the split), with scale 255, and a
 logistic gradient casts only the rows it reads (`kernels.logistic_grads`).
@@ -32,31 +33,8 @@ _INFLATE_CHUNK = 1 << 16
 
 
 class DataFormatError(ValueError):
-    pass
-
-
-class BadMagic(DataFormatError):
-    pass
-
-
-class Truncated(DataFormatError):
-    pass
-
-
-class TrailingBytes(DataFormatError):
-    pass
-
-
-class LabelOutOfRange(DataFormatError):
-    pass
-
-
-class DimMismatch(ValueError):
-    pass
-
-
-class TooFewExamples(ValueError):
-    pass
+    """A malformed IDX file or image/label pair; its message names the file
+    when it was read from disk."""
 
 
 @dataclass(frozen=True)
@@ -131,15 +109,15 @@ def _parse_idx(data: bytes, magic: int, ndim: int, what: str):
     must carry `magic` and promise exactly the bytes that follow it."""
     head = 4 + 4 * ndim
     if len(data) < head:
-        raise Truncated(f"{what} header needs {head} bytes, got {len(data)}")
+        raise DataFormatError(f"{what} header needs {head} bytes, got {len(data)}")
     got, *dims = struct.unpack_from(f">{ndim + 1}I", data, 0)
     if got != magic:
-        raise BadMagic(f"expected magic 0x{magic:08x}, got 0x{got:08x}")
+        raise DataFormatError(f"expected magic 0x{magic:08x}, got 0x{got:08x}")
     expected = head + math.prod(dims)
     if len(data) < expected:
-        raise Truncated(f"header promises {expected} bytes, got {len(data)}")
+        raise DataFormatError(f"header promises {expected} bytes, got {len(data)}")
     if len(data) > expected:
-        raise TrailingBytes(f"{len(data) - expected} bytes beyond promised payload")
+        raise DataFormatError(f"{len(data) - expected} bytes beyond promised payload")
     return dims, np.frombuffer(data, dtype=np.uint8, offset=head)
 
 
@@ -156,7 +134,7 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     labels = digits.astype(np.int64)
     if labels.size and labels.max() > 9:
         bad = int(labels[labels > 9][0])
-        raise LabelOutOfRange(f"label {bad} outside 0..9")
+        raise DataFormatError(f"label {bad} outside 0..9")
     return labels
 
 
@@ -197,13 +175,16 @@ def _load_idx(path: str, parse):
     try:
         return parse(data)
     except DataFormatError as e:
-        raise type(e)(f"{path}: {e}") from e
+        raise DataFormatError(f"{path}: {e}") from e
 
 
 def load_mnist(images_path: str, labels_path: str) -> RawDataset:
     images = _load_idx(images_path, parse_idx_images)
     labels = _load_idx(labels_path, parse_idx_labels)
-    return RawDataset(images=images, labels=labels)
+    try:
+        return RawDataset(images=images, labels=labels)
+    except DataFormatError as e:  # unequal counts: name both files
+        raise DataFormatError(f"{images_path} and {labels_path}: {e}") from e
 
 
 def binarize_labels(digits: np.ndarray) -> np.ndarray:
@@ -243,11 +224,11 @@ def partition_clients(
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
     if d_u < 1 or d_v < 1 or d_u + d_v != dataset.images.shape[1]:
-        raise DimMismatch(
+        raise ValueError(
             f"d_u + d_v = {d_u} + {d_v} must equal feature count {dataset.images.shape[1]}"
         )
     if dataset.count < n:
-        raise TooFewExamples(f"{dataset.count} examples cannot fill {n} shards")
+        raise ValueError(f"{dataset.count} examples cannot fill {n} shards")
     if scheme == "iid":
         order = stream(seed, "partition").permutation(dataset.count)
     elif scheme == "by_label":

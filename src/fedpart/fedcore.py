@@ -10,10 +10,12 @@ client-drift bias caused by gradient dissimilarity.
 
 Client state is held as arrays: V (n, d_v) of personal blocks and, for the
 corrected variant, C (n, d_u) of client control variates. A round gathers
-the sampled rows, runs all their local steps in one oracle block call with
-the correction rows Corr = C[ids] - c (zeros for fedavg_p), and writes the
-merged rows back; merge, aggregation and the control update are one array
-expression each. Metrics come from one oracle pass over all n clients.
+the sampled rows, runs all their local steps in one oracle `local_steps`
+call with the correction rows Corr = C[ids] - c (zeros for fedavg_p), and
+writes the merged rows back; merge, aggregation and the control update are
+one array expression each. Metrics come from one `value_and_grads` call
+over all n clients, and the control variates start from one `stoch_grads`
+call over all n clients.
 
 Determinism: every draw comes from a stream keyed by (seed, tag, t, i), so
 a run is a pure function of (inputs, seed). Each sampled client still draws
@@ -221,19 +223,16 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
     """C rows c_i = (1/K) sum of K fresh stochastic u-gradients at (u0, v0_i);
     c = mean c_i. Returns (C, c).
 
-    Each client draws one (K, .) block from its own ("cv_init", i) stream,
-    value-identical to K one-draw blocks; the K gradients are summed left
-    to right for all clients at once. The n stream keys are derived in one
-    call and one pooled generator is rewound to each in turn.
+    One `stoch_grads` call over all n clients, client i drawing its (K, .)
+    block from its own ("cv_init", i) stream; the n stream keys are derived
+    in one call. The K gradients are summed left to right for all clients
+    at once.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    keys = stream_keys(seed, "cv_init", np.arange(oracle.n)[:, None]).tolist()
-    pool = StreamPool(1)
-    G = np.stack([
-        oracle.stoch_grads(i, u0, v0_all[i], K, pool.reset([keys[i]])[0])[0]
-        for i in range(oracle.n)
-    ])
+    ids = np.arange(oracle.n)
+    rngs = StreamPool(oracle.n).reset(stream_keys(seed, "cv_init", ids[:, None]).tolist())
+    G = oracle.stoch_grads(ids, u0, v0_all, K, rngs)[0]
     acc = np.zeros((oracle.n, oracle.d_u))
     for k in range(K):
         acc = acc + G[:, k]
@@ -295,7 +294,7 @@ def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracl
     C_old = clients.C[rows, ids] if corrected else None
     Corr = C_old - server.c[:, None] if corrected else np.zeros((R, m, oracle.d_u))
     # replica r's client i is the joined oracle's client r * n + i
-    U_K, V_K = oracle.local_steps_block(
+    U_K, V_K = oracle.local_steps(
         (ids + n * rows).ravel(), np.repeat(server.u, m, axis=0), V_old.reshape(R * m, -1),
         Corr.reshape(R * m, -1), hp.K, hp.gamma_u, hp.gamma_v, [g for row in rngs for g in row]
     )

@@ -6,7 +6,8 @@ its annotation gives the kind it takes, `_RANGES` the bounds of a numeric
 field and `_CHOICES` the values of a named option. A run writes one CSV row
 per round plus a config echo alongside the output, with all defaults
 resolved, so loading the echo reproduces an identical run. All files are
-written atomically (temp file + rename).
+written atomically (temp file + rename), with the mode `open` would give.
+Every rejected config or sweep spec raises `ConfigError`.
 
 The "floor" of a run is the mean of grad_norm_u + grad_norm_v_hat over the
 final min(100, T//5) rounds: the steady-state plateau the theory's noise
@@ -19,7 +20,6 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,22 +59,8 @@ _KINDS = {"int": (int, "an integer"), "float": (float, "a finite number"),
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ParseError(ConfigError):
-    pass
-
-
-class UnknownKey(ConfigError):
-    pass
-
-
-class ValidationError(ConfigError):
-    def __init__(self, field: str, reason: str):
-        self.field = field
-        self.reason = reason
-        super().__init__(f"{field}: {reason}")
+    """A config or sweep spec that does not parse or fails a check; a field
+    check's message is f"{field}: {reason}"."""
 
 
 def _check_kinds(obj) -> None:
@@ -95,21 +81,21 @@ def _check_kinds(obj) -> None:
             try:
                 val = float(val)
             except OverflowError:
-                raise ValidationError(name, f"must be {what}, got an integer "
-                                      "beyond the double range") from None
+                raise ConfigError(f"{name}: must be {what}, got an integer "
+                                  "beyond the double range") from None
         if (not isinstance(val, want) or isinstance(val, bool)
                 or (want is float and not math.isfinite(val))
                 or (want in (str, list) and not val)):
-            raise ValidationError(name, f"must be {what}, got {getattr(obj, name)!r}")
+            raise ConfigError(f"{name}: must be {what}, got {getattr(obj, name)!r}")
         setattr(obj, name, val)
         if name in _RANGES:
             least, most = _RANGES[name]
             if val < least:
-                raise ValidationError(name, f"must be >= {least}, got {val!r}")
+                raise ConfigError(f"{name}: must be >= {least}, got {val!r}")
             if val > most:  # most is 2^k - 1 or inf
-                raise ValidationError(name, f"must be below 2^{most.bit_length()}, got {val!r}")
+                raise ConfigError(f"{name}: must be below 2^{most.bit_length()}, got {val!r}")
         if name in _CHOICES and val not in _CHOICES[name]:
-            raise ValidationError(name, f"must be one of {_CHOICES[name]}, got {val!r}")
+            raise ConfigError(f"{name}: must be one of {_CHOICES[name]}, got {val!r}")
 
 
 @dataclass
@@ -150,7 +136,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_kinds(self)
         if self.m > self.n:
-            raise ValidationError("m", f"must be <= n = {self.n}, got {self.m}")
+            raise ConfigError(f"m: must be <= n = {self.n}, got {self.m}")
         if self.d_u is None:
             self.d_u = 5 if self.objective == QUADRATIC else 392
         if self.d_v is None:
@@ -158,17 +144,17 @@ class ExperimentConfig:
         self._resolve_steps()
         if self.objective == LOGISTIC:
             if self.d_u + self.d_v != 784 or self.d_v < 1:
-                raise ValidationError("d_u", "d_u + d_v must equal 784 with d_v >= 1, "
-                                      f"got d_u = {self.d_u}, d_v = {self.d_v}")
+                raise ConfigError("d_u: d_u + d_v must equal 784 with d_v >= 1, "
+                                  f"got d_u = {self.d_u}, d_v = {self.d_v}")
             if self.images_path is None or self.labels_path is None:
-                raise ValidationError("images_path", "logistic_mnist needs images_path and labels_path")
+                raise ConfigError("images_path: logistic_mnist needs images_path and labels_path")
         self._check_sizes()
 
     def _resolve_steps(self):
         if self.gamma is not None and (self.gamma_u is not None or self.gamma_v is not None):
-            raise ValidationError("gamma", "give gamma or gamma_u/gamma_v, not both")
+            raise ConfigError("gamma: give gamma or gamma_u/gamma_v, not both")
         if (self.gamma_u is None) != (self.gamma_v is None):
-            raise ValidationError("gamma_u", "gamma_u and gamma_v must be given together")
+            raise ConfigError("gamma_u: gamma_u and gamma_v must be given together")
         if self.eta_u is None:
             self.eta_u = math.sqrt(self.m)
         if self.eta_v is None:
@@ -177,7 +163,7 @@ class ExperimentConfig:
         if self.gamma_u is None:
             base = 0.001 if self.gamma is None else self.gamma
             if base <= 0:
-                raise ValidationError("gamma", "must be > 0")
+                raise ConfigError("gamma: must be > 0")
             self.gamma_u = base / self.eta_u
             self.gamma_v = base / self.eta_v
         self.gamma = None
@@ -188,7 +174,7 @@ class ExperimentConfig:
             val = getattr(self, name)
             # a resolved step gamma / eta can overflow to inf from finite inputs
             if not 0 < val < math.inf:
-                raise ValidationError(name, f"must be finite and > 0, got {val!r}")
+                raise ConfigError(f"{name}: must be finite and > 0, got {val!r}")
 
     def _check_sizes(self):
         # V, C and the quadratic centers have n rows; a round's local-step
@@ -202,8 +188,8 @@ class ExperimentConfig:
                       ("batch_size", "batch_size * (d_u + d_v)", self.batch_size * d)]
         for name, what, size in sizes:
             if size > _MAX_ELEMENTS:
-                raise ValidationError(name, f"{what} = {size} exceeds the "
-                                      f"{_MAX_ELEMENTS}-element array limit")
+                raise ConfigError(f"{name}: {what} = {size} exceeds the "
+                                  f"{_MAX_ELEMENTS}-element array limit")
 
     def to_mapping(self) -> dict:
         """Resolved key-value form; loading it reproduces this config exactly."""
@@ -219,15 +205,15 @@ class ExperimentConfig:
 
 
 def _from_mapping(cls, raw: dict, what: str):
-    """cls(**raw) for a JSON-facing dataclass; UnknownKey for a key that
-    names no field, ValidationError for a missing field without default."""
+    """cls(**raw) for a JSON-facing dataclass; ConfigError for a key that
+    names no field and for a missing field without default."""
     fields = dataclasses.fields(cls)
     unknown = set(raw) - {f.name for f in fields}
     if unknown:
-        raise UnknownKey(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown {what} key(s): {', '.join(sorted(unknown))}")
     for f in fields:
         if f.name not in raw and f.default is dataclasses.MISSING:
-            raise ValidationError(f.name, f"required {what} key")
+            raise ConfigError(f"{f.name}: required {what} key")
     return cls(**raw)
 
 
@@ -236,14 +222,14 @@ def config_from_mapping(raw: dict) -> ExperimentConfig:
 
 
 def _load_json_object(path: str) -> dict:
-    """The JSON object a file holds; ParseError naming the file otherwise."""
+    """The JSON object a file holds; ConfigError naming the file otherwise."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
         except ValueError as e:  # not UTF-8, malformed JSON, or an int past the digit limit
-            raise ParseError(f"{path}: {e}") from e
+            raise ConfigError(f"{path}: {e}") from e
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
+        raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
 
 
@@ -254,9 +240,10 @@ def load_config(path: str) -> ExperimentConfig:
 def _atomic_write_text(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(d, f".{os.urandom(16).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        # "x" creates the file with the mode "w" would give, 0o666 & ~umask
+        with open(tmp, "x", encoding="utf-8") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -379,7 +366,7 @@ class SweepSpec:
             # equal entries would share one trace file and one summary mean
             dups = sorted({repr(x) for j, x in enumerate(items) if x in items[:j]})
             if dups:
-                raise ValidationError(name, f"duplicate {name}: {', '.join(dups)}")
+                raise ConfigError(f"{name}: duplicate {name}: {', '.join(dups)}")
 
 
 def load_sweep_spec(path: str) -> SweepSpec:

@@ -24,8 +24,8 @@ and gradients. All of them work in the arrays of one `LogisticWork`,
 allocated once per call and reused by every step, chunk and client of it.
 
 Numeric contract: the logistic kernel runs the clients one after another
-and makes the same calls per step as the per-client stochastic gradient,
-with the same IEEE operations in the same order as the float64 loop in
+and makes the same calls per step as a row of `stoch_grads`, with the
+same IEEE operations in the same order as the float64 loop in
 `tests/reference.py`, so on float shards (scale 1.0) local-step iterates and
 stochastic gradients equal that loop bitwise. The full-batch sums over
 chunks add in another order than one product over all rows, so full-batch

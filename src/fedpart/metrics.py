@@ -1,8 +1,8 @@
 """Reported quantities and constant estimation.
 
 `round_metrics` is the one per-point metric: from a single
-`value_and_grads_all` pass (exact full-batch gradients over every client,
-sampled or not) it returns the mean value f and
+`value_and_grads` call over the rows of every client, sampled or not
+(exact full-batch gradients), it returns the mean value f and
 
     G_u  = |(1/n) sum_i grad_u f_i(u, v_i)|^2
     G_v  = (1/n) sum_i |grad_v f_i(u, v_i)|^2
@@ -42,8 +42,9 @@ def round_metrics(oracle, u, v_all, m: int):
     """
     V = np.asarray(v_all)
     *lead, n, d_v = V.shape  # lead is (R,) for replicas, () for one run
-    vals, G_u, G_v = oracle.value_and_grads_all(np.repeat(u, n, axis=0) if lead else u,
-                                                V.reshape(-1, d_v))
+    V = V.reshape(-1, d_v)
+    vals, G_u, G_v = oracle.value_and_grads(np.arange(len(V)),
+                                            np.repeat(u, n, axis=0) if lead else u, V)
     vals = vals.reshape(*lead, n)
     G_u, G_v = G_u.reshape(*lead, n, oracle.d_u), G_v.reshape(*lead, n, d_v)
     gbar = G_u.sum(axis=-2) / n
@@ -58,7 +59,7 @@ def estimate_dissimilarity(oracle, u, v_all) -> float:
     By the variance identity this is nonnegative (up to roundoff); for the
     synthetic quadratic it equals (1/n) sum_i |a_i - abar|^2 at every point.
     """
-    _, g, _ = oracle.value_and_grads_all(u, v_all)
+    _, g, _ = oracle.value_and_grads(np.arange(oracle.n), u, v_all)
     gbar = g.mean(axis=0)
     return float(np.square(g).sum(axis=1).mean() - gbar @ gbar)
 
@@ -68,7 +69,8 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
 
     Samples base points x = (u, v) within `radius` of the origin and short
     displacements delta, and maximizes |grad f_i(x+delta) - grad f_i(x)| /
-    |delta| over probes and clients. The probe step is radius/1000, small
+    |delta| over probes and clients; probe p is one two-row call on client
+    p mod n at x and x + delta. The probe step is radius/1000, small
     enough to read local curvature. Raises ValueError for fewer than 2
     probe points or a radius that is not finite and > 0.
     """
@@ -84,11 +86,9 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
         x = rng.standard_normal(d_u + d_v) * radius
         delta = rng.standard_normal(d_u + d_v)
         delta *= step / float(np.sqrt(delta @ delta))
-        u0, v0 = x[:d_u], x[d_u:]
-        u1, v1 = u0 + delta[:d_u], v0 + delta[d_u:]
-        _, g0u, g0v = oracle.value_and_grads(i, u0, v0)
-        _, g1u, g1v = oracle.value_and_grads(i, u1, v1)
-        diff = np.concatenate([g1u - g0u, g1v - g0v])
+        X = np.stack([x, x + delta])
+        _, G_u, G_v = oracle.value_and_grads([i, i], X[:, :d_u], X[:, d_u:])
+        diff = np.concatenate([G_u[1] - G_u[0], G_v[1] - G_v[0]])
         ratio = float(np.sqrt(diff @ diff)) / step
         if ratio > best:
             best = ratio
@@ -105,17 +105,18 @@ def estimate_initial_gap(oracle, u0, v_all0, lr: float, iters: int = 500) -> flo
     passes: the pass that values the new point also gives the next
     u-gradient.
     """
+    ids = np.arange(oracle.n)
     u = np.array(u0, dtype=np.float64)
     V = np.array(v_all0, dtype=np.float64)
-    vals, G_u, _ = oracle.value_and_grads_all(u, V)
+    vals, G_u, _ = oracle.value_and_grads(ids, u, V)
     f0 = float(vals.mean())
     if hasattr(oracle, "infimum"):
         return f0 - float(oracle.infimum())
     best = f0
     for _ in range(iters):
         u = u - lr * G_u.mean(axis=0)
-        V = V - lr * oracle.value_and_grads_all(u, V)[2]
-        vals, G_u, _ = oracle.value_and_grads_all(u, V)
+        V = V - lr * oracle.value_and_grads(ids, u, V)[2]
+        vals, G_u, _ = oracle.value_and_grads(ids, u, V)
         best = min(best, float(vals.mean()))
     return f0 - best
 

@@ -1,10 +1,20 @@
 """Objectives over a shared variable u and per-client personal variables v_i.
 
 The global objective is f(u, v) = (1/n) * sum_i f_i(u, v_i). An oracle
-exposes, per client i, the exact value and both gradients in one call
-(`value_and_grads`) and K stochastic gradients realizing K draws of
-(grad_u F, grad_v F)(u, v_i; xi) (`stoch_grads`). Two concrete objectives
-are provided:
+has three methods, each over N client rows: `ids` names the client of each
+row (in any order, repeats allowed), U is one (d_u,) start for every row
+or one (N, d_u) row per id, and V one (N, d_v) row per id.
+
+- `value_and_grads` gives each row's exact value and both gradients: the
+  full-batch metrics over all n clients and the smoothness probes.
+- `stoch_grads` gives each row K stochastic gradients realizing K draws of
+  (grad_u F, grad_v F)(u, v_i; xi), row j from generator rngs[j]:
+  Scaffold-P's start of the control variates.
+- `local_steps` runs K local SGD steps of each row, row j from rngs[j]:
+  a round's sampled clients in one kernel call.
+
+Every method raises ValueError naming U or V when one has the wrong shape.
+Two concrete objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
   Gaussian gradient noise of exactly controllable second moment. Its
@@ -20,20 +30,13 @@ are provided:
   float shards; full-batch values and gradients sum over row chunks and
   match it within rtol 1e-12 and atol 1e-14 (see `kernels`).
 
-Two block methods work on the client state held as arrays:
-`value_and_grads_all` evaluates all n clients in one pass and
-`local_steps_block` runs the local steps of a round's sampled clients in one
-kernel call; both take u as one start (d_u,) or one start per row. The
-generic `value_and_grads_all` loops over the per-client `value_and_grads`,
-which the logistic uses; the quadratic overrides it with one vectorized
-pass. `local_steps_block` trusts the shapes checked once at run start;
-`value_and_grads` checks dimensions on every call. `join_replicas` makes
-the oracles of R replica runs one objective over R * n clients, so the
-block methods serve every replica in one call without knowing that
-replicas exist.
+A row's results do not depend on the other rows of the call, so a one-row
+call equals its row of a larger call bitwise. `join_replicas` makes the
+oracles of R replica runs one objective over R * n clients, so each method
+serves every replica in one call without knowing that replicas exist.
 
 Oracles are immutable after construction; every stochastic evaluation takes
-its generator as an explicit argument.
+its generators as an explicit argument.
 """
 
 from __future__ import annotations
@@ -50,57 +53,48 @@ if TYPE_CHECKING:
     from .dataio import ClientShard
 
 
-def _check_dims(u: np.ndarray, v: np.ndarray, d_u: int, d_v: int) -> None:
-    if u.shape != (d_u,):
-        raise ValueError(f"u has shape {u.shape}, expected ({d_u},)")
-    if v.shape != (d_v,):
-        raise ValueError(f"v has shape {v.shape}, expected ({d_v},)")
-
-
 class ObjectiveOracle:
-    """Oracle contract plus a generic `value_and_grads_all`.
+    """Oracle contract: n, d_u, d_v and three methods over client rows
+    (see the module docstring for ids, U and V).
 
-    Subclasses provide n, d_u, d_v, `value_and_grads`, `stoch_grads` and
-    `local_steps_block`. `value_and_grads_all` here loops over clients.
-    `local_steps_block` consumes each client's generator exactly as K
-    successive one-draw `stoch_grads` calls would, so it draws the same
-    randomness as the per-step loop that the tests compare it to.
+    `local_steps` consumes each row's generator exactly as a K-draw
+    `stoch_grads` row would, so it draws the same randomness as the
+    per-step loop that the tests compare it to.
     """
 
     n: int
     d_u: int
     d_v: int
 
-    def value_and_grads(self, i: int, u: np.ndarray, v: np.ndarray):
-        """(f_i, grad_u f_i, grad_v f_i) at (u, v); raises ValueError on a
-        dimension mismatch."""
+    def value_and_grads(self, ids, U, V):
+        """(values (N,), grad_u rows (N, d_u), grad_v rows (N, d_v)): the
+        exact f_i and both gradients of each row."""
         raise NotImplementedError
 
-    def stoch_grads(self, i: int, u: np.ndarray, v: np.ndarray, K: int,
-                    rng: np.random.Generator):
-        """(K, d_u) and (K, d_v) stacks of K independent stochastic gradients
-        at (u, v), one batched draw value-identical to K single draws."""
+    def stoch_grads(self, ids, U, V, K, rngs):
+        """(N, K, d_u) and (N, K, d_v) stacks: row j holds K independent
+        stochastic gradients drawn from rngs[j], one batched draw
+        value-identical to K single draws."""
         raise NotImplementedError
 
-    def value_and_grads_all(self, u: np.ndarray, V: np.ndarray):
-        """(values (n,), grad_u rows (n, d_u), grad_v rows (n, d_v)) at
-        (u, V), u one start (d_u,) or one per row (n, d_u); raises
-        ValueError unless V has n rows."""
-        if len(V) != self.n:
-            raise ValueError(f"V has {len(V)} rows, expected {self.n}")
-        U = np.broadcast_to(u, (self.n, self.d_u))
-        vals, G_u, G_v = zip(*(self.value_and_grads(i, u_i, v)
-                               for i, (u_i, v) in enumerate(zip(U, V))))
-        return np.array(vals), np.stack(G_u), np.stack(G_v)
-
-    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        """K simultaneous SGD steps for clients ids (ascending) from
-        (u, V[j]) with generator rngs[j], u one start (d_u,) or one per row
-        (len(ids), d_u); returns (U_K, V_K) rows.
+    def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
+        """K simultaneous SGD steps of each row from (U[j], V[j]) with
+        generator rngs[j]; returns (U_K, V_K) rows.
 
         Both gradients of each step are evaluated at the same (u_k, v_k)
         and the same draw; the u-direction is g_u - Corr[j]."""
         raise NotImplementedError
+
+
+def _check_rows(ids, U, V, d_u: int, d_v: int) -> int:
+    """The row count N of a call; ValueError naming U or V unless U is
+    (d_u,) or (N, d_u) and V is (N, d_v)."""
+    N = len(ids)
+    if np.shape(U) not in ((d_u,), (N, d_u)):
+        raise ValueError(f"U has shape {np.shape(U)}, expected ({d_u},) or ({N}, {d_u})")
+    if np.shape(V) != (N, d_v):
+        raise ValueError(f"V has shape {np.shape(V)}, expected ({N}, {d_v})")
+    return N
 
 
 @dataclass(frozen=True)
@@ -147,34 +141,36 @@ class QuadraticObjective(ObjectiveOracle):
     def d_v(self) -> int:
         return self.centers_v.shape[1]
 
-    def value_and_grads(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        du = u - self.centers_u[i]
-        dv = v - self.centers_v[i]
-        return 0.5 * float(du @ du) + 0.5 * float(dv @ dv), du, dv
-
-    def stoch_grads(self, i, u, v, K, rng):
-        noise = rng.standard_normal((K, self.d_u + self.d_v)) * self._noise_scale
-        return ((u - self.centers_u[i]) + noise[:, : self.d_u],
-                (v - self.centers_v[i]) + noise[:, self.d_u :])
-
-    def value_and_grads_all(self, u, V):
-        DU = u - self.centers_u
-        DV = np.asarray(V) - self.centers_v
+    def value_and_grads(self, ids, U, V):
+        _check_rows(ids, U, V, self.d_u, self.d_v)
+        DU = U - self.centers_u[ids]
+        DV = V - self.centers_v[ids]
         return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
 
-    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
-        # one fused (m, d) block of (u | v) rows against the gathered
-        # (a_i | b_i) rows; row j's draw of stoch_grads fills z[j], and
-        # noise[k] holds step k's rows
-        centers = self._centers[ids]
-        m, d = centers.shape
-        z = np.empty((m, K, d))
+    def _normals(self, rngs, K):
+        """(N, K, d_u + d_v) standard normals, row j one (K, d) draw of
+        rngs[j]."""
+        z = np.empty((len(rngs), K, self.d_u + self.d_v))
         for g, z_j in zip(rngs, z):
             g.standard_normal(out=z_j)
-        noise = np.multiply(z.transpose(1, 0, 2), self._noise_scale, out=np.empty((K, m, d)))
+        return z
+
+    def stoch_grads(self, ids, U, V, K, rngs):
+        _check_rows(ids, U, V, self.d_u, self.d_v)
+        noise = self._normals(rngs, K) * self._noise_scale
+        return ((U - self.centers_u[ids])[:, None] + noise[:, :, : self.d_u],
+                (V - self.centers_v[ids])[:, None] + noise[:, :, self.d_u :])
+
+    def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
+        # one fused (m, d) block of (u | v) rows against the gathered
+        # (a_i | b_i) rows; noise[k] holds step k's rows
+        m = _check_rows(ids, U, V, self.d_u, self.d_v)
+        centers = self._centers[ids]
+        d = centers.shape[1]
+        noise = np.multiply(self._normals(rngs, K).transpose(1, 0, 2), self._noise_scale,
+                            out=np.empty((K, m, d)))
         W = np.empty((m, d))
-        W[:, :self.d_u] = u
+        W[:, :self.d_u] = U
         W[:, self.d_u:] = V
         Corr_w = np.zeros_like(W)
         Corr_w[:, :self.d_u] = Corr
@@ -235,32 +231,39 @@ class LogisticObjective(ObjectiveOracle):
         self.d_v = d_v
         self.dtype = dtype
 
-    def value_and_grads(self, i, u, v):
-        _check_dims(u, v, self.d_u, self.d_v)
-        s = self.shards[i]
-        return kernels.logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho,
-                                           kernels.LogisticWork(self.d_u, self.d_v, self.dtype))
+    def value_and_grads(self, ids, U, V):
+        N = _check_rows(ids, U, V, self.d_u, self.d_v)
+        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
+        vals, G_u, G_v = np.empty(N), np.empty((N, self.d_u)), np.empty((N, self.d_v))
+        for j, (i, u, v) in enumerate(zip(ids, np.broadcast_to(U, G_u.shape), V)):
+            s = self.shards[i]
+            vals[j], G_u[j], G_v[j] = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v,
+                                                                  self.rho, work)
+        return vals, G_u, G_v
 
-    def stoch_grads(self, i, u, v, K, rng):
-        s = self.shards[i]
-        rows = rng.integers(0, s.n_rows, size=(K, self.batch_size))
+    def stoch_grads(self, ids, U, V, K, rngs):
+        N = _check_rows(ids, U, V, self.d_u, self.d_v)
         work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
-        denom = s.scale * self.batch_size
-        G_u = np.empty((K, self.d_u))
-        G_v = np.empty((K, self.d_v))
-        for r, g_u, g_v in zip(rows, G_u, G_v):
-            _, P_u, P_v = kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, work)
-            kernels.logistic_finish(P_u, P_v, denom, u, v, self.rho, work)
-            g_u[:] = P_u
-            g_v[:] = P_v
+        G_u, G_v = np.empty((N, K, self.d_u)), np.empty((N, K, self.d_v))
+        for i, u, v, g, g_u, g_v in zip(ids, np.broadcast_to(U, (N, self.d_u)), V, rngs,
+                                        G_u, G_v):
+            s = self.shards[i]
+            denom = s.scale * self.batch_size
+            for r, g_uk, g_vk in zip(g.integers(0, s.n_rows, size=(K, self.batch_size)),
+                                     g_u, g_v):
+                _, P_u, P_v = kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, work)
+                kernels.logistic_finish(P_u, P_v, denom, u, v, self.rho, work)
+                g_uk[:] = P_u
+                g_vk[:] = P_v
         return G_u, G_v
 
-    def local_steps_block(self, ids, u, V, Corr, K, gamma_u, gamma_v, rngs):
+    def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
+        _check_rows(ids, U, V, self.d_u, self.d_v)
         shards = [self.shards[i] for i in ids]
         idx = [g.integers(0, s.n_rows, size=(K, self.batch_size))
                for s, g in zip(shards, rngs)]
         return kernels.logistic_local_steps(
-            u, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
+            U, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
             kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size),
         )
 

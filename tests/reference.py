@@ -23,7 +23,7 @@ def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01, batch_size=1):
 def central_diff(oracle, i, u, v, h=1e-6):
     """Central differences (g_u, g_v) of client i's value at (u, v)."""
     def value(u, v):
-        return oracle.value_and_grads(i, u, v)[0]
+        return oracle.value_and_grads([i], u, v[None])[0][0]
 
     gu = np.empty_like(u)
     for j in range(u.size):
@@ -39,10 +39,10 @@ def central_diff(oracle, i, u, v, h=1e-6):
 
 
 def stoch_grad(oracle, i, u, v, rng):
-    """One stochastic gradient (g_u, g_v) at (u, v): row 0 of a one-draw
-    `stoch_grads` block."""
-    g_u, g_v = oracle.stoch_grads(i, u, v, 1, rng)
-    return g_u[0], g_v[0]
+    """One stochastic gradient (g_u, g_v) of client i at (u, v): a one-row,
+    one-draw `stoch_grads` call."""
+    g_u, g_v = oracle.stoch_grads([i], u, v[None], 1, [rng])
+    return g_u[0, 0], g_v[0, 0]
 
 
 def local_steps(oracle, i, u0, v0, K, gamma_u, gamma_v, rng, corr_u=None):

@@ -240,7 +240,7 @@ def test_criterion_08_gradient_correctness():
             i = p % obj.n
             u = rng.standard_normal(obj.d_u)
             v = rng.standard_normal(obj.d_v)
-            _, gu, gv = obj.value_and_grads(i, u, v)
+            _, (gu,), (gv,) = obj.value_and_grads([i], u, v[None])
             fu, fv = reference.central_diff(obj, i, u, v)
             num = math.sqrt(float(np.sum((gu - fu) ** 2) + np.sum((gv - fv) ** 2)))
             den = max(1.0, math.sqrt(float(np.sum(gu ** 2) + np.sum(gv ** 2))))

@@ -44,11 +44,10 @@ def hp_of(gamma_u=0.1, gamma_v=0.1, eta_u=1.0, eta_v=1.0, K=1, T=1, m=1):
 
 
 def client_steps(u0, v0, obj, i, hp, rng, c_i=None, c=None):
-    """Client i's local steps through the one-row block call; the
+    """Client i's local steps through a one-row `local_steps` call; the
     correction c_i - c applies when both are given."""
     corr = np.zeros(obj.d_u) if c_i is None else c_i - c
-    U, V = obj.local_steps_block(np.array([i]), u0, v0[None], corr[None],
-                                 hp.K, hp.gamma_u, hp.gamma_v, [rng])
+    U, V = obj.local_steps([i], u0, v0[None], corr[None], hp.K, hp.gamma_u, hp.gamma_v, [rng])
     return U[0], V[0]
 
 
@@ -346,7 +345,7 @@ def test_update_client_control_recovers_fresh_gradient():
     c = rng.standard_normal(3)
     u1, _ = client_steps(u, v, obj, 0, hp_of(gamma_u=0.3, K=1),
                          stream(2, "local", 0, 0), c_i, c)
-    g = obj.value_and_grads(0, u, v)[1]
+    g = obj.value_and_grads([0], u, v[None])[1][0]
     got = update_client_control(c_i, c, u, u1, 1, 0.3)
     assert np.allclose(got, g, atol=1e-13)
 
@@ -667,20 +666,20 @@ def test_join_replicas_lays_replicas_out_in_turn():
 
 
 class _Delegate(ObjectiveOracle):
-    """A custom objective: a quadratic's per-client and block methods behind
-    the generic `value_and_grads_all`."""
+    """A custom objective: a quadratic's three row methods behind a type
+    that `join_replicas` does not know."""
 
     def __init__(self, inner):
         self.inner, self.n, self.d_u, self.d_v = inner, inner.n, inner.d_u, inner.d_v
 
-    def value_and_grads(self, i, u, v):
-        return self.inner.value_and_grads(i, u, v)
+    def value_and_grads(self, *args):
+        return self.inner.value_and_grads(*args)
 
     def stoch_grads(self, *args):
         return self.inner.stoch_grads(*args)
 
-    def local_steps_block(self, *args):
-        return self.inner.local_steps_block(*args)
+    def local_steps(self, *args):
+        return self.inner.local_steps(*args)
 
 
 def test_join_replicas_rejects_what_one_objective_cannot_hold():

@@ -22,7 +22,7 @@ def test_round_metrics_of_joined_replicas_equal_single_formulas_bitwise(n, d):
     u, V = rng.standard_normal((3, d)), rng.standard_normal((3, n, d))
     got = metrics.round_metrics(joined, u, V, 7)
     for r, obj in enumerate(objs):
-        vals, G_u, G_v = obj.value_and_grads_all(u[r], V[r])
+        vals, G_u, G_v = obj.value_and_grads(np.arange(n), u[r], V[r])
         gbar = G_u.sum(axis=0) / n
         g_v = float(np.square(G_v).sum(axis=1).sum() / n)
         want = (float(vals.sum() / n), float(gbar @ gbar), g_v, (7 / n) * g_v)
@@ -40,8 +40,8 @@ class Scaled(ObjectiveOracle):
         self.d_u = inner.d_u
         self.d_v = inner.d_v
 
-    def value_and_grads(self, i, u, v):
-        f, gu, gv = self.inner.value_and_grads(i, u, v)
+    def value_and_grads(self, ids, U, V):
+        f, gu, gv = self.inner.value_and_grads(ids, U, V)
         return self.factor * f, self.factor * gu, self.factor * gv
 
 
@@ -68,7 +68,7 @@ def test_grad_norm_shared_matches_reverse_order_accumulation():
     got = metrics.round_metrics(obj, u, v_all, obj.n)[1]
     acc = np.zeros(3)
     for i in reversed(range(5)):
-        acc += obj.value_and_grads(i, u, v_all[i])[1]
+        acc += obj.value_and_grads([i], u, v_all[i][None])[1][0]
     acc /= 5
     assert got == pytest.approx(float(acc @ acc), abs=1e-12)
 
@@ -109,7 +109,8 @@ def test_function_value():
     )
     u = rng.standard_normal(logi.d_u)
     v_all = [rng.standard_normal(logi.d_v) for _ in range(logi.n)]
-    brute = sum(logi.value_and_grads(i, u, v_all[i])[0] for i in range(logi.n)) / logi.n
+    brute = sum(logi.value_and_grads([i], u, v_all[i][None])[0][0]
+                for i in range(logi.n)) / logi.n
     assert metrics.round_metrics(logi, u, v_all, logi.n)[0] == pytest.approx(brute, abs=1e-12)
 
 
@@ -203,23 +204,19 @@ def test_initial_gap_logistic_descent_proxy():
 
 
 class Counting(ObjectiveOracle):
-    """Wrap an oracle, counting all-client passes and per-client calls."""
+    """Wrap an oracle, recording the row count of each `value_and_grads`
+    call."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n = inner.n
         self.d_u = inner.d_u
         self.d_v = inner.d_v
-        self.passes = 0
-        self.calls = 0
+        self.rows = []
 
-    def value_and_grads(self, i, u, v):
-        self.calls += 1
-        return self.inner.value_and_grads(i, u, v)
-
-    def value_and_grads_all(self, u, V):
-        self.passes += 1
-        return self.inner.value_and_grads_all(u, V)
+    def value_and_grads(self, ids, U, V):
+        self.rows.append(len(ids))
+        return self.inner.value_and_grads(ids, U, V)
 
 
 def three_pass_gap(oracle, u0, v_all0, iters, lr):
@@ -228,9 +225,10 @@ def three_pass_gap(oracle, u0, v_all0, iters, lr):
     u = u0.copy()
     V = np.array(v_all0, dtype=np.float64)
     best = f0
+    ids = np.arange(oracle.n)
     for _ in range(iters):
-        u = u - lr * oracle.value_and_grads_all(u, V)[1].mean(axis=0)
-        V = V - lr * oracle.value_and_grads_all(u, V)[2]
+        u = u - lr * oracle.value_and_grads(ids, u, V)[1].mean(axis=0)
+        V = V - lr * oracle.value_and_grads(ids, u, V)[2]
         best = min(best, metrics.round_metrics(oracle, u, V, oracle.n)[0])
     return f0 - best
 
@@ -241,19 +239,20 @@ def test_initial_gap_two_passes_per_iteration():
     u0 = rng.standard_normal(obj.d_u)
     v0 = [rng.standard_normal(obj.d_v) for _ in range(obj.n)]
     for iters in (0, 1, 40):
-        obj.passes = 0
+        obj.rows = []
         gap = metrics.estimate_initial_gap(obj, u0, v0, iters=iters, lr=0.3)
-        assert obj.passes == 2 * iters + 1
+        assert obj.rows == [obj.n] * (2 * iters + 1)
         assert gap == three_pass_gap(obj, u0, v0, iters, 0.3)
 
 
 def test_estimate_constants_probes_smoothness_once():
     rng = stream(53, "probe")
-    obj = Counting(random_logistic(rng, rho=0.01))
+    obj = Counting(random_logistic(rng, n=3, rho=0.01))
     u0 = np.zeros(obj.d_u)
     v0 = [np.zeros(obj.d_v) for _ in range(obj.n)]
     est = metrics.estimate_constants(obj, u0, v0, stream(53, "smooth"), probe_points=10)
-    assert obj.calls == 2 * 10  # two gradient calls per probe, no second probe run
+    assert obj.rows.count(2) == 10  # one two-row call per probe, no second probe run
+    assert set(obj.rows) == {2, obj.n}
     assert est.F0 == metrics.estimate_initial_gap(obj, u0, v0, lr=0.5 / est.L_hat)
 
 

@@ -31,11 +31,12 @@ def one_row_logistic(a, b, c, rho=0.0, batch_size=1):
 
 
 def value(oracle, i, u, v):
-    return oracle.value_and_grads(i, u, v)[0]
+    return oracle.value_and_grads([i], u, v[None])[0][0]
 
 
 def grads(oracle, i, u, v):
-    return oracle.value_and_grads(i, u, v)[1:]
+    _, (g_u,), (g_v,) = oracle.value_and_grads([i], u, v[None])
+    return g_u, g_v
 
 
 def fd_relative_error(oracle, i, u, v):
@@ -192,8 +193,8 @@ def test_logistic_constructor_rejects_bad_input():
     pixels = ClientShard(X=np.zeros((1, 3), dtype=np.uint8), y=np.ones(1), d_u=2, scale=255.0)
     with pytest.raises(ValueError, match="one feature dtype"):
         LogisticObjective([good, pixels])
-    with pytest.raises(ValueError, match="V has 2 rows, expected 1"):
-        LogisticObjective([good]).value_and_grads_all(np.zeros(2), np.zeros((2, 1)))
+    with pytest.raises(ValueError, match=r"V has shape \(2, 1\), expected \(1, 1\)"):
+        LogisticObjective([good]).value_and_grads([0], np.zeros(2), np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------- stochastic
@@ -215,7 +216,7 @@ def test_stoch_grad_noise_second_moment():
     v = np.array([1.0, 2.0])
     gu, gv = grads(obj, 0, u, v)
     # one block of 100,000 draws, bitwise the one-draw calls in turn
-    G_u, G_v = obj.stoch_grads(0, u, v, 100_000, stream(5, "local", 0, 0))
+    (G_u,), (G_v,) = obj.stoch_grads([0], u, v[None], 100_000, [stream(5, "local", 0, 0)])
     assert np.square(G_u - gu).sum(axis=1).mean() == pytest.approx(1.0, rel=0.03)
     assert np.square(G_v - gv).sum(axis=1).mean() == pytest.approx(0.25, rel=0.03)
 
@@ -223,7 +224,8 @@ def test_stoch_grad_noise_second_moment():
 def _unbiasedness_check(oracle, i, u, v, seed, M=100_000):
     exact = np.concatenate(grads(oracle, i, u, v))
     # one block of M draws, bitwise the one-draw calls in turn
-    G = np.hstack(oracle.stoch_grads(i, u, v, M, stream(seed, "local", 0, i)))
+    G = np.hstack([G[0] for G in oracle.stoch_grads([i], u, v[None], M,
+                                                    [stream(seed, "local", 0, i)])])
     bound = 4.0 * G.std(axis=0) / math.sqrt(M)
     assert np.all(np.abs(G.mean(axis=0) - exact) <= bound + 1e-14)
 
@@ -264,10 +266,10 @@ def test_logistic_single_row_batches_average_to_full_gradient():
 
 
 def block_and_reference(obj, ids, u0, V0, Corr, K, gamma_u, gamma_v, seed):
-    """local_steps_block over rows ids and the per-client reference loop
+    """local_steps over rows ids and the per-client reference loop
     reference.local_steps, each client on its own ("local", 0, i) stream."""
-    fast = obj.local_steps_block(np.asarray(ids), u0, V0, Corr, K, gamma_u, gamma_v,
-                                 [stream(seed, "local", 0, i) for i in ids])
+    fast = obj.local_steps(ids, u0, V0, Corr, K, gamma_u, gamma_v,
+                           [stream(seed, "local", 0, i) for i in ids])
     ref = [reference.local_steps(obj, i, u0, V0[j], K, gamma_u, gamma_v,
                                  stream(seed, "local", 0, i), Corr[j])
            for j, i in enumerate(ids)]
@@ -317,7 +319,7 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     # full-batch value and gradients at the same margins, against an
     # independent logaddexp form: loss logaddexp(0, -m), sigmoid(-m) as
     # exp(-logaddexp(0, m))
-    val, g_u, g_v = obj.value_and_grads(0, u0, v0)
+    (val,), (g_u,), (g_v,) = obj.value_and_grads([0], u0, v0[None])
     su, sv = float(u0 @ u0), float(v0 @ v0)
     w = -scaled.y * np.exp(-np.logaddexp(0.0, margins))
     rows = scaled.y.size
@@ -335,8 +337,8 @@ def test_local_steps_zero_gamma_is_identity():
     obj = quad(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), sigma_u=1.0)
     u0 = rng.standard_normal(2)
     V0 = rng.standard_normal((2, 2))
-    U, V = obj.local_steps_block(np.array([0, 1]), u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0,
-                                 [stream(12, "local", 0, i) for i in (0, 1)])
+    U, V = obj.local_steps([0, 1], u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0,
+                           [stream(12, "local", 0, i) for i in (0, 1)])
     assert np.array_equal(U, np.stack([u0, u0])) and np.array_equal(V, V0)
 
 
@@ -364,8 +366,8 @@ def test_logistic_float_shards_equal_float64_loop_bitwise():
     u0 = rng.standard_normal(d_u)
     V0 = rng.standard_normal((2, d_v))
     Corr = rng.standard_normal((2, d_u))
-    U, V = obj.local_steps_block(np.array(ids), u0, V0, Corr, K, 0.2, 0.1,
-                                 [stream(16, "local", 0, i) for i in ids])
+    U, V = obj.local_steps(ids, u0, V0, Corr, K, 0.2, 0.1,
+                           [stream(16, "local", 0, i) for i in ids])
     idx = [stream(16, "local", 0, i).integers(0, rows, size=(K, batch)) for i in ids]
     U_ref, V_ref = reference.logistic_local_steps(u0, V0, [blocks[i] for i in ids], rho,
                                                   0.2, 0.1, idx, Corr)
@@ -374,14 +376,14 @@ def test_logistic_float_shards_equal_float64_loop_bitwise():
     v0 = V0[0]
     su, sv = float(u0 @ u0), float(v0 @ v0)
     for i, (A, B, y) in enumerate(blocks):
-        val, g_u, g_v = obj.value_and_grads(i, u0, v0)
+        (val,), (g_u,), (g_v,) = obj.value_and_grads([i], u0, v0[None])
         margin, want_u, want_v = reference.logistic_grads(A, B, y, u0, v0, rho)
         want_val = (float(np.logaddexp(0.0, -margin).mean())
                     + rho * (su / (1.0 + su) + sv / (1.0 + sv)))
         assert val == pytest.approx(want_val, rel=1e-12)
         assert_close(g_u, want_u)
         assert_close(g_v, want_v)
-        G_u, G_v = obj.stoch_grads(i, u0, v0, K, stream(16, "cv_init", i))
+        (G_u,), (G_v,) = obj.stoch_grads([i], u0, v0[None], K, [stream(16, "cv_init", i)])
         draws = stream(16, "cv_init", i).integers(0, rows, size=(K, batch))
         for k, r in enumerate(draws):
             _, want_u, want_v = reference.logistic_grads(A[r], B[r], y[r], u0, v0, rho)
@@ -400,14 +402,14 @@ def test_full_batch_matches_float64_loop_at_chunk_edges():
                              for A, B, y in blocks], rho=rho)
     u = rng.standard_normal(d_u)
     V = rng.standard_normal((obj.n, d_v))
-    vals, G_u, G_v = obj.value_and_grads_all(u, V)
+    vals, G_u, G_v = obj.value_and_grads(np.arange(obj.n), u, V)
     su = float(u @ u)
     for i, ((A, B, y), v) in enumerate(zip(blocks, V)):
         margin, want_u, want_v = reference.logistic_grads(A, B, y, u, v, rho)
         sv = float(v @ v)
         want_val = (float(np.logaddexp(0.0, -margin).mean())
                     + rho * (su / (1.0 + su) + sv / (1.0 + sv)))
-        val, g_u, g_v = obj.value_and_grads(i, u, v)
+        (val,), (g_u,), (g_v,) = obj.value_and_grads([i], u, v[None])
         assert val == pytest.approx(want_val, rel=1e-12)
         assert_close(g_u, want_u)
         assert_close(g_v, want_v)
@@ -458,16 +460,17 @@ def test_pixel_shards_match_float_shards_within_tolerance():
     rng = stream(17, "point")
     u = 0.1 * rng.standard_normal(392)
     v = 0.1 * rng.standard_normal(392)
-    for i in range(pixel.n):
-        val, g_u, g_v = pixel.value_and_grads(i, u, v)
-        want_val, want_u, want_v = flt.value_and_grads(i, u, v)
-        assert val == pytest.approx(want_val, rel=1e-12)
-        assert_close(g_u, want_u)
-        assert_close(g_v, want_v)
-        G_u, G_v = pixel.stoch_grads(i, u, v, 5, stream(17, "cv_init", i))
-        W_u, W_v = flt.stoch_grads(i, u, v, 5, stream(17, "cv_init", i))
-        assert_close(G_u, W_u)
-        assert_close(G_v, W_v)
+    ids = np.arange(pixel.n)
+    V = np.tile(v, (pixel.n, 1))
+    vals, G_u, G_v = pixel.value_and_grads(ids, u, V)
+    want_vals, want_u, want_v = flt.value_and_grads(ids, u, V)
+    assert vals == pytest.approx(want_vals, rel=1e-12)
+    assert_close(G_u, want_u)
+    assert_close(G_v, want_v)
+    G_u, G_v = pixel.stoch_grads(ids, u, V, 5, [stream(17, "cv_init", i) for i in ids])
+    W_u, W_v = flt.stoch_grads(ids, u, V, 5, [stream(17, "cv_init", i) for i in ids])
+    assert_close(G_u, W_u)
+    assert_close(G_v, W_v)
 
     hp = HyperParams(gamma_u=0.05, gamma_v=0.05, eta_u=1.0, eta_v=1.0, K=5, T=5, m=3)
     got = run_training("scaffold_p", pixel, hp, seed=17)
@@ -480,20 +483,72 @@ def test_pixel_shards_match_float_shards_within_tolerance():
         [tr.f_value for tr in want.traces], rel=1e-12)
 
 
-# ------------------------------------------------------------- block passes
+# ------------------------------------------------------------- row contract
 
 
-def test_value_and_grads_all_match_per_client_calls_bitwise():
+def row_objective(kind, rng):
+    """A noisy quadratic or a logistic objective of 5 clients, d_u = 3 and
+    d_v = 4."""
+    if kind == "quadratic":
+        return quad(rng.standard_normal((5, 3)), rng.standard_normal((5, 4)),
+                    sigma_u=0.8, sigma_v=0.4)
+    return random_logistic(rng, n=5, rows=9, d_u=3, d_v=4, rho=0.05, batch_size=3)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_one_row_calls_equal_their_rows_of_larger_calls_bitwise(kind):
     rng = stream(14, "probe")
-    for obj in (quad(rng.standard_normal((5, 3)), rng.standard_normal((5, 4))),
-                random_logistic(rng, n=4, rows=9, d_u=3, d_v=4, rho=0.05)):
-        u = rng.standard_normal(3)
-        V = rng.standard_normal((obj.n, 4))
-        vals, G_u, G_v = obj.value_and_grads_all(u, V)
-        for i in range(obj.n):
-            val, g_u, g_v = obj.value_and_grads(i, u, V[i])
-            assert vals[i] == val
-            assert np.array_equal(G_u[i], g_u) and np.array_equal(G_v[i], g_v)
+    obj = row_objective(kind, rng)
+    # all clients in order, one client twice, unordered ids with a repeat
+    for ids in (list(range(obj.n)), [2, 2], [3, 1, 4, 0, 1]):
+        U = rng.standard_normal((len(ids), 3))
+        V = rng.standard_normal((len(ids), 4))
+        Corr = rng.standard_normal((len(ids), 3))
+        for start in (U, U[0]):  # one start per row, or one for every row
+            def rngs(rows):
+                return [stream(14, "local", 0, j) for j in rows]
+
+            full = obj.value_and_grads(ids, start, V)
+            steps = obj.local_steps(ids, start, V, Corr, 4, 0.1, 0.2, rngs(range(len(ids))))
+            for j, i in enumerate(ids):
+                u = start if start.ndim == 1 else start[j:j + 1]
+                one = obj.value_and_grads([i], u, V[j:j + 1])
+                assert all(np.array_equal(x[j], y[0]) for x, y in zip(full, one))
+                one = obj.local_steps([i], u, V[j:j + 1], Corr[j:j + 1], 4, 0.1, 0.2, rngs([j]))
+                assert all(np.array_equal(x[j], y[0]) for x, y in zip(steps, one))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_stoch_grads_rows_equal_one_row_calls_on_their_generators_bitwise(kind):
+    rng = stream(15, "probe")
+    obj = row_objective(kind, rng)
+    ids = [3, 1, 1, 4]
+    U = rng.standard_normal((4, 3))
+    V = rng.standard_normal((4, 4))
+    G_u, G_v = obj.stoch_grads(ids, U, V, 7, [stream(15, "cv_init", j) for j in range(4)])
+    assert G_u.shape == (4, 7, 3) and G_v.shape == (4, 7, 4)
+    for j, i in enumerate(ids):
+        (g_u,), (g_v,) = obj.stoch_grads([i], U[j], V[j:j + 1], 7, [stream(15, "cv_init", j)])
+        assert np.array_equal(G_u[j], g_u) and np.array_equal(G_v[j], g_v)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_wrong_row_shapes_raise_naming_the_array(kind):
+    obj = row_objective(kind, stream(16, "probe"))
+    ids = [0, 1]
+    rngs = [stream(16, "local", 0, i) for i in ids]
+    calls = (lambda U, V: obj.value_and_grads(ids, U, V),
+             lambda U, V: obj.stoch_grads(ids, U, V, 2, rngs),
+             lambda U, V: obj.local_steps(ids, U, V, np.zeros((2, 3)), 2, 0.1, 0.1, rngs))
+    U, V = np.zeros((2, 3)), np.zeros((2, 4))
+    for call in calls:
+        for bad_U, bad_V, match in (
+                (np.zeros(4), V, r"^U has shape \(4,\), expected \(3,\) or \(2, 3\)$"),
+                (np.zeros((3, 3)), V, r"^U has shape \(3, 3\), expected"),
+                (U, np.zeros((2, 5)), r"^V has shape \(2, 5\), expected \(2, 4\)$"),
+                (U, np.zeros(4), r"^V has shape \(4,\), expected \(2, 4\)$")):
+            with pytest.raises(ValueError, match=match):
+                call(bad_U, bad_V)
 
 
 def test_stoch_grads_block_equals_single_draws_bitwise():
@@ -503,7 +558,7 @@ def test_stoch_grads_block_equals_single_draws_bitwise():
                 random_logistic(rng, n=2, rows=11, d_u=3, d_v=2, batch_size=5)):
         u = rng.standard_normal(3)
         v = rng.standard_normal(2)
-        G_u, G_v = obj.stoch_grads(1, u, v, 7, stream(15, "cv_init", 1))
+        (G_u,), (G_v,) = obj.stoch_grads([1], u, v[None], 7, [stream(15, "cv_init", 1)])
         single = stream(15, "cv_init", 1)
         for k in range(7):
             g_u, g_v = reference.stoch_grad(obj, 1, u, v, single)
