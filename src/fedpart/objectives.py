@@ -13,7 +13,8 @@ or one (N, d_u) row per id, and V one (N, d_v) row per id.
 - `local_steps` runs K local SGD steps of each row, row j from rngs[j]:
   a round's sampled clients in one kernel call.
 
-Every method raises ValueError naming U or V when one has the wrong shape.
+Every method raises ValueError naming U or V when one has the wrong shape,
+and rngs when it does not hold one generator per row.
 Two concrete objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
@@ -86,14 +87,17 @@ class ObjectiveOracle:
         raise NotImplementedError
 
 
-def _check_rows(ids, U, V, d_u: int, d_v: int) -> int:
-    """The row count N of a call; ValueError naming U or V unless U is
-    (d_u,) or (N, d_u) and V is (N, d_v)."""
+def _check_rows(ids, U, V, d_u: int, d_v: int, rngs=None) -> int:
+    """The row count N of a call; ValueError naming U, V or rngs unless U
+    is (d_u,) or (N, d_u), V is (N, d_v) and rngs, when given, holds N
+    generators."""
     N = len(ids)
     if np.shape(U) not in ((d_u,), (N, d_u)):
         raise ValueError(f"U has shape {np.shape(U)}, expected ({d_u},) or ({N}, {d_u})")
     if np.shape(V) != (N, d_v):
         raise ValueError(f"V has shape {np.shape(V)}, expected ({N}, {d_v})")
+    if rngs is not None and len(rngs) != N:
+        raise ValueError(f"rngs has {len(rngs)} generators, expected {N}")
     return N
 
 
@@ -143,8 +147,8 @@ class QuadraticObjective(ObjectiveOracle):
 
     def value_and_grads(self, ids, U, V):
         _check_rows(ids, U, V, self.d_u, self.d_v)
-        DU = U - self.centers_u[ids]
-        DV = V - self.centers_v[ids]
+        DU = U - self.centers_u.take(ids, axis=0)
+        DV = V - self.centers_v.take(ids, axis=0)
         return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
 
     def _normals(self, rngs, K):
@@ -156,16 +160,16 @@ class QuadraticObjective(ObjectiveOracle):
         return z
 
     def stoch_grads(self, ids, U, V, K, rngs):
-        _check_rows(ids, U, V, self.d_u, self.d_v)
+        _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
         noise = self._normals(rngs, K) * self._noise_scale
-        return ((U - self.centers_u[ids])[:, None] + noise[:, :, : self.d_u],
-                (V - self.centers_v[ids])[:, None] + noise[:, :, self.d_u :])
+        return ((U - self.centers_u.take(ids, axis=0))[:, None] + noise[:, :, : self.d_u],
+                (V - self.centers_v.take(ids, axis=0))[:, None] + noise[:, :, self.d_u :])
 
     def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
         # one fused (m, d) block of (u | v) rows against the gathered
         # (a_i | b_i) rows; noise[k] holds step k's rows
-        m = _check_rows(ids, U, V, self.d_u, self.d_v)
-        centers = self._centers[ids]
+        m = _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
+        centers = self._centers.take(ids, axis=0)
         d = centers.shape[1]
         noise = np.multiply(self._normals(rngs, K).transpose(1, 0, 2), self._noise_scale,
                             out=np.empty((K, m, d)))
@@ -242,7 +246,7 @@ class LogisticObjective(ObjectiveOracle):
         return vals, G_u, G_v
 
     def stoch_grads(self, ids, U, V, K, rngs):
-        N = _check_rows(ids, U, V, self.d_u, self.d_v)
+        N = _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
         work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
         G_u, G_v = np.empty((N, K, self.d_u)), np.empty((N, K, self.d_v))
         for i, u, v, g, g_u, g_v in zip(ids, np.broadcast_to(U, (N, self.d_u)), V, rngs,
@@ -258,7 +262,7 @@ class LogisticObjective(ObjectiveOracle):
         return G_u, G_v
 
     def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
-        _check_rows(ids, U, V, self.d_u, self.d_v)
+        _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
         shards = [self.shards[i] for i in ids]
         idx = [g.integers(0, s.n_rows, size=(K, self.batch_size))
                for s, g in zip(shards, rngs)]

@@ -549,6 +549,13 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
                 (U, np.zeros(4), r"^V has shape \(4,\), expected \(2, 4\)$")):
             with pytest.raises(ValueError, match=match):
                 call(bad_U, bad_V)
+    # one generator short: unchecked, the logistic rows past it would come
+    # back unwritten
+    for call in calls[1:]:
+        rngs.pop()
+        with pytest.raises(ValueError, match=r"^rngs has 1 generators, expected 2$"):
+            call(U, V)
+        rngs.append(stream(16, "local", 0, 1))
 
 
 def test_stoch_grads_block_equals_single_draws_bitwise():
