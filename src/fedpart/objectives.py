@@ -14,8 +14,8 @@ or one (N, d_u) row per id, and V one (N, d_v) row per id.
   a round's sampled clients in one kernel call.
 
 Every method raises ValueError naming U or V when one has the wrong shape,
-and rngs when it does not hold one generator per row.
-Two concrete objectives are provided:
+and rngs when it does not hold one generator per row. Two concrete
+objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
   Gaussian gradient noise of exactly controllable second moment. Its
