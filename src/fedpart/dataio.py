@@ -9,7 +9,7 @@ transparently when read from disk, and every format or inflate error met
 while loading a file names that file; a count mismatch names both files. Images stay uint8
 pixels: a shard's gathered rows are its one feature matrix X = [A | B]
 (`ClientShard`, the only place that knows the split), with scale 255, and a
-logistic gradient casts only the rows it reads (`kernels.logistic_grads`).
+logistic gradient casts only the rows it reads (`objectives.logistic_grads`).
 """
 
 from __future__ import annotations

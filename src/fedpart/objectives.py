@@ -10,11 +10,12 @@ or one (N, d_u) row per id, and V one (N, d_v) row per id.
 - `stoch_grads` gives each row K stochastic gradients realizing K draws of
   (grad_u F, grad_v F)(u, v_i; xi), row j from generator rngs[j]:
   Scaffold-P's start of the control variates.
-- `local_steps` runs K local SGD steps of each row, row j from rngs[j]:
-  a round's sampled clients in one kernel call.
+- `local_steps` runs K local SGD steps of each row, row j from rngs[j],
+  with the u-direction g_u - Corr[j] (Corr one (N, d_u) row per id):
+  a round's sampled clients in one call.
 
-Every method raises ValueError naming U or V when one has the wrong shape,
-and rngs when it does not hold one generator per row. Two concrete
+Every method raises ValueError naming U, V or Corr when one has the wrong
+shape, and rngs when it does not hold one generator per row. Two concrete
 objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
@@ -23,13 +24,35 @@ objectives are provided:
   closed form, which makes step-size theory testable against ground truth.
 - LogisticObjective: per-shard mean of log(1 + exp(-c * (a.u + b.v)))
   plus a smooth non-convex regularizer
-  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)). Every logistic gradient comes
-  from `kernels.logistic_grads` on the shard's feature matrix X = [A | B]
-  (`dataio.ClientShard`); `kernels.logistic_full_batch` returns a shard's
-  regularized value and gradients.
-  Minibatch gradients and local steps equal the float64 loop bitwise on
-  float shards; full-batch values and gradients sum over row chunks and
-  match it within rtol 1e-12 and atol 1e-14 (see `kernels`).
+  rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)).
+
+The quadratic local steps run elementwise on one fused (N, d_u + d_v)
+block of (u | v) rows, with per-column step sizes and zero v-columns in
+the correction; x - 0.0 is exact, so its iterates are bitwise those of N
+per-client (u, v) loops.
+
+Logistic shards are stored as one matrix X = [A | B] in their own dtype
+(uint8 pixels for image data, `dataio.ClientShard`) with features
+X / scale. `logistic_grads` is the one logistic gradient routine: it casts
+the rows it reads into a float64 buffer, applies 1/scale once per product,
+not per feature, and returns the unscaled backward products w @ A and
+w @ B; `logistic_finish` turns summed products into gradients. A minibatch
+is one call; the full-batch pass (`logistic_full_batch`) casts a shard
+`_CHUNK_ROWS` rows at a time, sums products and loss terms over the chunks
+and adds the regularizer's value and gradients. All of them work in the
+arrays of one `LogisticWork`, allocated once per call and reused by every
+step, chunk and client of it. `stoch_grads` and `local_steps` take their
+minibatch gradients from one per-row loop, so a row's local steps draw its
+generator and compute each gradient exactly as a K-draw `stoch_grads` row.
+
+Numeric contract of the logistic objective, against the float64 loop in
+`tests/reference.py`: the rows of a call run one after another, and each
+minibatch gradient takes the same IEEE operations in the same order as
+that loop, so on float shards (scale 1.0) local-step iterates and
+stochastic gradients equal it bitwise. The full-batch sums over chunks add
+in another order than one product over all rows, so full-batch values and
+gradients match the loop within rtol 1e-12 and atol 1e-14, and a shard of
+at most `_CHUNK_ROWS` rows is one chunk.
 
 A row's results do not depend on the other rows of the call, so a one-row
 call equals its row of a larger call bitwise. `join_replicas` makes the
@@ -47,8 +70,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from . import kernels
 
 if TYPE_CHECKING:
     from .dataio import ClientShard
@@ -87,15 +108,17 @@ class ObjectiveOracle:
         raise NotImplementedError
 
 
-def _check_rows(ids, U, V, d_u: int, d_v: int, rngs=None) -> int:
-    """The row count N of a call; ValueError naming U, V or rngs unless U
-    is (d_u,) or (N, d_u), V is (N, d_v) and rngs, when given, holds N
-    generators."""
+def _check_rows(ids, U, V, d_u: int, d_v: int, rngs=None, Corr=None) -> int:
+    """The row count N of a call; ValueError naming U, V, Corr or rngs
+    unless U is (d_u,) or (N, d_u), V is (N, d_v), Corr, when given, is
+    (N, d_u) and rngs, when given, holds N generators."""
     N = len(ids)
     if np.shape(U) not in ((d_u,), (N, d_u)):
         raise ValueError(f"U has shape {np.shape(U)}, expected ({d_u},) or ({N}, {d_u})")
     if np.shape(V) != (N, d_v):
         raise ValueError(f"V has shape {np.shape(V)}, expected ({N}, {d_v})")
+    if Corr is not None and np.shape(Corr) != (N, d_u):
+        raise ValueError(f"Corr has shape {np.shape(Corr)}, expected ({N}, {d_u})")
     if rngs is not None and len(rngs) != N:
         raise ValueError(f"rngs has {len(rngs)} generators, expected {N}")
     return N
@@ -166,21 +189,28 @@ class QuadraticObjective(ObjectiveOracle):
                 (V - self.centers_v.take(ids, axis=0))[:, None] + noise[:, :, self.d_u :])
 
     def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
-        # one fused (m, d) block of (u | v) rows against the gathered
-        # (a_i | b_i) rows; noise[k] holds step k's rows
-        m = _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
-        centers = self._centers.take(ids, axis=0)
-        d = centers.shape[1]
+        # K steps of W -= steps * ((W - C) + noise[k] - Corr) on one fused
+        # block of (u | v) rows W against the gathered (a_i | b_i) rows C;
+        # the scaling writes the noise step-major, so each step adds a
+        # contiguous (N, d) block
+        _check_rows(ids, U, V, self.d_u, self.d_v, rngs, Corr)
+        C = self._centers.take(ids, axis=0)
         noise = np.multiply(self._normals(rngs, K).transpose(1, 0, 2), self._noise_scale,
-                            out=np.empty((K, m, d)))
-        W = np.empty((m, d))
+                            order="C")
+        W = np.empty_like(C)
         W[:, :self.d_u] = U
         W[:, self.d_u:] = V
         Corr_w = np.zeros_like(W)
         Corr_w[:, :self.d_u] = Corr
-        steps = np.full(d, gamma_v)
+        steps = np.full(W.shape[1], gamma_v)
         steps[:self.d_u] = gamma_u
-        W = kernels.quad_local_steps(W, centers, steps, noise, Corr_w)
+        G = np.empty_like(W)
+        for noise_k in noise:
+            np.subtract(W, C, out=G)
+            G += noise_k
+            G -= Corr_w
+            G *= steps
+            W -= G
         return W[:, :self.d_u], W[:, self.d_u:]
 
     def dissimilarity_b2(self) -> float:
@@ -196,6 +226,99 @@ class QuadraticObjective(ObjectiveOracle):
 def _row_sq_norms(X: np.ndarray) -> np.ndarray:
     """|x|^2 of each row (last axis), bitwise equal to the per-row `x @ x`."""
     return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
+
+
+# shard rows cast per full-batch chunk: 128 x 784 float64 rows are 784 KiB,
+# so a chunk's four products read it from a 2 MiB L2 cache
+_CHUNK_ROWS = 128
+
+
+class LogisticWork:
+    """The arrays one logistic call works in, for batches of up to `rows`
+    shard rows (`_CHUNK_ROWS` by default) of features in `dtype`."""
+
+    def __init__(self, d_u, d_v, dtype, rows=_CHUNK_ROWS):
+        self.gather = np.empty((rows, d_u + d_v), dtype)  # index rows, as stored
+        self.Z = np.empty((rows, d_u + d_v))  # the same rows cast to float64
+        self.y = np.empty(rows)
+        self.margin = np.empty(rows)
+        self.t = np.empty(rows)
+        self.w = np.empty(rows)
+        self.le = np.empty(rows, dtype=bool)
+        self.P_u = np.empty(d_u)
+        self.P_v = np.empty(d_v)
+        self.tmp_u = np.empty(d_u)
+        self.tmp_v = np.empty(d_v)
+
+
+def logistic_grads(X, y, scale, rows, u, v, work):
+    """(margin, w @ A, w @ B) of the logistic loss over the rows `rows` (an
+    index array or a slice) of a shard with features X / scale and labels y,
+    as views into `work` that the next call overwrites.
+
+    The rows are cast into work.Z; A and B are its first d_u and last d_v
+    columns. Per row the loss is log(1 + exp(-margin)) with margin
+    y * (a.u + b.v), and w is its derivative in a.u + b.v.
+    """
+    if isinstance(rows, slice):
+        src, y = X[rows], y[rows]
+    else:
+        # drawn rows are in range; "clip" lets take write straight into `out`
+        src = np.take(X, rows, axis=0, out=work.gather[: rows.shape[0]], mode="clip")
+        y = np.take(y, rows, out=work.y[: rows.shape[0]], mode="clip")
+    k = src.shape[0]
+    Z, margin, t, w, le = work.Z[:k], work.margin[:k], work.t[:k], work.w[:k], work.le[:k]
+    np.copyto(Z, src)
+    d_u = u.shape[0]
+    A, B = Z[:, :d_u], Z[:, d_u:]
+    # margin = y * ((A @ u + B @ v) / scale)
+    np.matmul(A, u, out=margin)
+    margin += np.matmul(B, v, out=t)
+    margin /= scale
+    margin *= y
+    # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
+    np.exp(np.negative(np.abs(margin, out=t), out=t), out=t)
+    # w = -y * (where(margin <= 0, 1, t) / (1 + t))
+    np.add(t, 1.0, out=w)
+    np.copyto(t, 1.0, where=np.less_equal(margin, 0.0, out=le))
+    t /= w
+    np.negative(y, out=w)
+    w *= t
+    return margin, np.matmul(w, A, out=work.P_u), np.matmul(w, B, out=work.P_v)
+
+
+def logistic_finish(P_u, P_v, denom, u, v, rho, work):
+    """Turn the summed products P_u = w @ A and P_v = w @ B over `rows`
+    rows into the gradients, in place: P / denom with denom = scale * rows,
+    plus the gradient of the smooth non-convex regularizer
+    rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2))."""
+    # gradient of s/(1+s) at s=|x|^2 is 2x/(1+|x|^2)^2
+    for P, x, tmp in ((P_u, u, work.tmp_u), (P_v, v, work.tmp_v)):
+        s = np.dot(x, x)
+        P /= denom
+        P += np.multiply(x, 2.0 * rho / ((1.0 + s) * (1.0 + s)), out=tmp)
+
+
+def logistic_full_batch(X, y, scale, u, v, rho, work):
+    """(value, g_u, g_v) of a shard's regularized loss: the mean loss over
+    every row (see `logistic_grads`) plus rho * (|u|^2/(1+|u|^2) +
+    |v|^2/(1+|v|^2)), and its gradients.
+
+    The rows are cast `_CHUNK_ROWS` at a time into work.Z; the products
+    and loss terms are summed over the chunks.
+    """
+    g_u, g_v = np.zeros(u.shape), np.zeros(v.shape)
+    loss = 0.0
+    rows = y.shape[0]
+    for start in range(0, rows, _CHUNK_ROWS):
+        margin, P_u, P_v = logistic_grads(X, y, scale, slice(start, start + _CHUNK_ROWS),
+                                          u, v, work)
+        g_u += P_u
+        g_v += P_v
+        loss += float(np.logaddexp(0.0, np.negative(margin, out=margin), out=margin).sum())
+    logistic_finish(g_u, g_v, scale * rows, u, v, rho, work)
+    su, sv = float(u @ u), float(v @ v)
+    return loss / rows + rho * (su / (1.0 + su) + sv / (1.0 + sv)), g_u, g_v
 
 
 class LogisticObjective(ObjectiveOracle):
@@ -237,39 +360,49 @@ class LogisticObjective(ObjectiveOracle):
 
     def value_and_grads(self, ids, U, V):
         N = _check_rows(ids, U, V, self.d_u, self.d_v)
-        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype)
+        work = LogisticWork(self.d_u, self.d_v, self.dtype)
         vals, G_u, G_v = np.empty(N), np.empty((N, self.d_u)), np.empty((N, self.d_v))
         for j, (i, u, v) in enumerate(zip(ids, np.broadcast_to(U, G_u.shape), V)):
             s = self.shards[i]
-            vals[j], G_u[j], G_v[j] = kernels.logistic_full_batch(s.X, s.y, s.scale, u, v,
-                                                                  self.rho, work)
+            vals[j], G_u[j], G_v[j] = logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work)
         return vals, G_u, G_v
+
+    def _minibatch_grads(self, i, u, v, K, rng, work):
+        """Yield client i's K minibatch gradients (g_u, g_v), step k's at
+        what u and v hold when it is asked for; the batch rows of all K
+        steps are one (K, batch_size) draw of rng. Both are views into
+        `work` that the next step overwrites."""
+        s = self.shards[i]
+        denom = s.scale * self.batch_size
+        for r in rng.integers(0, s.n_rows, size=(K, self.batch_size)):
+            _, g_u, g_v = logistic_grads(s.X, s.y, s.scale, r, u, v, work)
+            logistic_finish(g_u, g_v, denom, u, v, self.rho, work)
+            yield g_u, g_v
 
     def stoch_grads(self, ids, U, V, K, rngs):
         N = _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
-        work = kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
+        work = LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
         G_u, G_v = np.empty((N, K, self.d_u)), np.empty((N, K, self.d_v))
         for i, u, v, g, g_u, g_v in zip(ids, np.broadcast_to(U, (N, self.d_u)), V, rngs,
                                         G_u, G_v):
-            s = self.shards[i]
-            denom = s.scale * self.batch_size
-            for r, g_uk, g_vk in zip(g.integers(0, s.n_rows, size=(K, self.batch_size)),
-                                     g_u, g_v):
-                _, P_u, P_v = kernels.logistic_grads(s.X, s.y, s.scale, r, u, v, work)
-                kernels.logistic_finish(P_u, P_v, denom, u, v, self.rho, work)
-                g_uk[:] = P_u
-                g_vk[:] = P_v
+            for k, (P_u, P_v) in enumerate(self._minibatch_grads(i, u, v, K, g, work)):
+                g_u[k], g_v[k] = P_u, P_v
         return G_u, G_v
 
     def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
-        _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
-        shards = [self.shards[i] for i in ids]
-        idx = [g.integers(0, s.n_rows, size=(K, self.batch_size))
-               for s, g in zip(shards, rngs)]
-        return kernels.logistic_local_steps(
-            U, V, [(s.X, s.y, s.scale) for s in shards], self.rho, gamma_u, gamma_v, idx, Corr,
-            kernels.LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size),
-        )
+        N = _check_rows(ids, U, V, self.d_u, self.d_v, rngs, Corr)
+        work = LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
+        U_K, V_K = np.empty((N, self.d_u)), np.array(V, dtype=np.float64)
+        U_K[:] = U
+        for i, u, v, corr_u, g in zip(ids, U_K, V_K, Corr, rngs):
+            for g_u, g_v in self._minibatch_grads(i, u, v, K, g, work):
+                # u = u - gamma_u * (g_u - corr_u), v = v - gamma_v * g_v
+                g_u -= corr_u
+                g_u *= gamma_u
+                u -= g_u
+                g_v *= gamma_v
+                v -= g_v
+        return U_K, V_K
 
 
 def _share(oracles, *names) -> None:

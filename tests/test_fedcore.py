@@ -228,7 +228,7 @@ def test_aggregate_full_participation_equals_mean_formula():
 
 @pytest.mark.parametrize("m", [1, 3, 9, 200])
 def test_replica_sums_equal_a_run_alone_bitwise(m):
-    # over (R, m, d_u), as a view of a wider block like the kernel returns,
+    # over (R, m, d_u), as a view of a wider block like `local_steps` returns,
     # each replica's row equals the single-run formula on its own rows
     rng = stream(65, "probe")
     u_old, c = rng.standard_normal((3, 50)), rng.standard_normal((3, 50))
@@ -392,7 +392,7 @@ def test_run_round_matches_parallel_sgd_step():
         (tr,) = run_rounds(server, clients, obj, hp, 3, range(1))
         assert tr.sampled == (1, 2, 3)
         server, clients = one(server, clients)
-        states[alg] = (server.u.copy(), [c.v.copy() for c in clients])
+        states[alg] = (server.u.copy(), clients.V.copy())
     u_expect = np.zeros(2) - 0.2 * (np.zeros(2) - a).mean(axis=0)
     v_expect = [np.zeros(2) - 0.4 * (np.zeros(2) - b[i]) for i in range(3)]
     for alg, (u, v_all) in states.items():
@@ -412,7 +412,7 @@ def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
     (tr,) = run_rounds(server, clients, obj, hp, 0, range(1))
     server, clients = one(server, clients)
     assert np.array_equal(server.u, np.zeros(1))
-    assert all(np.array_equal(c.v, np.zeros(1)) for c in clients)
+    assert np.array_equal(clients.V, np.zeros((2, 1)))
     u0 = np.zeros(1)
     v0 = [np.zeros(1), np.zeros(1)]
     f, g_u, _, _ = metrics.round_metrics(obj, u0, v0, hp.m)
@@ -425,13 +425,15 @@ def test_run_round_unsampled_clients_untouched():
     hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=4, m=2)
     server, clients = init_one("scaffold_p", obj, hp, seed=9)
     for t in range(8):
-        before = [(c.v.tobytes(), c.c_i.tobytes()) for c in one(server, clients)[1]]
+        before = one(server, clients)[1]
+        V0, C0 = before.V.copy(), before.C.copy()
         (tr,) = run_rounds(server, clients, obj, hp, 9, range(t, t + 1))
         sampled0 = {s - 1 for s in tr.sampled}
-        for i, c in enumerate(one(server, clients)[1]):
+        after = one(server, clients)[1]
+        for i in range(obj.n):
             if i not in sampled0:
-                assert c.v.tobytes() == before[i][0]
-                assert c.c_i.tobytes() == before[i][1]
+                assert after.V[i].tobytes() == V0[i].tobytes()
+                assert after.C[i].tobytes() == C0[i].tobytes()
 
 
 def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):

@@ -1,7 +1,8 @@
 """Objective oracles: closed-form values, gradient correctness against
 finite differences, stochastic-gradient moments, and the equivalence of the
-batched local-step kernels with the per-step reference loop."""
+batched local steps with the per-step reference loop."""
 
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import fedpart
 import reference
-from fedpart import dataio, kernels
+from fedpart import dataio, objectives
 from fedpart.dataio import ClientShard, RawDataset
 from fedpart.fedcore import HyperParams, run_training
 from fedpart.objectives import LogisticObjective
@@ -262,7 +263,7 @@ def test_logistic_single_row_batches_average_to_full_gradient():
     assert np.allclose(np.mean(per_row_v, axis=0), gv, atol=1e-14)
 
 
-# -------------------------------------------------------- local-step kernels
+# --------------------------------------------------------------- local steps
 
 
 def block_and_reference(obj, ids, u0, V0, Corr, K, gamma_u, gamma_v, seed):
@@ -332,14 +333,26 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     assert np.allclose(g_v, want_v, rtol=1e-12, atol=1e-12)
 
 
+def bit_state(g):
+    """A generator's bit-generator state as JSON text, arrays as lists."""
+    return json.dumps(g.bit_generator.state, default=np.ndarray.tolist)
+
+
 def test_local_steps_zero_gamma_is_identity():
+    # and each row's generator ends where a K-draw stoch_grads row leaves a
+    # fresh generator of the same stream
     rng = stream(12, "probe")
-    obj = quad(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), sigma_u=1.0)
-    u0 = rng.standard_normal(2)
-    V0 = rng.standard_normal((2, 2))
-    U, V = obj.local_steps([0, 1], u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0,
-                           [stream(12, "local", 0, i) for i in (0, 1)])
-    assert np.array_equal(U, np.stack([u0, u0])) and np.array_equal(V, V0)
+    for obj in (quad(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), sigma_u=1.0),
+                random_logistic(rng, n=2, rows=9, d_u=2, d_v=2, batch_size=3)):
+        u0 = rng.standard_normal(2)
+        V0 = rng.standard_normal((2, 2))
+        rngs = [stream(12, "local", 0, i) for i in (0, 1)]
+        U, V = obj.local_steps([0, 1], u0, V0, np.zeros((2, 2)), 5, 0.0, 0.0, rngs)
+        assert np.array_equal(U, np.stack([u0, u0])) and np.array_equal(V, V0)
+        for i, g in enumerate(rngs):
+            fresh = stream(12, "local", 0, i)
+            obj.stoch_grads([i], u0, V0[i:i + 1], 5, [fresh])
+            assert bit_state(g) == bit_state(fresh)
 
 
 # ------------------------------------------------------ stored feature dtype
@@ -390,7 +403,7 @@ def test_logistic_float_shards_equal_float64_loop_bitwise():
             assert np.array_equal(G_u[k], want_u) and np.array_equal(G_v[k], want_v)
 
 
-CHUNK = kernels._CHUNK_ROWS
+CHUNK = objectives._CHUNK_ROWS
 CHUNK_EDGES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 
@@ -423,15 +436,15 @@ def test_full_batch_matches_float64_loop_at_chunk_edges():
 @pytest.mark.parametrize("batch,d_u,d_v", [(1, 5, 4), (3, 4, 7), (CHUNK + 1, 6, 4)])
 def test_logistic_step_kernel_equals_float64_loop_bitwise(batch, d_u, d_v):
     rng = stream(19, "probe")
-    shards, blocks = float_shards(rng, 3, 2 * CHUNK + 3, d_u, d_v)
-    K, rho = 5, 0.05
+    rows, K, rho = 2 * CHUNK + 3, 5, 0.05
+    shards, blocks = float_shards(rng, 3, rows, d_u, d_v)
+    obj = LogisticObjective(shards, rho=rho, batch_size=batch)
     u0 = rng.standard_normal(d_u)
     V0 = rng.standard_normal((3, d_v))
     Corr = rng.standard_normal((3, d_u))
-    idx = [rng.integers(0, 2 * CHUNK + 3, size=(K, batch)) for _ in range(3)]
-    U, V = kernels.logistic_local_steps(
-        u0, V0, [(s.X, s.y, s.scale) for s in shards], rho, 0.2, 0.1, idx, Corr,
-        kernels.LogisticWork(d_u, d_v, np.float64, batch))
+    U, V = obj.local_steps([0, 1, 2], u0, V0, Corr, K, 0.2, 0.1,
+                           [stream(19, "local", 0, i) for i in range(3)])
+    idx = [stream(19, "local", 0, i).integers(0, rows, size=(K, batch)) for i in range(3)]
     U_ref, V_ref = reference.logistic_local_steps(u0, V0, blocks, rho, 0.2, 0.1, idx, Corr)
     assert np.array_equal(U, U_ref) and np.array_equal(V, V_ref)
 
@@ -556,6 +569,10 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
         with pytest.raises(ValueError, match=r"^rngs has 1 generators, expected 2$"):
             call(U, V)
         rngs.append(stream(16, "local", 0, 1))
+    # a short Corr: unchecked, the logistic rows past it would come back
+    # unwritten
+    with pytest.raises(ValueError, match=r"^Corr has shape \(1, 3\), expected \(2, 3\)$"):
+        obj.local_steps(ids, U, V, np.zeros((1, 3)), 2, 0.1, 0.1, rngs)
 
 
 def test_stoch_grads_block_equals_single_draws_bitwise():

@@ -49,7 +49,7 @@ def test_seeds_decorrelate():
 
 
 def test_batched_normals_equal_per_step_draws():
-    # kernels pre-draw (K, d) in one call; the per-step reference path draws
+    # local steps pre-draw (K, d) in one call; the per-step reference path draws
     # d_u then d_v each step; both must see identical values
     K, d_u, d_v = 7, 3, 4
     batched = stream(9, "local", 0, 0).standard_normal((K, d_u + d_v))
