@@ -297,8 +297,11 @@ def run_experiments(configs: list[ExperimentConfig]):
     return one (output_path, TrainingResult) per config.
 
     Each result is bitwise the config run alone, except `wall_ms`: a
-    round's time is the shared replica round's.
+    round's time is the shared replica round's. Raises ValueError for no
+    configs.
     """
+    if not configs:
+        raise ValueError("need at least one config")
     first = configs[0]
     shared = dict(first.to_mapping(), seed=0, output="")
     if any(dict(c.to_mapping(), seed=0, output="") != shared for c in configs):

@@ -14,9 +14,9 @@ or one (N, d_u) row per id, and V one (N, d_v) row per id.
   with the u-direction g_u - Corr[j] (Corr one (N, d_u) row per id):
   a round's sampled clients in one call.
 
-Every method raises ValueError naming U, V or Corr when one has the wrong
-shape, and rngs when it does not hold one generator per row. Two concrete
-objectives are provided:
+Every method raises ValueError naming ids when one lies outside [0, n),
+U, V or Corr when one has the wrong shape, and rngs when it does not hold
+one generator per row. Two concrete objectives are provided:
 
 - QuadraticObjective: f_i = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2 with
   Gaussian gradient noise of exactly controllable second moment. Its
@@ -34,16 +34,15 @@ per-client (u, v) loops.
 Logistic shards are stored as one matrix X = [A | B] in their own dtype
 (uint8 pixels for image data, `dataio.ClientShard`) with features
 X / scale. `logistic_grads` is the one logistic gradient routine: it casts
-the rows it reads into a float64 buffer, applies 1/scale once per product,
-not per feature, and returns the unscaled backward products w @ A and
-w @ B; `logistic_finish` turns summed products into gradients. A minibatch
-is one call; the full-batch pass (`logistic_full_batch`) casts a shard
+the rows it reads to float64, applies 1/scale once per product, not per
+feature, and returns the unscaled backward products w @ A and w @ B;
+`logistic_finish` turns summed products into gradients. A minibatch is one
+call; the full-batch pass (`logistic_full_batch`) casts a shard
 `_CHUNK_ROWS` rows at a time, sums products and loss terms over the chunks
-and adds the regularizer's value and gradients. All of them work in the
-arrays of one `LogisticWork`, allocated once per call and reused by every
-step, chunk and client of it. `stoch_grads` and `local_steps` take their
-minibatch gradients from one per-row loop, so a row's local steps draw its
-generator and compute each gradient exactly as a K-draw `stoch_grads` row.
+and adds the regularizer's value and gradients. `stoch_grads` and
+`local_steps` take their minibatch gradients from one per-row loop, so a
+row's local steps draw its generator and compute each gradient exactly as
+a K-draw `stoch_grads` row.
 
 Numeric contract of the logistic objective, against the float64 loop in
 `tests/reference.py`: the rows of a call run one after another, and each
@@ -108,11 +107,15 @@ class ObjectiveOracle:
         raise NotImplementedError
 
 
-def _check_rows(ids, U, V, d_u: int, d_v: int, rngs=None, Corr=None) -> int:
-    """The row count N of a call; ValueError naming U, V, Corr or rngs
-    unless U is (d_u,) or (N, d_u), V is (N, d_v), Corr, when given, is
-    (N, d_u) and rngs, when given, holds N generators."""
-    N = len(ids)
+def _check_rows(oracle, ids, U, V, rngs=None, Corr=None) -> int:
+    """The row count N of a call; ValueError naming ids, U, V, Corr or rngs
+    unless every id lies in [0, n), U is (d_u,) or (N, d_u), V is (N, d_v),
+    Corr, when given, is (N, d_u) and rngs, when given, holds N generators."""
+    n, d_u, d_v, N = oracle.n, oracle.d_u, oracle.d_v, len(ids)
+    # one reduction: a negative id wraps to an unsigned value >= 2^63
+    if np.maximum.reduce(np.asarray(ids).astype(np.uint64), initial=0) >= n:
+        ids = np.asarray(ids)
+        raise ValueError(f"ids must lie in [0, {n}), got {ids[(ids < 0) | (ids >= n)].tolist()}")
     if np.shape(U) not in ((d_u,), (N, d_u)):
         raise ValueError(f"U has shape {np.shape(U)}, expected ({d_u},) or ({N}, {d_u})")
     if np.shape(V) != (N, d_v):
@@ -169,7 +172,7 @@ class QuadraticObjective(ObjectiveOracle):
         return self.centers_v.shape[1]
 
     def value_and_grads(self, ids, U, V):
-        _check_rows(ids, U, V, self.d_u, self.d_v)
+        _check_rows(self, ids, U, V)
         DU = U - self.centers_u.take(ids, axis=0)
         DV = V - self.centers_v.take(ids, axis=0)
         return 0.5 * _row_sq_norms(DU) + 0.5 * _row_sq_norms(DV), DU, DV
@@ -183,7 +186,7 @@ class QuadraticObjective(ObjectiveOracle):
         return z
 
     def stoch_grads(self, ids, U, V, K, rngs):
-        _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
+        _check_rows(self, ids, U, V, rngs)
         noise = self._normals(rngs, K) * self._noise_scale
         return ((U - self.centers_u.take(ids, axis=0))[:, None] + noise[:, :, : self.d_u],
                 (V - self.centers_v.take(ids, axis=0))[:, None] + noise[:, :, self.d_u :])
@@ -193,7 +196,7 @@ class QuadraticObjective(ObjectiveOracle):
         # block of (u | v) rows W against the gathered (a_i | b_i) rows C;
         # the scaling writes the noise step-major, so each step adds a
         # contiguous (N, d) block
-        _check_rows(ids, U, V, self.d_u, self.d_v, rngs, Corr)
+        _check_rows(self, ids, U, V, rngs, Corr)
         C = self._centers.take(ids, axis=0)
         noise = np.multiply(self._normals(rngs, K).transpose(1, 0, 2), self._noise_scale,
                             order="C")
@@ -233,90 +236,61 @@ def _row_sq_norms(X: np.ndarray) -> np.ndarray:
 _CHUNK_ROWS = 128
 
 
-class LogisticWork:
-    """The arrays one logistic call works in, for batches of up to `rows`
-    shard rows (`_CHUNK_ROWS` by default) of features in `dtype`."""
-
-    def __init__(self, d_u, d_v, dtype, rows=_CHUNK_ROWS):
-        self.gather = np.empty((rows, d_u + d_v), dtype)  # index rows, as stored
-        self.Z = np.empty((rows, d_u + d_v))  # the same rows cast to float64
-        self.y = np.empty(rows)
-        self.margin = np.empty(rows)
-        self.t = np.empty(rows)
-        self.w = np.empty(rows)
-        self.le = np.empty(rows, dtype=bool)
-        self.P_u = np.empty(d_u)
-        self.P_v = np.empty(d_v)
-        self.tmp_u = np.empty(d_u)
-        self.tmp_v = np.empty(d_v)
-
-
-def logistic_grads(X, y, scale, rows, u, v, work):
+def logistic_grads(X, y, scale, rows, u, v):
     """(margin, w @ A, w @ B) of the logistic loss over the rows `rows` (an
-    index array or a slice) of a shard with features X / scale and labels y,
-    as views into `work` that the next call overwrites.
+    index array or a slice) of a shard with features X / scale and labels y.
 
-    The rows are cast into work.Z; A and B are its first d_u and last d_v
-    columns. Per row the loss is log(1 + exp(-margin)) with margin
-    y * (a.u + b.v), and w is its derivative in a.u + b.v.
+    Only the rows read are cast to float64; A and B are the first d_u and
+    last d_v columns of that cast. Per row the loss is log(1 + exp(-margin))
+    with margin y * (a.u + b.v), and w is its derivative in a.u + b.v.
     """
-    if isinstance(rows, slice):
-        src, y = X[rows], y[rows]
-    else:
-        # drawn rows are in range; "clip" lets take write straight into `out`
-        src = np.take(X, rows, axis=0, out=work.gather[: rows.shape[0]], mode="clip")
-        y = np.take(y, rows, out=work.y[: rows.shape[0]], mode="clip")
-    k = src.shape[0]
-    Z, margin, t, w, le = work.Z[:k], work.margin[:k], work.t[:k], work.w[:k], work.le[:k]
-    np.copyto(Z, src)
-    d_u = u.shape[0]
-    A, B = Z[:, :d_u], Z[:, d_u:]
-    # margin = y * ((A @ u + B @ v) / scale)
-    np.matmul(A, u, out=margin)
-    margin += np.matmul(B, v, out=t)
+    Z = X[rows].astype(np.float64, copy=False)
+    y = y[rows]
+    A, B = Z[:, :u.shape[0]], Z[:, u.shape[0]:]
+    margin = A @ u
+    margin += B @ v
     margin /= scale
     margin *= y
-    # sigmoid(-margin), overflow-safe: exp only ever sees -|margin|
-    np.exp(np.negative(np.abs(margin, out=t), out=t), out=t)
-    # w = -y * (where(margin <= 0, 1, t) / (1 + t))
-    np.add(t, 1.0, out=w)
-    np.copyto(t, 1.0, where=np.less_equal(margin, 0.0, out=le))
+    # w = -y * sigmoid(-margin) = -y * (where(margin <= 0, 1, t) / (1 + t))
+    # with t = exp(-|margin|), so exp never overflows
+    t = np.exp(-np.abs(margin))
+    w = t + 1.0
+    t[margin <= 0.0] = 1.0
     t /= w
-    np.negative(y, out=w)
+    w = -y
     w *= t
-    return margin, np.matmul(w, A, out=work.P_u), np.matmul(w, B, out=work.P_v)
+    return margin, w @ A, w @ B
 
 
-def logistic_finish(P_u, P_v, denom, u, v, rho, work):
+def logistic_finish(P_u, P_v, denom, u, v, rho):
     """Turn the summed products P_u = w @ A and P_v = w @ B over `rows`
     rows into the gradients, in place: P / denom with denom = scale * rows,
     plus the gradient of the smooth non-convex regularizer
     rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2))."""
     # gradient of s/(1+s) at s=|x|^2 is 2x/(1+|x|^2)^2
-    for P, x, tmp in ((P_u, u, work.tmp_u), (P_v, v, work.tmp_v)):
+    for P, x in ((P_u, u), (P_v, v)):
         s = np.dot(x, x)
         P /= denom
-        P += np.multiply(x, 2.0 * rho / ((1.0 + s) * (1.0 + s)), out=tmp)
+        P += x * (2.0 * rho / ((1.0 + s) * (1.0 + s)))
 
 
-def logistic_full_batch(X, y, scale, u, v, rho, work):
+def logistic_full_batch(X, y, scale, u, v, rho):
     """(value, g_u, g_v) of a shard's regularized loss: the mean loss over
     every row (see `logistic_grads`) plus rho * (|u|^2/(1+|u|^2) +
     |v|^2/(1+|v|^2)), and its gradients.
 
-    The rows are cast `_CHUNK_ROWS` at a time into work.Z; the products
-    and loss terms are summed over the chunks.
+    The rows are cast `_CHUNK_ROWS` at a time; the products and loss terms
+    are summed over the chunks.
     """
     g_u, g_v = np.zeros(u.shape), np.zeros(v.shape)
     loss = 0.0
     rows = y.shape[0]
     for start in range(0, rows, _CHUNK_ROWS):
-        margin, P_u, P_v = logistic_grads(X, y, scale, slice(start, start + _CHUNK_ROWS),
-                                          u, v, work)
+        margin, P_u, P_v = logistic_grads(X, y, scale, slice(start, start + _CHUNK_ROWS), u, v)
         g_u += P_u
         g_v += P_v
-        loss += float(np.logaddexp(0.0, np.negative(margin, out=margin), out=margin).sum())
-    logistic_finish(g_u, g_v, scale * rows, u, v, rho, work)
+        loss += float(np.logaddexp(0.0, -margin).sum())
+    logistic_finish(g_u, g_v, scale * rows, u, v, rho)
     su, sv = float(u @ u), float(v @ v)
     return loss / rows + rho * (su / (1.0 + su) + sv / (1.0 + sv)), g_u, g_v
 
@@ -328,10 +302,9 @@ class LogisticObjective(ObjectiveOracle):
                   + rho * (|u|^2/(1+|u|^2) + |v_i|^2/(1+|v_i|^2))
 
     with (a_l | b_l) the l-th row of the shard's features X / scale. The
-    shards are held as given, in their stored dtype, which all shards
-    share; each gradient casts only the rows it reads into float64 work
-    arrays. Minibatches are drawn uniformly with replacement, batch_size
-    rows per step.
+    shards are held as given, in their stored dtype; each gradient casts
+    only the rows it reads to float64. Minibatches are drawn uniformly
+    with replacement, batch_size rows per step.
     """
 
     def __init__(self, shards: "list[ClientShard]", rho: float = 0.01, batch_size: int = 1):
@@ -341,61 +314,53 @@ class LogisticObjective(ObjectiveOracle):
             raise ValueError("rho must be >= 0")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        d_u, d_v, dtype = shards[0].d_u, shards[0].d_v, shards[0].X.dtype
+        d_u, d_v = shards[0].d_u, shards[0].d_v
         for i, s in enumerate(shards):
             if s.n_rows == 0:
                 raise ValueError(f"shard {i} is empty")
             if (s.d_u, s.d_v) != (d_u, d_v):
                 raise ValueError("all shards must share (d_u, d_v)")
-            if s.X.dtype != dtype:
-                raise ValueError(f"all shards must share one feature dtype, got {dtype} "
-                                 f"and {s.X.dtype}")
         self.shards = list(shards)
         self.rho = float(rho)
         self.batch_size = int(batch_size)
         self.n = len(shards)
         self.d_u = d_u
         self.d_v = d_v
-        self.dtype = dtype
 
     def value_and_grads(self, ids, U, V):
-        N = _check_rows(ids, U, V, self.d_u, self.d_v)
-        work = LogisticWork(self.d_u, self.d_v, self.dtype)
+        N = _check_rows(self, ids, U, V)
         vals, G_u, G_v = np.empty(N), np.empty((N, self.d_u)), np.empty((N, self.d_v))
         for j, (i, u, v) in enumerate(zip(ids, np.broadcast_to(U, G_u.shape), V)):
             s = self.shards[i]
-            vals[j], G_u[j], G_v[j] = logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho, work)
+            vals[j], G_u[j], G_v[j] = logistic_full_batch(s.X, s.y, s.scale, u, v, self.rho)
         return vals, G_u, G_v
 
-    def _minibatch_grads(self, i, u, v, K, rng, work):
+    def _minibatch_grads(self, i, u, v, K, rng):
         """Yield client i's K minibatch gradients (g_u, g_v), step k's at
         what u and v hold when it is asked for; the batch rows of all K
-        steps are one (K, batch_size) draw of rng. Both are views into
-        `work` that the next step overwrites."""
+        steps are one (K, batch_size) draw of rng."""
         s = self.shards[i]
         denom = s.scale * self.batch_size
         for r in rng.integers(0, s.n_rows, size=(K, self.batch_size)):
-            _, g_u, g_v = logistic_grads(s.X, s.y, s.scale, r, u, v, work)
-            logistic_finish(g_u, g_v, denom, u, v, self.rho, work)
+            _, g_u, g_v = logistic_grads(s.X, s.y, s.scale, r, u, v)
+            logistic_finish(g_u, g_v, denom, u, v, self.rho)
             yield g_u, g_v
 
     def stoch_grads(self, ids, U, V, K, rngs):
-        N = _check_rows(ids, U, V, self.d_u, self.d_v, rngs)
-        work = LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
+        N = _check_rows(self, ids, U, V, rngs)
         G_u, G_v = np.empty((N, K, self.d_u)), np.empty((N, K, self.d_v))
         for i, u, v, g, g_u, g_v in zip(ids, np.broadcast_to(U, (N, self.d_u)), V, rngs,
                                         G_u, G_v):
-            for k, (P_u, P_v) in enumerate(self._minibatch_grads(i, u, v, K, g, work)):
+            for k, (P_u, P_v) in enumerate(self._minibatch_grads(i, u, v, K, g)):
                 g_u[k], g_v[k] = P_u, P_v
         return G_u, G_v
 
     def local_steps(self, ids, U, V, Corr, K, gamma_u, gamma_v, rngs):
-        N = _check_rows(ids, U, V, self.d_u, self.d_v, rngs, Corr)
-        work = LogisticWork(self.d_u, self.d_v, self.dtype, self.batch_size)
+        N = _check_rows(self, ids, U, V, rngs, Corr)
         U_K, V_K = np.empty((N, self.d_u)), np.array(V, dtype=np.float64)
         U_K[:] = U
         for i, u, v, corr_u, g in zip(ids, U_K, V_K, Corr, rngs):
-            for g_u, g_v in self._minibatch_grads(i, u, v, K, g, work):
+            for g_u, g_v in self._minibatch_grads(i, u, v, K, g):
                 # u = u - gamma_u * (g_u - corr_u), v = v - gamma_v * g_v
                 g_u -= corr_u
                 g_u *= gamma_u

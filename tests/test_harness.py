@@ -419,6 +419,8 @@ def test_sweep_cells_equal_direct_runs(tmp_path):
 
 
 def test_run_experiments_rejects_configs_that_differ_beyond_seed(tmp_path):
+    with pytest.raises(ValueError, match="at least one config"):
+        harness.run_experiments([])
     with pytest.raises(ValueError, match="only in seed and output"):
         harness.run_experiments([tiny_cfg(tmp_path, "a.csv"), tiny_cfg(tmp_path, "b.csv", K=3)])
     assert not os.path.exists(tmp_path / "a.csv")

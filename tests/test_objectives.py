@@ -191,9 +191,6 @@ def test_logistic_constructor_rejects_bad_input():
     other = ClientShard(X=np.zeros((1, 4)), y=np.ones(1), d_u=3)
     with pytest.raises(ValueError):
         LogisticObjective([good, other])
-    pixels = ClientShard(X=np.zeros((1, 3), dtype=np.uint8), y=np.ones(1), d_u=2, scale=255.0)
-    with pytest.raises(ValueError, match="one feature dtype"):
-        LogisticObjective([good, pixels])
     with pytest.raises(ValueError, match=r"V has shape \(2, 1\), expected \(1, 1\)"):
         LogisticObjective([good]).value_and_grads([0], np.zeros(2), np.zeros((2, 1)))
 
@@ -510,6 +507,9 @@ def row_objective(kind, rng):
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_one_row_calls_equal_their_rows_of_larger_calls_bitwise(kind):
+    def rngs(rows):
+        return [stream(14, "local", 0, j) for j in rows]
+
     rng = stream(14, "probe")
     obj = row_objective(kind, rng)
     # all clients in order, one client twice, unordered ids with a repeat
@@ -518,9 +518,6 @@ def test_one_row_calls_equal_their_rows_of_larger_calls_bitwise(kind):
         V = rng.standard_normal((len(ids), 4))
         Corr = rng.standard_normal((len(ids), 3))
         for start in (U, U[0]):  # one start per row, or one for every row
-            def rngs(rows):
-                return [stream(14, "local", 0, j) for j in rows]
-
             full = obj.value_and_grads(ids, start, V)
             steps = obj.local_steps(ids, start, V, Corr, 4, 0.1, 0.2, rngs(range(len(ids))))
             for j, i in enumerate(ids):
@@ -529,6 +526,23 @@ def test_one_row_calls_equal_their_rows_of_larger_calls_bitwise(kind):
                 assert all(np.array_equal(x[j], y[0]) for x, y in zip(full, one))
                 one = obj.local_steps([i], u, V[j:j + 1], Corr[j:j + 1], 4, 0.1, 0.2, rngs([j]))
                 assert all(np.array_equal(x[j], y[0]) for x, y in zip(steps, one))
+    if kind == "logistic":
+        # shards of different stored dtypes: each row is its shard's own
+        # objective's row
+        pixels = ClientShard(X=rng.integers(0, 256, size=(9, 7)).astype(np.uint8),
+                             y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3, scale=255.0)
+        mixed = LogisticObjective([pixels, obj.shards[0]], rho=0.05, batch_size=3)
+        ids = [1, 0, 0, 1]
+        U, V, Corr = (rng.standard_normal((4, d)) for d in (3, 4, 3))
+        full = mixed.value_and_grads(ids, U, V)
+        steps = mixed.local_steps(ids, U, V, Corr, 4, 0.1, 0.2, rngs(range(4)))
+        for j, i in enumerate(ids):
+            alone = LogisticObjective([mixed.shards[i]], rho=0.05, batch_size=3)
+            one = alone.value_and_grads([0], U[j:j + 1], V[j:j + 1])
+            assert all(np.array_equal(x[j], y[0]) for x, y in zip(full, one))
+            one = alone.local_steps([0], U[j:j + 1], V[j:j + 1], Corr[j:j + 1], 4, 0.1, 0.2,
+                                    rngs([j]))
+            assert all(np.array_equal(x[j], y[0]) for x, y in zip(steps, one))
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -550,9 +564,9 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
     obj = row_objective(kind, stream(16, "probe"))
     ids = [0, 1]
     rngs = [stream(16, "local", 0, i) for i in ids]
-    calls = (lambda U, V: obj.value_and_grads(ids, U, V),
-             lambda U, V: obj.stoch_grads(ids, U, V, 2, rngs),
-             lambda U, V: obj.local_steps(ids, U, V, np.zeros((2, 3)), 2, 0.1, 0.1, rngs))
+    calls = (lambda ids, U, V: obj.value_and_grads(ids, U, V),
+             lambda ids, U, V: obj.stoch_grads(ids, U, V, 2, rngs),
+             lambda ids, U, V: obj.local_steps(ids, U, V, np.zeros((2, 3)), 2, 0.1, 0.1, rngs))
     U, V = np.zeros((2, 3)), np.zeros((2, 4))
     for call in calls:
         for bad_U, bad_V, match in (
@@ -561,13 +575,17 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
                 (U, np.zeros((2, 5)), r"^V has shape \(2, 5\), expected \(2, 4\)$"),
                 (U, np.zeros(4), r"^V has shape \(4,\), expected \(2, 4\)$")):
             with pytest.raises(ValueError, match=match):
-                call(bad_U, bad_V)
+                call(ids, bad_U, bad_V)
+        # unchecked, -1 would read client 4's row and 5 raise IndexError
+        for bad_ids, bad in (([0, -1], -1), ([5, 1], 5)):
+            with pytest.raises(ValueError, match=rf"^ids must lie in \[0, 5\), got \[{bad}\]$"):
+                call(bad_ids, U, V)
     # one generator short: unchecked, the logistic rows past it would come
     # back unwritten
     for call in calls[1:]:
         rngs.pop()
         with pytest.raises(ValueError, match=r"^rngs has 1 generators, expected 2$"):
-            call(U, V)
+            call(ids, U, V)
         rngs.append(stream(16, "local", 0, 1))
     # a short Corr: unchecked, the logistic rows past it would come back
     # unwritten
