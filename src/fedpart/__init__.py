@@ -7,11 +7,9 @@ from .fedcore import (
     RoundTrace,
     TrainingResult,
     recommended_step_sizes,
-    replica_streams,
-    round_streams,
     run_replicas,
-    run_round,
     run_training,
+    start_rounds,
 )
 from .harness import ExperimentConfig, SweepSpec, load_config, run_experiment, run_sweep
 from .metrics import ConstantEstimates, estimate_constants
@@ -36,13 +34,11 @@ __all__ = [
     "load_config",
     "partition_clients",
     "recommended_step_sizes",
-    "replica_streams",
-    "round_streams",
     "run_experiment",
     "run_replicas",
-    "run_round",
     "run_sweep",
     "run_training",
+    "start_rounds",
     "synth_quadratic",
     "__version__",
 ]

@@ -8,8 +8,8 @@ magic, short payloads, trailing bytes and labels outside 0-9 each raise
 transparently when read from disk, and every format or inflate error met
 while loading a file names that file; a count mismatch names both files. Images stay uint8
 pixels: a shard's gathered rows are its one feature matrix X = [A | B]
-(`ClientShard`, the only place that knows the split), with scale 255, and a
-logistic gradient casts only the rows it reads (`objectives.logistic_grads`).
+(`ClientShard`) with scale 255, and a logistic gradient casts only the rows
+it reads and splits them after u's length (`objectives.logistic_grads`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ClientShard:
     """One client's rows: features X / scale and labels y in {-1,+1}.
 
     X = [A | B] (N_i, d_u + d_v): the shared features A are its first d_u
-    columns and the personal features B the rest, both column views of X.
+    columns and the personal features B the rest.
     X keeps its dtype and is stored as given when C-contiguous, else as one
     contiguous copy; image shards keep uint8 pixels with scale 255. Labels
     are held as float64. ValueError unless X is 2-D, y has one label a row,
@@ -85,14 +85,6 @@ class ClientShard:
             raise ValueError(f"d_u must be in [1, {X.shape[1] - 1}], got {self.d_u!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-
-    @property
-    def A(self) -> np.ndarray:
-        return self.X[:, : self.d_u]
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.X[:, self.d_u :]
 
     @property
     def d_v(self) -> int:

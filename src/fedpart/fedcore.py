@@ -47,9 +47,11 @@ Sums run over the same axis of the same rows in the same order as in a run
 alone, so every replica is bitwise its config run alone; `run_training` is
 the case R = 1.
 
-Run invariants (a known algorithm, m <= n, gamma_u > 0 for the corrected
-variant) are checked once, by `init_states`, before any draw; the
-corrected variant is the state that carries control variates.
+A run's rounds come from one entry point, `start_rounds`: it checks the
+run's invariants (a known algorithm, m <= n, gamma_u > 0 for the corrected
+variant) before any draw and builds the state, the corrected variant's with
+control variates, then hands back a lazy iterator that runs one round per
+step. `run_replicas` and `run_training` drain it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class HyperParams:
     m: int
 
     def __post_init__(self):
-        # zero is allowed (a zero step is the identity); init_states
+        # zero is allowed (a zero step is the identity); start_rounds
         # demands gamma_u > 0 for the corrected algorithm's control update
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
             x = getattr(self, name)
@@ -262,25 +264,16 @@ def _check_finite(t: int, seeds, **blocks) -> None:
             )
 
 
-def replica_streams(seeds, n: int, m: int, rounds: range):
-    """Yield (t, ids, rngs) for each round t of `rounds` for R replicas in
-    lock-step: ids (R, m) and rngs one list of m generators per replica,
-    row r from its own `round_streams(seeds[r], n, m, rounds)`."""
-    for per_replica in zip(*(round_streams(seed, n, m, rounds) for seed in seeds)):
-        ts, ids, rngs = zip(*per_replica)
-        yield ts[0], np.array(ids), list(rngs)
-
-
 def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracle,
               hp: HyperParams, t: int, ids: np.ndarray, rngs, seeds) -> list[RoundTrace]:
     """Outer round t of R replicas on their joined `oracle`: replica r's
     ascending sampled ids in ids[r] and one local generator per id in
-    rngs[r] (as `replica_streams` yields them); seeds[r] is replica r's run
-    seed. Mutates server and the sampled client rows in place and returns
-    one trace per replica; all R share the round's wall_ms.
+    rngs[r] (as each replica's `round_streams` yields them); seeds[r] is
+    replica r's run seed. Mutates server and the sampled client rows in
+    place and returns one trace per replica; all R share the round's wall_ms.
 
     The control-variate correction applies when the state carries control
-    variates (`clients.C`, set by `init_states` for scaffold_p). Metrics are
+    variates (`clients.C`, set by `start_rounds` for scaffold_p). Metrics are
     computed on the post-round state over all n clients. Raises
     FloatingPointError naming the first non-finite block among u, v, c and
     c_i, or f, and the first replica where it is non-finite, by index and
@@ -317,17 +310,22 @@ def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracl
             in zip(*(x.tolist() for x in metric_rows), (ids + 1).tolist())]
 
 
-def init_states(algorithm: str, oracles, hp: HyperParams, seeds,
-                u0=None, v0_all=None):
-    """Fresh replica (server, clients) for R = len(seeds) replicas, replica
-    r on oracles[r] with seeds[r], all at the given (default all-zeros)
-    start.
+def start_rounds(algorithm: str, oracles, hp: HyperParams, seeds,
+                 u0=None, v0_all=None):
+    """(server, clients, rounds) of R = len(seeds) runs that differ only in
+    their seed, replica r on oracles[r] with seeds[r], all at the given
+    (default all-zeros) start.
 
-    Owns the run's invariants and checks them before any draw: one seed in
-    [0, 2^64) per oracle, a known algorithm, m <= n, and gamma_u > 0 for
-    scaffold_p (its control update divides by K gamma_u). Copies the start
+    Eagerly checks the run's invariants before any draw: one seed in
+    [0, 2^64) per oracle, a known algorithm, m <= n, gamma_u > 0 for
+    scaffold_p (its control update divides by K gamma_u) and oracles that
+    `join_replicas` can join. Copies the start
     and checks its shapes: u0 (d_u,), v0_all (n, d_v). Only scaffold_p
     states carry control variates, replica r's from its own oracle and seed.
+
+    `rounds` is lazy: each step runs the next of the T rounds on the joined
+    oracles, advancing server and clients in place, and yields the round's
+    R traces. Stopping after t steps leaves the state of a T = t run.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -345,14 +343,18 @@ def init_states(algorithm: str, oracles, hp: HyperParams, seeds,
     if u0.shape != (oracle.d_u,) or V0.shape != (oracle.n, oracle.d_v):
         raise ValueError(f"start shapes u0 {u0.shape}, v0_all {V0.shape}; expected "
                          f"({oracle.d_u},), ({oracle.n}, {oracle.d_v})")
-    R = len(seeds)
-    server = ServerState(u=np.tile(u0, (R, 1)))
-    clients = ClientStates(V=np.tile(V0, (R, 1, 1)))
+    joined = join_replicas(oracles)
+    server = ServerState(u=np.tile(u0, (len(seeds), 1)))
+    clients = ClientStates(V=np.tile(V0, (len(seeds), 1, 1)))
     if algorithm == SCAFFOLD_P:
         C, c = zip(*(init_control_variates(u0, V0, o, hp.K, seed)
                      for o, seed in zip(oracles, seeds)))
         clients.C, server.c = np.stack(C), np.stack(c)
-    return server, clients
+    # each step zips one (t, ids, rngs) per replica, each from its own streams
+    steps = zip(*(round_streams(seed, oracle.n, hp.m, range(hp.T)) for seed in seeds))
+    rounds = (run_round(server, clients, joined, hp, ts[0], np.array(ids), rngs, seeds)
+              for ts, ids, rngs in (zip(*step) for step in steps))
+    return server, clients, rounds
 
 
 def run_replicas(algorithm: str, oracles, hp: HyperParams, seeds,
@@ -361,12 +363,9 @@ def run_replicas(algorithm: str, oracles, hp: HyperParams, seeds,
     lock-step: run r on oracles[r] with seeds[r]. Returns one result per
     run, each bitwise the same run alone (`run_training`) except wall_ms,
     which is the shared replica round's time."""
-    oracle = join_replicas(oracles)
-    server, clients = init_states(algorithm, oracles, hp, seeds, u0, v0_all)
-    n = clients.V.shape[1]
-    rounds = [run_round(server, clients, oracle, hp, t, ids, rngs, seeds)
-              for t, ids, rngs in replica_streams(seeds, n, hp.m, range(hp.T))]
-    return [TrainingResult.of_replica(r, [traces[r] for traces in rounds], server, clients)
+    server, clients, rounds = start_rounds(algorithm, oracles, hp, seeds, u0, v0_all)
+    traces = list(rounds)
+    return [TrainingResult.of_replica(r, [tr[r] for tr in traces], server, clients)
             for r in range(len(seeds))]
 
 

@@ -109,12 +109,15 @@ class ObjectiveOracle:
 
 def _check_rows(oracle, ids, U, V, rngs=None, Corr=None) -> int:
     """The row count N of a call; ValueError naming ids, U, V, Corr or rngs
-    unless every id lies in [0, n), U is (d_u,) or (N, d_u), V is (N, d_v),
+    unless ids are integers in [0, n), U is (d_u,) or (N, d_u), V is (N, d_v),
     Corr, when given, is (N, d_u) and rngs, when given, holds N generators."""
     n, d_u, d_v, N = oracle.n, oracle.d_u, oracle.d_v, len(ids)
+    ids = np.asarray(ids)
+    # [] is float64; a float or bool id would index as an int
+    if ids.dtype.kind not in "iu" and ids.size:
+        raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
     # one reduction: a negative id wraps to an unsigned value >= 2^63
-    if np.maximum.reduce(np.asarray(ids).astype(np.uint64), initial=0) >= n:
-        ids = np.asarray(ids)
+    if np.maximum.reduce(ids.astype(np.uint64), initial=0) >= n:
         raise ValueError(f"ids must lie in [0, {n}), got {ids[(ids < 0) | (ids >= n)].tolist()}")
     if np.shape(U) not in ((d_u,), (N, d_u)):
         raise ValueError(f"U has shape {np.shape(U)}, expected ({d_u},) or ({N}, {d_u})")

@@ -21,13 +21,11 @@ import theory
 from fedpart import dataio, harness, metrics
 from fedpart.fedcore import (
     HyperParams,
-    init_states,
     recommended_step_sizes,
-    replica_streams,
     run_replicas,
-    run_round,
     run_training,
     sample_clients,
+    start_rounds,
 )
 from fedpart.objectives import LogisticObjective, QuadraticObjective
 from fedpart.rng import stream
@@ -172,9 +170,8 @@ def test_criterion_06_reduction_suite():
                       K=1, T=1, m=4)
     dev_b = 0.0
     for alg in ("fedavg_p", "scaffold_p"):
-        server, clients = init_states(alg, [obj2], hp2, [6])
-        for t, ids, rngs in replica_streams([6], obj2.n, hp2.m, range(1)):
-            run_round(server, clients, obj2, hp2, t, ids, rngs, [6])
+        server, clients, rounds = start_rounds(alg, [obj2], hp2, [6])
+        list(rounds)
         u_exp = -0.2 * (0.0 - a).mean(axis=0)
         v_exp = [-0.3 * (0.0 - b[i]) for i in range(4)]
         dev_b = max(dev_b, _max_dev([server.u[0]], [u_exp]),
@@ -212,10 +209,9 @@ def test_criterion_07_control_variate_mean_invariant():
                                     sigma_u=1.0, sigma_v=0.0, seed=7)
     hp = HyperParams(gamma_u=0.02, gamma_v=0.02, eta_u=1.0, eta_v=1.0,
                      K=5, T=500, m=3)
-    server, clients = init_states("scaffold_p", [obj], hp, [0])
+    server, clients, rounds = start_rounds("scaffold_p", [obj], hp, [0])
     worst = 0.0
-    for t, ids, rngs in replica_streams([0], obj.n, hp.m, range(hp.T)):
-        run_round(server, clients, obj, hp, t, ids, rngs, [0])
+    for _ in rounds:
         gap = np.linalg.norm(server.c[0] - np.mean(clients.C[0], axis=0))
         worst = max(worst, float(gap))
     ok = worst <= 1e-12

@@ -173,8 +173,7 @@ def test_shard_holds_features_once_as_one_matrix():
         X = np.hstack([A, B])
         shard = ClientShard(X=X, y=np.ones(5), d_u=3)
         assert shard.X is X
-        assert shard.A.base is X and shard.B.base is X
-        assert np.array_equal(shard.A, A) and np.array_equal(shard.B, B)
+        assert np.array_equal(shard.X[:, :3], A) and np.array_equal(shard.X[:, 3:], B)
         assert (shard.d_u, shard.d_v, shard.scale) == (3, 2, 1.0)
         # any other layout is copied once into a C-contiguous X of its dtype
         strided = ClientShard(X=np.asfortranarray(X), y=np.ones(5), d_u=3)
@@ -227,7 +226,7 @@ def _indexed_dataset(labels):
 
 
 def _row_indices(shard):
-    return shard.A[:, 0].astype(int)
+    return shard.X[:, 0].astype(int)
 
 
 def test_partition_single_client_holds_everything():
@@ -270,8 +269,7 @@ def test_partition_deterministic():
     a = dataio.partition_clients(ds, 3, "iid", seed=11, d_u=2, d_v=2)
     b = dataio.partition_clients(ds, 3, "iid", seed=11, d_u=2, d_v=2)
     for sa, sb in zip(a, b):
-        assert sa.A.tobytes() == sb.A.tobytes()
-        assert sa.B.tobytes() == sb.B.tobytes()
+        assert sa.X.tobytes() == sb.X.tobytes()
         assert sa.y.tobytes() == sb.y.tobytes()
     c = dataio.partition_clients(ds, 3, "iid", seed=12, d_u=2, d_v=2)
     assert any(sa.y.tobytes() != sc.y.tobytes() for sa, sc in zip(a, c))
@@ -311,7 +309,7 @@ def test_partition_dim_mismatch():
 def test_partition_labels_binarized_and_features_split():
     ds = _indexed_dataset([0, 1, 2, 3])
     (shard,) = dataio.partition_clients(ds, 1, "by_label", seed=0, d_u=3, d_v=1)
-    assert shard.A.shape == (4, 3) and shard.B.shape == (4, 1)
+    assert shard.X[:, :3].shape == (4, 3) and shard.X[:, 3:].shape == (4, 1)
     assert set(shard.y) <= {-1.0, 1.0}
     assert np.array_equal(shard.y, [1.0, -1.0, 1.0, -1.0])  # by_label keeps digit order
 
@@ -334,11 +332,11 @@ def test_partition_cap():
     ds = _indexed_dataset(stream(27, "probe").integers(0, 10, size=10))
     (full,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2)
     (same,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2, cap=10)
-    assert np.array_equal(same.A, full.A) and np.array_equal(same.y, full.y)
+    assert np.array_equal(same.X[:, :2], full.X[:, :2]) and np.array_equal(same.y, full.y)
     small = dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=3)
     assert [s.n_rows for s in small] == [3, 3]
-    assert np.array_equal(small[0].A, full.A[:3])
-    assert np.array_equal(small[1].B, full.B[5:8])
+    assert np.array_equal(small[0].X[:, :2], full.X[:3, :2])
+    assert np.array_equal(small[1].X[:, 2:], full.X[5:8, 2:])
     with pytest.raises(ValueError):
         dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=0)
 
@@ -361,8 +359,8 @@ def test_partition_matches_float_corpus_pipeline(scheme, n):
                 assert g.X.dtype == np.uint8 and g.scale == 255.0 and w.scale == 1.0
                 assert g.y.dtype == w.y.dtype == np.float64
                 assert g.y.tobytes() == w.y.tobytes()
-                for name in ("A", "B"):
-                    ga, wa = getattr(g, name) / g.scale, getattr(w, name)
+                for cols in (np.s_[:, :d_u], np.s_[:, d_u:]):
+                    ga, wa = g.X[cols] / g.scale, w.X[cols]
                     assert ga.dtype == wa.dtype == np.float64
                     assert ga.shape == wa.shape and ga.tobytes() == wa.tobytes()
 
@@ -377,8 +375,8 @@ def _traced_peak(fn, *args):
 
 
 def test_partition_allocates_the_kept_pixels_once():
-    # each shard's X is the block of rows gathered from the corpus, with A
-    # and B its column views: no second, joined copy of the kept pixels
+    # each shard's X is the block of rows gathered from the corpus: no
+    # second, joined copy of the kept pixels
     rng = stream(29, "probe")
     ds = RawDataset(images=rng.integers(0, 256, size=(3000, 784)).astype(np.uint8),
                     labels=rng.integers(0, 10, size=3000))
@@ -386,7 +384,7 @@ def test_partition_allocates_the_kept_pixels_once():
     kept = sum(s.X.nbytes for s in shards)
     assert kept == ds.images.nbytes
     for s in shards:
-        assert s.X.base is None and s.A.base is s.X and s.B.base is s.X
+        assert s.X.base is None
     # the order and the labels take 8 bytes a row beside the 784 pixels
     assert peak < 1.1 * kept, (peak, kept)
 
@@ -404,7 +402,7 @@ def test_build_oracle_peak_memory(mnist_paths):
         payload += len(data)
         inflate_peak = max(inflate_peak, peak)
     oracle, peak = _traced_peak(harness.build_oracle, cfg)
-    shard_bytes = sum(s.A.nbytes + s.B.nbytes + s.y.nbytes for s in oracle.shards)
+    shard_bytes = sum(s.X.nbytes + s.y.nbytes for s in oracle.shards)
     assert peak <= max(inflate_peak, shard_bytes + payload) + 2**20, (peak, shard_bytes, payload)
 
 

@@ -8,6 +8,7 @@ pinned to a parallel SGD step for K=1, m=n, eta=1.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,15 +22,14 @@ from fedpart.fedcore import (
     TrainingResult,
     aggregate_shared,
     init_control_variates,
-    init_states,
     merge_personal,
     recommended_step_sizes,
-    replica_streams,
     round_streams,
     run_replicas,
     run_round,
     run_training,
     sample_clients,
+    start_rounds,
     update_client_control,
     update_server_control,
 )
@@ -360,17 +360,11 @@ def test_update_server_control():
 # ---------------------------------------------------------------- run_round
 
 
-def init_one(algorithm, obj, hp, seed):
-    """The replica (server, clients) of obj run alone, as run_training
-    starts it."""
-    return init_states(algorithm, [obj], hp, [seed])
-
-
-def run_rounds(server, clients, obj, hp, seed, rounds):
-    """run_round over `rounds` on the streams replica_streams draws for the
-    one replica; its traces."""
-    return [run_round(server, clients, obj, hp, t, ids, rngs, [seed])[0]
-            for t, ids, rngs in replica_streams([seed], obj.n, hp.m, rounds)]
+def start_one(algorithm, obj, hp, seed):
+    """start_rounds for obj run alone, as run_training starts it: the
+    replica (server, clients) and its rounds, each step one trace."""
+    server, clients, rounds = start_rounds(algorithm, [obj], hp, [seed])
+    return server, clients, (tr for (tr,) in rounds)
 
 
 def one(server, clients):
@@ -388,8 +382,8 @@ def test_run_round_matches_parallel_sgd_step():
     hp = hp_of(gamma_u=0.2, gamma_v=0.4, K=1, m=3)
     states = {}
     for alg in fedcore.ALGORITHMS:
-        server, clients = init_one(alg, obj, hp, seed=3)
-        (tr,) = run_rounds(server, clients, obj, hp, 3, range(1))
+        server, clients, rounds = start_one(alg, obj, hp, seed=3)
+        (tr,) = rounds
         assert tr.sampled == (1, 2, 3)
         server, clients = one(server, clients)
         states[alg] = (server.u.copy(), clients.V.copy())
@@ -408,8 +402,8 @@ def test_run_round_matches_parallel_sgd_step():
 def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
     obj = quad([[1.0], [2.0]], [[1.0], [0.0]])
     hp = hp_of(gamma_u=0.0, gamma_v=0.0, eta_u=0.0, eta_v=0.0, K=3, m=2)
-    server, clients = init_one("fedavg_p", obj, hp, seed=0)
-    (tr,) = run_rounds(server, clients, obj, hp, 0, range(1))
+    server, clients, rounds = start_one("fedavg_p", obj, hp, seed=0)
+    (tr,) = rounds
     server, clients = one(server, clients)
     assert np.array_equal(server.u, np.zeros(1))
     assert np.array_equal(clients.V, np.zeros((2, 1)))
@@ -422,21 +416,21 @@ def test_run_round_zero_steps_leaves_state_and_reports_initial_metrics():
 
 def test_run_round_unsampled_clients_untouched():
     obj = quad(np.arange(10.0).reshape(5, 2), np.ones((5, 3)), sigma_u=0.3)
-    hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=4, m=2)
-    server, clients = init_one("scaffold_p", obj, hp, seed=9)
-    for t in range(8):
-        before = one(server, clients)[1]
-        V0, C0 = before.V.copy(), before.C.copy()
-        (tr,) = run_rounds(server, clients, obj, hp, 9, range(t, t + 1))
+    hp = hp_of(gamma_u=0.05, gamma_v=0.05, K=4, T=8, m=2)
+    server, clients, rounds = start_one("scaffold_p", obj, hp, seed=9)
+    after = one(server, clients)[1]  # views of the rows each round writes
+    V0, C0 = after.V.copy(), after.C.copy()
+    for tr in rounds:
         sampled0 = {s - 1 for s in tr.sampled}
-        after = one(server, clients)[1]
         for i in range(obj.n):
             if i not in sampled0:
                 assert after.V[i].tobytes() == V0[i].tobytes()
                 assert after.C[i].tobytes() == C0[i].tobytes()
+        V0, C0 = after.V.copy(), after.C.copy()
+    assert tr.t == hp.T - 1
 
 
-def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
+def test_start_rounds_rejects_a_bad_run_before_any_draw(monkeypatch):
     draws = []
     stoch_grads = QuadraticObjective.stoch_grads
     monkeypatch.setattr(QuadraticObjective, "stoch_grads",
@@ -447,11 +441,11 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
             ("scaffold_p", hp_of(m=3), "m=3 exceeds n=2"),
             ("scaffold_p", hp_of(gamma_u=0.0), "scaffold_p needs gamma_u > 0")):
         with pytest.raises(ValueError, match=match):
-            init_one(algorithm, obj, hp, seed=0)
+            start_one(algorithm, obj, hp, seed=0)
         with pytest.raises(ValueError, match=match):
             run_training(algorithm, obj, hp, seed=0)
     with pytest.raises(ValueError, match="1 seeds for 2 oracles"):
-        init_states("scaffold_p", [obj, obj], hp_of(), [0])
+        start_rounds("scaffold_p", [obj, obj], hp_of(), [0])
     # a stream reads its seed mod 2^64: -1 would replay the run of 2^64 - 1
     for seeds in ([-1], [2**64], [3, -1]):
         with pytest.raises(ValueError, match=rf"seed {seeds[-1]} is outside \[0, 2\^64\)"):
@@ -465,10 +459,10 @@ def test_init_states_rejects_a_bad_run_before_any_draw(monkeypatch):
 
 def test_run_round_raises_on_divergence():
     obj = quad([[1.0]], [[1.0]])
-    hp = hp_of(gamma_u=21.0, gamma_v=0.1, K=20, m=1)
-    server, clients = init_one("fedavg_p", obj, hp, seed=0)
+    hp = hp_of(gamma_u=21.0, gamma_v=0.1, K=20, T=12, m=1)
+    _, _, rounds = start_one("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
-        run_rounds(server, clients, obj, hp, 0, range(12))
+        list(rounds)
 
 
 @pytest.mark.parametrize("block,gamma_u,gamma_v", [("u", 1e8, 0.1), ("v", 0.1, 1e8)],
@@ -477,10 +471,10 @@ def test_run_round_names_non_finite_iterate_block(block, gamma_u, gamma_v):
     # 50 steps grow the block by 1e8 each: it overflows within round 0
     obj = quad([[1.0]], [[1.0]])
     hp = hp_of(gamma_u=gamma_u, gamma_v=gamma_v, K=50, m=1)
-    server, clients = init_one("fedavg_p", obj, hp, seed=0)
+    server, clients, rounds = start_one("fedavg_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match=f"non-finite {block} after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
-        run_rounds(server, clients, obj, hp, 0, range(1))
+        next(rounds)
     other = clients.V if block == "u" else server.u
     assert np.isfinite(other).all()
 
@@ -489,10 +483,10 @@ def test_run_round_names_non_finite_server_control():
     # 1/(K gamma_u) overflows: u barely moves, the control refresh is inf
     obj = quad([[1.0], [-2.0]], [[0.0], [0.0]])
     hp = hp_of(gamma_u=1e-320, gamma_v=0.1, K=1, m=2)
-    server, clients = init_one("scaffold_p", obj, hp, seed=0)
+    server, clients, rounds = start_one("scaffold_p", obj, hp, seed=0)
     with pytest.raises(FloatingPointError, match="non-finite c after round 0"), \
             np.errstate(over="ignore", invalid="ignore"):
-        run_rounds(server, clients, obj, hp, 0, range(1))
+        next(rounds)
     assert np.isfinite(server.u).all() and np.isfinite(clients.V).all()
 
 
@@ -500,11 +494,11 @@ def test_run_round_names_non_finite_client_control():
     # a corrupted unsampled c_i is caught although the round never reads it
     obj = quad(np.arange(3.0).reshape(3, 1), np.zeros((3, 1)))
     hp = hp_of(gamma_u=0.1, gamma_v=0.1, K=2, m=1)
-    server, clients = init_one("scaffold_p", obj, hp, seed=5)
+    server, clients, rounds = start_one("scaffold_p", obj, hp, seed=5)
     (sampled,) = sample_clients(3, 1, stream(5, "sample", 0))
     clients.C[0, (sampled + 1) % 3] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite c_i after round 0"):
-        run_rounds(server, clients, obj, hp, 5, range(1))
+        next(rounds)
     assert np.isfinite(server.u).all() and np.isfinite(server.c).all()
 
 
@@ -531,12 +525,13 @@ def _fresh_streams(seed, n, m, t):
     return ids, [stream(seed, "local", t, i) for i in ids.tolist()]
 
 
+def _strip(traces):
+    return [dataclasses.replace(tr, wall_ms=0.0) for tr in traces]
+
+
 def _assert_same_run(a, b):
     # traces (all but wall_ms) and every state array, bitwise
-    def strip(traces):
-        return [dataclasses.replace(tr, wall_ms=0.0) for tr in traces]
-
-    assert strip(a.traces) == strip(b.traces)
+    assert _strip(a.traces) == _strip(b.traces)
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v_all, b.v_all)
     if a.clients.C is None:
         assert b.clients.C is None and a.server.c is None and b.server.c is None
@@ -550,7 +545,7 @@ def _per_round_stream_run(algorithm, oracle, hp, seed):
     streams and fresh per-round streams, through run_round's own arithmetic."""
     # a fedavg_p start draws nothing; scaffold_p's control variates come
     # from the per-draw reference loop
-    server, clients = init_one(fedcore.FEDAVG_P, oracle, hp, seed)
+    server, clients, _ = start_rounds(fedcore.FEDAVG_P, [oracle], hp, [seed])
     if algorithm == fedcore.SCAFFOLD_P:
         C, c = _per_draw_control_variates(server.u[0], clients.V[0], oracle, hp.K, seed)
         clients.C, server.c = C[None], c[None]
@@ -581,15 +576,35 @@ def test_scheduled_run_equals_per_round_streams(algorithm, objective):
         _assert_same_run(got, _per_round_stream_run(algorithm, obj, hp, seed=17))
 
 
-def test_run_round_alone_equals_round_inside_run_training():
-    obj, _ = dataio.synth_quadratic(6, 3, 2, spread=1.0, sigma_u=0.8, sigma_v=0.3, seed=4)
-    hp = hp_of(gamma_u=0.05, gamma_v=0.05, eta_u=1.3, K=4, T=9, m=3)
-    for algorithm in fedcore.ALGORITHMS:
-        whole = run_training(algorithm, obj, hp, seed=8)
-        server, clients = init_one(algorithm, obj, hp, seed=8)
-        traces = run_rounds(server, clients, obj, hp, 8, range(hp.T))
-        alone = TrainingResult.of_replica(0, traces, server, clients)
-        _assert_same_run(whole, alone)
+@pytest.mark.parametrize("objective", ["quadratic", "logistic"])
+@pytest.mark.parametrize("algorithm", fedcore.ALGORITHMS)
+def test_rounds_stopped_after_t_equal_a_run_of_t_rounds(algorithm, objective, monkeypatch):
+    # t = 0, 1, partway through the second key block of 64 // m = 8 rounds,
+    # and T: the streams planned past round t change nothing before it
+    monkeypatch.setattr(fedcore, "_KEY_BLOCK", 64)
+    obj = _small_oracle(objective)
+    hp = hp_of(gamma_u=0.01, gamma_v=0.02, eta_u=1.3, K=3, T=20, m=8)
+    for t in (0, 1, 11, hp.T):
+        server, clients, rounds = start_one(algorithm, obj, hp, seed=8)
+        traces = list(itertools.islice(rounds, t))
+        stopped = TrainingResult.of_replica(0, traces, server, clients)
+        _assert_same_run(run_training(algorithm, obj, dataclasses.replace(hp, T=t), seed=8),
+                         stopped)
+
+
+@pytest.mark.parametrize("algorithm", fedcore.ALGORITHMS)
+def test_rounds_before_a_divergence_equal_a_run_that_stops_there(algorithm):
+    obj = quad([[1.0]], [[1.0]])
+    hp = hp_of(gamma_u=21.0, gamma_v=0.1, K=20, T=12, m=1)
+    _, _, rounds = start_one(algorithm, obj, hp, seed=0)
+    seen = []
+    with pytest.raises(FloatingPointError) as err, np.errstate(over="ignore", invalid="ignore"):
+        for tr in rounds:
+            seen.append(tr)
+    k = len(seen)
+    assert 0 < k < hp.T and f" after round {k} " in str(err.value)
+    alone = run_training(algorithm, obj, dataclasses.replace(hp, T=k), seed=0)
+    assert _strip(seen) == _strip(alone.traces)
 
 
 def test_round_streams_equal_fresh_streams():

@@ -137,7 +137,7 @@ def test_smoothness_logistic_below_classical_bound():
     rng = stream(45, "probe")
     obj = random_logistic(rng, rho=0.0)
     sq = max(
-        float(np.square(np.concatenate([s.A[r], s.B[r]])).sum())
+        float(np.square(s.X[r]).sum())
         for s in obj.shards
         for r in range(s.n_rows)
     )
@@ -276,7 +276,7 @@ def test_metrics_do_not_mutate_state():
     before = (
         u.tobytes(),
         tuple(v.tobytes() for v in v_all),
-        tuple(s.A.tobytes() + s.B.tobytes() + s.y.tobytes() for s in obj.shards),
+        tuple(s.X.tobytes() + s.y.tobytes() for s in obj.shards),
     )
     metrics.round_metrics(obj, u, v_all, 1)
     metrics.estimate_dissimilarity(obj, u, v_all)
@@ -284,6 +284,6 @@ def test_metrics_do_not_mutate_state():
     after = (
         u.tobytes(),
         tuple(v.tobytes() for v in v_all),
-        tuple(s.A.tobytes() + s.B.tobytes() + s.y.tobytes() for s in obj.shards),
+        tuple(s.X.tobytes() + s.y.tobytes() for s in obj.shards),
     )
     assert before == after

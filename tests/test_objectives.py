@@ -306,7 +306,8 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     u0 = rng.standard_normal(4)
     v0 = rng.standard_normal(3)
     corr = rng.standard_normal(4)
-    margins = scaled.y * (scaled.A @ u0 + scaled.B @ v0)
+    A, B = scaled.X[:, :4], scaled.X[:, 4:]
+    margins = scaled.y * (A @ u0 + B @ v0)
     # past the point where math.exp(|margin|) overflows, on both signs
     assert margins.max() > 800.0 and margins.min() < -800.0
     fast, ref = block_and_reference(obj, [0], u0, v0[None], corr[None], 8, 0.2, 0.1, seed=13)
@@ -322,8 +323,8 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     w = -scaled.y * np.exp(-np.logaddexp(0.0, margins))
     rows = scaled.y.size
     want_val = np.logaddexp(0.0, -margins).mean() + obj.rho * (su / (1 + su) + sv / (1 + sv))
-    want_u = scaled.A.T @ w / rows + obj.rho * 2.0 * u0 / (1 + su) ** 2
-    want_v = scaled.B.T @ w / rows + obj.rho * 2.0 * v0 / (1 + sv) ** 2
+    want_u = A.T @ w / rows + obj.rho * 2.0 * u0 / (1 + su) ** 2
+    want_v = B.T @ w / rows + obj.rho * 2.0 * v0 / (1 + sv) ** 2
     assert math.isfinite(val) and np.all(np.isfinite(g_u)) and np.all(np.isfinite(g_v))
     assert val == pytest.approx(want_val, rel=1e-12)
     assert np.allclose(g_u, want_u, rtol=1e-12, atol=1e-12)
@@ -580,6 +581,14 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
         for bad_ids, bad in (([0, -1], -1), ([5, 1], 5)):
             with pytest.raises(ValueError, match=rf"^ids must lie in \[0, 5\), got \[{bad}\]$"):
                 call(bad_ids, U, V)
+        # unchecked, 1.5 and True would read client 1's row and 1.0 raise
+        # numpy's TypeError
+        for bad_ids, dtype in (([1.5, 0], "float64"), ([True, False], "bool"),
+                               (np.array([1.0, 0.0]), "float64")):
+            with pytest.raises(ValueError, match=rf"^ids must be integers, got dtype {dtype}$"):
+                call(bad_ids, U, V)
+    # [] is a float64 array, and a call of no rows returns no rows
+    assert [x.shape for x in calls[0]([], U[0], V[:0])] == [(0,), (0, 3), (0, 4)]
     # one generator short: unchecked, the logistic rows past it would come
     # back unwritten
     for call in calls[1:]:

@@ -9,17 +9,19 @@ each tree's `src/fedpart` into this one process under its own package
 name. The three copies share one interpreter, one numpy and one BLAS, so
 what differs between them is their code and where it lies in memory.
 
-Three call sites are timed, each on inputs made once from `--seed`:
+Four call sites are timed, each on inputs made once from `--seed`:
 - `local_steps`: logistic local steps of 9 rows of 1000-row uint8 shards
   (d_u = d_v = 392, scale 255), K 25, batch 200
 - `value_and_grads`: the full-batch logistic metrics of all 10 shards
+- `logistic_run`: one `run_training("scaffold_p", ...)` on the 10 shards,
+  m 9, K 25, T 2: the control-variate start and two whole rounds
 - `quad_sweep`: one `quad-sweep` unit, `run_sweep` over K 5/10/20/40 x 2
   seeds, T 100, into a temporary directory
 
 Each pair times one call of every tree, the order of the trees rotating
 from pair to pair. Every call's output must equal the parent's bitwise
-(sweep traces without their wall_ms column), and so must one logistic
-`stoch_grads` call; a difference exits 1 naming the site and the tree.
+(traces without their wall_ms, and the logistic run's final u, V and C),
+and so must one logistic `stoch_grads` call; a difference exits 1 naming the site and the tree.
 Prints, per call site, the median and quartiles of parent time / change
 time (above 1: the change is faster) and of parent time / parent-copy time.
 An A/B median inside the A/A quartiles is a difference this tool cannot
@@ -41,7 +43,7 @@ import numpy as np
 
 TOOLS = os.path.dirname(os.path.abspath(__file__))
 SIDES = ("parent", "change", "copy")
-SITES = ("local_steps", "value_and_grads", "quad_sweep")
+SITES = ("local_steps", "value_and_grads", "logistic_run", "quad_sweep")
 D_U = D_V = 392
 SWEEP_BASE = dict(algorithm="fedavg_p", objective="quadratic", n=10, m=9, d_u=5, d_v=5,
                   spread=1.0, sigma_u=1.0, sigma_v=1.0, T=100)
@@ -61,7 +63,7 @@ def load_package(name: str, tree: str):
 
 
 class Sites:
-    """The three call sites of one loaded tree, on inputs shared by all."""
+    """The call sites of one loaded tree, on inputs shared by all."""
 
     def __init__(self, fedpart, inputs: dict, out_dir: str):
         self.fedpart = fedpart
@@ -69,6 +71,8 @@ class Sites:
         shards = [fedpart.ClientShard(X=X, y=y, d_u=D_U, scale=255.0)
                   for X, y in zip(inputs["X"], inputs["y"])]
         self.logistic = fedpart.LogisticObjective(shards, rho=0.01, batch_size=200)
+        self.hp = fedpart.HyperParams(gamma_u=0.05, gamma_v=0.05, eta_u=1.0, eta_v=1.0,
+                                      K=25, T=2, m=9)
         self.spec = fedpart.SweepSpec(base=dict(SWEEP_BASE), axis="K", values=[5, 10, 20, 40],
                                       seeds=inputs["sweep_seeds"], out_dir=out_dir)
 
@@ -87,12 +91,18 @@ class Sites:
         elif site == "stoch_grads":
             args = (x["ids"], x["U"], x["V"], 25, self._rngs(1, 9))
             fn = self.logistic.stoch_grads
+        elif site == "logistic_run":
+            args = ("scaffold_p", self.logistic, self.hp, x["seed"])
+            fn = self.fedpart.run_training
         else:
             args = (self.spec,)
             fn = self.fedpart.run_sweep
         start = time.perf_counter()
         out = fn(*args)
         elapsed = time.perf_counter() - start
+        if site == "logistic_run":
+            out = ([(tr.t, tr.f_value, tr.grad_norm_u, tr.grad_norm_v, tr.grad_norm_v_hat,
+                     tr.sampled) for tr in out.traces], out.u, out.v_all, out.clients.C)
         return elapsed, (self._traces() if site == "quad_sweep" else out)
 
     def _traces(self):
