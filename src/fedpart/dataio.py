@@ -7,9 +7,11 @@ magic, short payloads, trailing bytes and labels outside 0-9 each raise
 `DataFormatError` with their own message. Gzipped files are inflated
 transparently when read from disk, and every format or inflate error met
 while loading a file names that file; a count mismatch names both files. Images stay uint8
-pixels: a shard's gathered rows are its one feature matrix X = [A | B]
-(`ClientShard`) with scale 255, and a logistic gradient casts only the rows
-it reads and splits them after u's length (`objectives.logistic_grads`).
+pixels: a shard's gathered rows are its one feature matrix X (`ClientShard`)
+with scale 255. Shards know nothing of the shared/personal split: the
+logistic objective owns it (`objectives.LogisticObjective`), and a logistic
+gradient casts only the rows it reads and splits them after u's length
+(`objectives.logistic_grads`).
 """
 
 from __future__ import annotations
@@ -59,17 +61,14 @@ class RawDataset:
 class ClientShard:
     """One client's rows: features X / scale and labels y in {-1,+1}.
 
-    X = [A | B] (N_i, d_u + d_v): the shared features A are its first d_u
-    columns and the personal features B the rest.
-    X keeps its dtype and is stored as given when C-contiguous, else as one
-    contiguous copy; image shards keep uint8 pixels with scale 255. Labels
-    are held as float64. ValueError unless X is 2-D, y has one label a row,
-    1 <= d_u < X.shape[1] and scale is finite and > 0.
+    X (N_i, W) keeps its dtype and is stored as given when C-contiguous,
+    else as one contiguous copy; image shards keep uint8 pixels with scale
+    255. Labels are held as float64. ValueError unless X is 2-D, y has one
+    label a row and scale is finite and > 0.
     """
 
-    X: np.ndarray  # (N_i, d_u + d_v)
+    X: np.ndarray  # (N_i, W)
     y: np.ndarray  # (N_i,)
-    d_u: int
     scale: float = 1.0
 
     def __post_init__(self):
@@ -81,14 +80,8 @@ class ClientShard:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != X.shape[:1]:
             raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},): one label a row")
-        if not 1 <= self.d_u <= X.shape[1] - 1:
-            raise ValueError(f"d_u must be in [1, {X.shape[1] - 1}], got {self.d_u!r}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-
-    @property
-    def d_v(self) -> int:
-        return self.X.shape[1] - self.d_u
 
     @property
     def n_rows(self) -> int:
@@ -196,8 +189,6 @@ def partition_clients(
     n: int,
     scheme: str,
     seed: int,
-    d_u: int,
-    d_v: int,
     cap: int | None = None,
 ) -> list[ClientShard]:
     """Partition a dataset into n disjoint ClientShards.
@@ -215,10 +206,6 @@ def partition_clients(
         raise ValueError("n must be >= 1")
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    if d_u < 1 or d_v < 1 or d_u + d_v != dataset.images.shape[1]:
-        raise ValueError(
-            f"d_u + d_v = {d_u} + {d_v} must equal feature count {dataset.images.shape[1]}"
-        )
     if dataset.count < n:
         raise ValueError(f"{dataset.count} examples cannot fill {n} shards")
     if scheme == "iid":
@@ -234,7 +221,7 @@ def partition_clients(
     for size in _block_sizes(dataset.count, n):
         rows = order[start : start + size][:cap]
         start += size
-        shards.append(ClientShard(X=dataset.images[rows], y=y_all[rows], d_u=d_u, scale=255.0))
+        shards.append(ClientShard(X=dataset.images[rows], y=y_all[rows], scale=255.0))
     return shards
 
 

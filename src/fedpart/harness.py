@@ -275,7 +275,8 @@ def echo_path_for(output: str) -> str:
 def build_oracle(config: ExperimentConfig, corpus: dataio.RawDataset | None = None):
     """Instantiate the configured objective (and its data) for this run. A
     logistic config partitions `corpus`, its IDX pair already loaded, when
-    given, and loads the pair otherwise."""
+    given, and loads the pair otherwise; ValueError, before any row is
+    gathered, unless d_u + d_v is the corpus's feature count."""
     if config.objective == QUADRATIC:
         obj, _ = dataio.synth_quadratic(
             config.n, config.d_u, config.d_v,
@@ -284,11 +285,12 @@ def build_oracle(config: ExperimentConfig, corpus: dataio.RawDataset | None = No
         return obj
     if corpus is None:
         corpus = dataio.load_mnist(config.images_path, config.labels_path)
-    shards = dataio.partition_clients(
-        corpus, config.n, config.partition, config.seed, config.d_u, config.d_v,
-        cap=config.per_client_cap,
-    )
-    return LogisticObjective(shards, rho=config.rho, batch_size=config.batch_size)
+    W = corpus.images.shape[1]
+    if config.d_u + config.d_v != W:
+        raise ValueError(f"d_u + d_v = {config.d_u} + {config.d_v} must equal feature count {W}")
+    shards = dataio.partition_clients(corpus, config.n, config.partition, config.seed,
+                                      cap=config.per_client_cap)
+    return LogisticObjective(shards, config.d_u, rho=config.rho, batch_size=config.batch_size)
 
 
 def run_experiments(configs: list[ExperimentConfig]):

@@ -31,15 +31,17 @@ block of (u | v) rows, with per-column step sizes and zero v-columns in
 the correction; x - 0.0 is exact, so its iterates are bitwise those of N
 per-client (u, v) loops.
 
-Logistic shards are stored as one matrix X = [A | B] in their own dtype
-(uint8 pixels for image data, `dataio.ClientShard`) with features
-X / scale. `logistic_grads` is the one logistic gradient routine: it casts
-the rows it reads to float64, applies 1/scale once per product, not per
-feature, and returns the unscaled backward products w @ A and w @ B;
-`logistic_finish` turns summed products into gradients. A minibatch is one
-call; the full-batch pass (`logistic_full_batch`) casts a shard
-`_CHUNK_ROWS` rows at a time, sums products and loss terms over the chunks
-and adds the regularizer's value and gradients. `stoch_grads` and
+Logistic shards are stored as one matrix X in their own dtype (uint8
+pixels for image data, `dataio.ClientShard`) with features X / scale. The
+split is the objective's alone: `LogisticObjective(shards, d_u)` makes the
+first d_u columns the shared features A and the rest the personal
+features B, X = [A | B]. `logistic_grads` is the one logistic gradient
+routine: it casts the rows it reads to float64, applies 1/scale once per
+product, not per feature, and returns the unscaled backward products
+w @ A and w @ B; `logistic_finish` turns summed products into gradients.
+A minibatch is one call; the full-batch pass (`logistic_full_batch`) casts
+a shard `_CHUNK_ROWS` rows at a time, sums products and loss terms over the
+chunks and adds the regularizer's value and gradients. `stoch_grads` and
 `local_steps` take their minibatch gradients from one per-row loop, so a
 row's local steps draw its generator and compute each gradient exactly as
 a K-draw `stoch_grads` row.
@@ -109,10 +111,13 @@ class ObjectiveOracle:
 
 def _check_rows(oracle, ids, U, V, rngs=None, Corr=None) -> int:
     """The row count N of a call; ValueError naming ids, U, V, Corr or rngs
-    unless ids are integers in [0, n), U is (d_u,) or (N, d_u), V is (N, d_v),
-    Corr, when given, is (N, d_u) and rngs, when given, holds N generators."""
-    n, d_u, d_v, N = oracle.n, oracle.d_u, oracle.d_v, len(ids)
+    unless ids is 1-D with integers in [0, n), U is (d_u,) or (N, d_u), V is
+    (N, d_v), Corr, when given, is (N, d_u) and rngs, when given, holds N
+    generators."""
     ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"ids must be 1-D, got shape {ids.shape}")
+    n, d_u, d_v, N = oracle.n, oracle.d_u, oracle.d_v, len(ids)
     # [] is float64; a float or bool id would index as an int
     if ids.dtype.kind not in "iu" and ids.size:
         raise ValueError(f"ids must be integers, got dtype {ids.dtype}")
@@ -304,31 +309,36 @@ class LogisticObjective(ObjectiveOracle):
     f_i(u, v_i) = (1/N_i) * sum_l log(1 + exp(-c_l * (a_l.u + b_l.v_i)))
                   + rho * (|u|^2/(1+|u|^2) + |v_i|^2/(1+|v_i|^2))
 
-    with (a_l | b_l) the l-th row of the shard's features X / scale. The
-    shards are held as given, in their stored dtype; each gradient casts
-    only the rows it reads to float64. Minibatches are drawn uniformly
-    with replacement, batch_size rows per step.
+    with (a_l | b_l) the l-th row of the shard's features X / scale, split
+    after its first d_u columns: ValueError unless the shards share one
+    feature count W and 1 <= d_u < W, so d_v = W - d_u. The shards are held
+    as given, in their stored dtype; each gradient casts only the rows it
+    reads to float64. Minibatches are drawn uniformly with replacement,
+    batch_size rows per step.
     """
 
-    def __init__(self, shards: "list[ClientShard]", rho: float = 0.01, batch_size: int = 1):
+    def __init__(self, shards: "list[ClientShard]", d_u: int, rho: float = 0.01,
+                 batch_size: int = 1):
         if not shards:
             raise ValueError("need at least one shard")
         if rho < 0:
             raise ValueError("rho must be >= 0")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        d_u, d_v = shards[0].d_u, shards[0].d_v
+        W = shards[0].X.shape[1]
+        if not 1 <= d_u <= W - 1:
+            raise ValueError(f"d_u must be in [1, {W - 1}], got {d_u!r}")
         for i, s in enumerate(shards):
             if s.n_rows == 0:
                 raise ValueError(f"shard {i} is empty")
-            if (s.d_u, s.d_v) != (d_u, d_v):
-                raise ValueError("all shards must share (d_u, d_v)")
+            if s.X.shape[1] != W:
+                raise ValueError(f"shard {i} has {s.X.shape[1]} features, shard 0 has {W}")
         self.shards = list(shards)
         self.rho = float(rho)
         self.batch_size = int(batch_size)
         self.n = len(shards)
         self.d_u = d_u
-        self.d_v = d_v
+        self.d_v = W - d_u
 
     def value_and_grads(self, ids, U, V):
         N = _check_rows(self, ids, U, V)
@@ -408,6 +418,6 @@ def join_replicas(oracles) -> ObjectiveOracle:
     if type(first) is LogisticObjective:
         _share(oracles, "rho", "batch_size")
         return LogisticObjective([s for o in oracles for s in o.shards],
-                                 first.rho, first.batch_size)
+                                 first.d_u, first.rho, first.batch_size)
     raise ValueError(f"cannot join replicas of {type(first).__name__}; "
                      "replica runs need quadratic or logistic objectives")

@@ -15,9 +15,9 @@ def random_logistic(rng, n=2, rows=8, d_u=3, d_v=2, rho=0.01, batch_size=1):
     and +-1 labels, drawn from rng shard by shard."""
     shards = [ClientShard(X=np.hstack([rng.standard_normal((rows, d_u)),
                                        rng.standard_normal((rows, d_v))]),
-                          y=np.where(rng.random(rows) < 0.5, -1.0, 1.0), d_u=d_u)
+                          y=np.where(rng.random(rows) < 0.5, -1.0, 1.0))
               for _ in range(n)]
-    return LogisticObjective(shards, rho=rho, batch_size=batch_size)
+    return LogisticObjective(shards, d_u, rho=rho, batch_size=batch_size)
 
 
 def central_diff(oracle, i, u, v, h=1e-6):
@@ -125,7 +125,7 @@ def logistic_local_steps(u0, V0, shards, rho, gamma_u, gamma_v, idx, Corr):
     return U, V
 
 
-def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
+def capped_shards(pixels, labels, n, scheme, seed, cap):
     """Client shards built the way the loader used to: scale the whole
     corpus to float64, copy every row into uncapped shards, then copy each
     shard's first `cap` rows again."""
@@ -135,7 +135,6 @@ def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
     else:
         order = np.argsort(labels, kind="stable")
     y_all = dataio.binarize_labels(labels).astype(np.float64)
-    a_all, b_all = images[:, :d_u], images[:, d_u:]
     base, rem = divmod(labels.shape[0], n)
     shards = []
     start = 0
@@ -143,10 +142,9 @@ def capped_shards(pixels, labels, n, scheme, seed, d_u, d_v, cap):
         size = base + 1 if i < rem else base
         rows = order[start : start + size]
         start += size
-        A = np.ascontiguousarray(a_all[rows])
-        B = np.ascontiguousarray(b_all[rows])
+        X = images[rows]
         y = y_all[rows]
         if size > cap:
-            A, B, y = A[:cap].copy(), B[:cap].copy(), y[:cap].copy()
-        shards.append(ClientShard(X=np.hstack([A, B]), y=y, d_u=A.shape[1]))
+            X, y = X[:cap].copy(), y[:cap].copy()
+        shards.append(ClientShard(X=X, y=y))
     return shards

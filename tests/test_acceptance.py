@@ -226,9 +226,9 @@ def test_criterion_08_gradient_correctness():
     rng = stream(72, "probe")
     shards = [dataio.ClientShard(X=np.hstack([rng.standard_normal((12, 4)),
                                               rng.standard_normal((12, 3))]),
-                                 y=np.where(rng.integers(0, 2, 12) > 0, 1.0, -1.0), d_u=4)
+                                 y=np.where(rng.integers(0, 2, 12) > 0, 1.0, -1.0))
               for _ in range(3)]
-    logit = LogisticObjective(shards=shards, rho=0.05)
+    logit = LogisticObjective(shards=shards, d_u=4, rho=0.05)
 
     worst = 0.0
     for obj in (quad, logit):

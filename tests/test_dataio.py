@@ -171,12 +171,14 @@ def test_shard_holds_features_once_as_one_matrix():
         A = rng.integers(0, 256, size=(5, 3)).astype(dtype)
         B = rng.integers(0, 256, size=(5, 2)).astype(dtype)
         X = np.hstack([A, B])
-        shard = ClientShard(X=X, y=np.ones(5), d_u=3)
+        shard = ClientShard(X=X, y=np.ones(5))
         assert shard.X is X
         assert np.array_equal(shard.X[:, :3], A) and np.array_equal(shard.X[:, 3:], B)
-        assert (shard.d_u, shard.d_v, shard.scale) == (3, 2, 1.0)
+        assert shard.scale == 1.0
+        # the shared/personal split is the objective's, not the shard's
+        assert not hasattr(shard, "d_u") and not hasattr(shard, "d_v")
         # any other layout is copied once into a C-contiguous X of its dtype
-        strided = ClientShard(X=np.asfortranarray(X), y=np.ones(5), d_u=3)
+        strided = ClientShard(X=np.asfortranarray(X), y=np.ones(5))
         assert strided.X.flags.c_contiguous and strided.X.dtype == dtype
         assert np.array_equal(strided.X, X)
 
@@ -184,7 +186,7 @@ def test_shard_holds_features_once_as_one_matrix():
 @pytest.mark.parametrize("scale", [0.0, -255.0, math.inf, -math.inf, math.nan])
 def test_shard_scale_must_be_finite_and_positive(scale):
     with pytest.raises(ValueError, match="scale"):
-        ClientShard(X=np.zeros((1, 3)), y=np.ones(1), d_u=2, scale=scale)
+        ClientShard(X=np.zeros((1, 3)), y=np.ones(1), scale=scale)
 
 
 @pytest.mark.parametrize("y_shape", [(4,), (2,), (3, 1)])
@@ -195,21 +197,23 @@ def test_shard_needs_one_label_a_row(y_shape):
     rng = stream(23, "probe")
     X = rng.standard_normal((3, 3))
     with pytest.raises(ValueError, match="one label a row"):
-        shard = ClientShard(X=X, y=np.ones(y_shape), d_u=2)
-        LogisticObjective([shard], batch_size=8).stoch_grads(
+        shard = ClientShard(X=X, y=np.ones(y_shape))
+        LogisticObjective([shard], 2, batch_size=8).stoch_grads(
             0, np.zeros(2), np.zeros(1), 4, stream(23, "local"))
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3, 2), ()])
 def test_shard_features_must_be_2d(shape):
     with pytest.raises(ValueError, match="X must be 2-D"):
-        ClientShard(X=np.ones(shape), y=np.ones(2), d_u=1)
+        ClientShard(X=np.ones(shape), y=np.ones(2))
 
 
 @pytest.mark.parametrize("d_u", [0, -1, 3, 4])
 def test_shard_blocks_must_both_be_nonempty(d_u):
+    # the logistic objective splits a shard's 3 features after its d_u
+    shard = ClientShard(X=np.ones((2, 3)), y=np.ones(2))
     with pytest.raises(ValueError, match=r"d_u must be in \[1, 2\]"):
-        ClientShard(X=np.ones((2, 3)), y=np.ones(2), d_u=d_u)
+        LogisticObjective([shard], d_u)
 
 
 # -------------------------------------------------------------- partitioning
@@ -232,14 +236,14 @@ def _row_indices(shard):
 def test_partition_single_client_holds_everything():
     ds = _indexed_dataset([3, 1, 4, 1, 5])
     for scheme in ("iid", "by_label"):
-        shards = dataio.partition_clients(ds, 1, scheme, seed=0, d_u=2, d_v=2)
+        shards = dataio.partition_clients(ds, 1, scheme, seed=0)
         assert len(shards) == 1
         assert sorted(_row_indices(shards[0])) == list(range(5))
 
 
 def test_partition_pigeonhole():
     ds = _indexed_dataset(list(range(10)))
-    shards = dataio.partition_clients(ds, 10, "iid", seed=7, d_u=2, d_v=2)
+    shards = dataio.partition_clients(ds, 10, "iid", seed=7)
     assert [s.n_rows for s in shards] == [1] * 10
     assert sorted(i for s in shards for i in _row_indices(s)) == list(range(10))
 
@@ -249,7 +253,7 @@ def test_partition_by_label_hand_trace():
     digits = np.repeat(np.arange(10), 2)
     digits = digits[rng.permutation(20)]
     ds = _indexed_dataset(digits)
-    shards = dataio.partition_clients(ds, 2, "by_label", seed=0, d_u=2, d_v=2)
+    shards = dataio.partition_clients(ds, 2, "by_label", seed=0)
     first = sorted(digits[_row_indices(shards[0])])
     assert first == sorted(digits)[:10]  # the 10 smallest digits
 
@@ -258,7 +262,7 @@ def test_partition_bijection_uneven():
     rng = stream(24, "probe")
     ds = _indexed_dataset(rng.integers(0, 10, size=23))
     for scheme in ("iid", "by_label"):
-        shards = dataio.partition_clients(ds, 4, scheme, seed=3, d_u=2, d_v=2)
+        shards = dataio.partition_clients(ds, 4, scheme, seed=3)
         assert [s.n_rows for s in shards] == [6, 6, 6, 5]
         assert sorted(i for s in shards for i in _row_indices(s)) == list(range(23))
 
@@ -266,23 +270,23 @@ def test_partition_bijection_uneven():
 def test_partition_deterministic():
     rng = stream(25, "probe")
     ds = _indexed_dataset(rng.integers(0, 10, size=17))
-    a = dataio.partition_clients(ds, 3, "iid", seed=11, d_u=2, d_v=2)
-    b = dataio.partition_clients(ds, 3, "iid", seed=11, d_u=2, d_v=2)
+    a = dataio.partition_clients(ds, 3, "iid", seed=11)
+    b = dataio.partition_clients(ds, 3, "iid", seed=11)
     for sa, sb in zip(a, b):
         assert sa.X.tobytes() == sb.X.tobytes()
         assert sa.y.tobytes() == sb.y.tobytes()
-    c = dataio.partition_clients(ds, 3, "iid", seed=12, d_u=2, d_v=2)
+    c = dataio.partition_clients(ds, 3, "iid", seed=12)
     assert any(sa.y.tobytes() != sc.y.tobytes() for sa, sc in zip(a, c))
 
 
 def test_partition_too_few_examples():
     ds = _indexed_dataset([1, 2, 3])
     with pytest.raises(ValueError, match="^3 examples cannot fill 4 shards$"):
-        dataio.partition_clients(ds, 4, "iid", seed=0, d_u=2, d_v=2)
+        dataio.partition_clients(ds, 4, "iid", seed=0)
     with pytest.raises(ValueError):
-        dataio.partition_clients(ds, 2, "sorted", seed=0, d_u=2, d_v=2)
+        dataio.partition_clients(ds, 2, "sorted", seed=0)
     with pytest.raises(ValueError, match="n must be >= 1"):
-        dataio.partition_clients(ds, 0, "iid", seed=0, d_u=2, d_v=2)
+        dataio.partition_clients(ds, 0, "iid", seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -291,24 +295,30 @@ def test_instance_builders_reject_seeds_outside_the_run_range(seed):
     ds = _indexed_dataset([1, 2, 3])
     match = rf"seed {seed} is outside \[0, 2\^64\)"
     with pytest.raises(ValueError, match=match):
-        dataio.partition_clients(ds, 1, "iid", seed=seed, d_u=2, d_v=2)
+        dataio.partition_clients(ds, 1, "iid", seed=seed)
     with pytest.raises(ValueError, match=match):
         dataio.synth_quadratic(2, 1, 1, spread=1.0, sigma_u=0.0, sigma_v=0.0, seed=seed)
-    assert len(dataio.partition_clients(ds, 1, "iid", seed=2**64 - 1, d_u=2, d_v=2)) == 1
+    assert len(dataio.partition_clients(ds, 1, "iid", seed=2**64 - 1)) == 1
     assert dataio.synth_quadratic(2, 1, 1, 1.0, 0.0, 0.0, seed=2**64 - 1)[0].n == 2
 
 
-def test_partition_dim_mismatch():
+def test_partition_dim_mismatch(monkeypatch):
+    # a logistic config's d_u + d_v is 784; build_oracle checks it against
+    # the corpus's width before it gathers any row
     ds = _indexed_dataset([1, 2, 3])
-    with pytest.raises(ValueError, match=r"^d_u \+ d_v = 3 \+ 2 must equal feature count 4$"):
-        dataio.partition_clients(ds, 1, "iid", seed=0, d_u=3, d_v=2)
-    with pytest.raises(ValueError, match=r"^d_u \+ d_v = 4 \+ 0 must equal feature count 4$"):
-        dataio.partition_clients(ds, 1, "iid", seed=0, d_u=4, d_v=0)
+    monkeypatch.setattr(dataio, "partition_clients", None)
+    for d_u, d_v in ((392, 392), (783, 1)):
+        cfg = harness.config_from_mapping(dict(
+            objective="logistic_mnist", images_path="i", labels_path="l", n=1, m=1,
+            d_u=d_u, d_v=d_v))
+        with pytest.raises(ValueError,
+                           match=rf"^d_u \+ d_v = {d_u} \+ {d_v} must equal feature count 4$"):
+            harness.build_oracle(cfg, ds)
 
 
 def test_partition_labels_binarized_and_features_split():
     ds = _indexed_dataset([0, 1, 2, 3])
-    (shard,) = dataio.partition_clients(ds, 1, "by_label", seed=0, d_u=3, d_v=1)
+    (shard,) = dataio.partition_clients(ds, 1, "by_label", seed=0)
     assert shard.X[:, :3].shape == (4, 3) and shard.X[:, 3:].shape == (4, 1)
     assert set(shard.y) <= {-1.0, 1.0}
     assert np.array_equal(shard.y, [1.0, -1.0, 1.0, -1.0])  # by_label keeps digit order
@@ -320,8 +330,8 @@ def test_by_label_more_heterogeneous_than_iid(mnist_paths):
     v_all = None
     slacks = {}
     for scheme in ("iid", "by_label"):
-        shards = dataio.partition_clients(ds, 10, scheme, seed=0, d_u=392, d_v=392)
-        obj = LogisticObjective(shards, rho=0.01, batch_size=1)
+        shards = dataio.partition_clients(ds, 10, scheme, seed=0)
+        obj = LogisticObjective(shards, 392, rho=0.01, batch_size=1)
         if v_all is None:
             v_all = [np.zeros(obj.d_v) for _ in range(obj.n)]
         slacks[scheme] = metrics.estimate_dissimilarity(obj, u, v_all)
@@ -330,15 +340,15 @@ def test_by_label_more_heterogeneous_than_iid(mnist_paths):
 
 def test_partition_cap():
     ds = _indexed_dataset(stream(27, "probe").integers(0, 10, size=10))
-    (full,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2)
-    (same,) = dataio.partition_clients(ds, 1, "iid", seed=5, d_u=2, d_v=2, cap=10)
+    (full,) = dataio.partition_clients(ds, 1, "iid", seed=5)
+    (same,) = dataio.partition_clients(ds, 1, "iid", seed=5, cap=10)
     assert np.array_equal(same.X[:, :2], full.X[:, :2]) and np.array_equal(same.y, full.y)
-    small = dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=3)
+    small = dataio.partition_clients(ds, 2, "iid", seed=5, cap=3)
     assert [s.n_rows for s in small] == [3, 3]
     assert np.array_equal(small[0].X[:, :2], full.X[:3, :2])
     assert np.array_equal(small[1].X[:, 2:], full.X[5:8, 2:])
     with pytest.raises(ValueError):
-        dataio.partition_clients(ds, 2, "iid", seed=5, d_u=2, d_v=2, cap=0)
+        dataio.partition_clients(ds, 2, "iid", seed=5, cap=0)
 
 
 @pytest.mark.parametrize("scheme", ["iid", "by_label"])
@@ -351,14 +361,14 @@ def test_partition_matches_float_corpus_pipeline(scheme, n):
     ds = RawDataset(images=pixels, labels=labels)
     block = -(-203 // n)
     for cap in (block - 1, block, block + 7):
-        for d_u in (1, 392, 783):
-            got = dataio.partition_clients(ds, n, scheme, 9, d_u, 784 - d_u, cap=cap)
-            want = reference.capped_shards(pixels, labels, n, scheme, 9, d_u, 784 - d_u, cap)
-            assert len(got) == len(want) == n
-            for g, w in zip(got, want):
-                assert g.X.dtype == np.uint8 and g.scale == 255.0 and w.scale == 1.0
-                assert g.y.dtype == w.y.dtype == np.float64
-                assert g.y.tobytes() == w.y.tobytes()
+        got = dataio.partition_clients(ds, n, scheme, 9, cap=cap)
+        want = reference.capped_shards(pixels, labels, n, scheme, 9, cap)
+        assert len(got) == len(want) == n
+        for g, w in zip(got, want):
+            assert g.X.dtype == np.uint8 and g.scale == 255.0 and w.scale == 1.0
+            assert g.y.dtype == w.y.dtype == np.float64
+            assert g.y.tobytes() == w.y.tobytes()
+            for d_u in (1, 392, 783):
                 for cols in (np.s_[:, :d_u], np.s_[:, d_u:]):
                     ga, wa = g.X[cols] / g.scale, w.X[cols]
                     assert ga.dtype == wa.dtype == np.float64
@@ -380,7 +390,7 @@ def test_partition_allocates_the_kept_pixels_once():
     rng = stream(29, "probe")
     ds = RawDataset(images=rng.integers(0, 256, size=(3000, 784)).astype(np.uint8),
                     labels=rng.integers(0, 10, size=3000))
-    shards, peak = _traced_peak(dataio.partition_clients, ds, 3, "iid", 4, 300, 484)
+    shards, peak = _traced_peak(dataio.partition_clients, ds, 3, "iid", 4)
     kept = sum(s.X.nbytes for s in shards)
     assert kept == ds.images.nbytes
     for s in shards:

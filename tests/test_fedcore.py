@@ -102,25 +102,28 @@ def test_sample_is_sorted_m_subset():
         assert got.min() >= 0 and got.max() < 7
 
 
-def test_sample_pair_frequencies():
-    rng = stream(61, "sample", 0)
+class _SwapTargets:
+    """Stands in for a generator: its one draw is the given swap targets,
+    asked for as r_j uniform on {j..n-1}."""
+
+    def __init__(self, n, m, targets):
+        self.n, self.m, self.targets = n, m, targets
+
+    def integers(self, low, high):
+        assert np.array_equal(low, np.arange(self.m)) and high == self.n
+        return np.array(self.targets)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (10, 1), (5, 3)])
+def test_sample_counts_each_subset_m_factorial_times(n, m):
+    # every equally likely swap-target vector once: the n!/(n-m)! vectors
+    # give each m-subset exactly m! times, so the sample is uniform
     counts = {}
-    draws = 300_000
-    for _ in range(draws):
-        pair = tuple(sample_clients(3, 2, rng).tolist())
-        counts[pair] = counts.get(pair, 0) + 1
-    assert set(counts) == {(0, 1), (0, 2), (1, 2)}
-    for pair, c in counts.items():
-        assert abs(c / draws - 1 / 3) <= 0.01, (pair, c / draws)
-
-
-def test_sample_singleton_frequencies():
-    rng = stream(62, "sample", 0)
-    counts = np.zeros(10, dtype=int)
-    draws = 100_000
-    for _ in range(draws):
-        counts[sample_clients(10, 1, rng)[0]] += 1
-    assert np.all(np.abs(counts / draws - 0.1) <= 0.005)
+    for targets in itertools.product(*(range(j, n) for j in range(m))):
+        subset = tuple(sample_clients(n, m, _SwapTargets(n, m, targets)).tolist())
+        counts[subset] = counts.get(subset, 0) + 1
+    assert sum(counts.values()) == math.perm(n, m)
+    assert counts == dict.fromkeys(itertools.combinations(range(n), m), math.factorial(m))
 
 
 def test_sample_equals_per_draw_fisher_yates():
@@ -709,9 +712,11 @@ def test_join_replicas_rejects_what_one_objective_cannot_hold():
             ([one, logistic], r"mixed types \['LogisticObjective', 'QuadraticObjective'\]"),
             ([one, quad([[1.0]], [[1.0]], sigma_u=0.1)], r"share \(sigma_u, sigma_v\)"),
             ([one, quad([[1.0]], [[1.0]], sigma_v=0.1)], r"share \(sigma_u, sigma_v\)"),
-            ([logistic, LogisticObjective(logistic.shards, rho=0.5, batch_size=4)],
+            ([logistic, LogisticObjective(logistic.shards, 4, rho=0.05, batch_size=4)],
+             r"share \(n, d_u, d_v\)"),
+            ([logistic, LogisticObjective(logistic.shards, 3, rho=0.5, batch_size=4)],
              r"share \(rho, batch_size\)"),
-            ([logistic, LogisticObjective(logistic.shards, rho=0.05, batch_size=2)],
+            ([logistic, LogisticObjective(logistic.shards, 3, rho=0.05, batch_size=2)],
              r"share \(rho, batch_size\)"),
             ([_Delegate(one), _Delegate(one)], "cannot join replicas of _Delegate")):
         with pytest.raises(ValueError, match=match):

@@ -582,6 +582,19 @@ def test_cli_run_bad_idx_file_names_it(tmp_path, capsys, damage):
     assert f"error: {ip}: " in capsys.readouterr().err
 
 
+def test_cli_run_corpus_of_another_width_is_runtime_error(tmp_path, capsys):
+    # 20x20 images have 400 features, not the config's d_u + d_v = 784
+    ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+    ip.write_bytes(idxbytes.images_bytes(np.zeros((4, 20, 20), dtype=np.uint8)))
+    lp.write_bytes(idxbytes.labels_bytes(np.arange(4, dtype=np.uint8)))
+    cfg = write_cfg(tmp_path, objective="logistic_mnist", images_path=str(ip),
+                    labels_path=str(lp), n=2, m=1, T=1, d_u=392, d_v=392)
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: d_u + d_v = 392 + 392 must equal feature count 400\n")
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "images.idx", "labels.idx"]
+
+
 def test_cli_stepsize(capsys):
     rc = cli.main(["stepsize", "--variant", "fedavgp_partial", "--L", "1",
                    "--K", "1", "--T", "3", "--F0", "1", "--sigma-u", "1",

@@ -26,9 +26,8 @@ def one_row_logistic(a, b, c, rho=0.0, batch_size=1):
     shard = ClientShard(
         X=np.hstack([np.asarray([a], dtype=float), np.asarray([b], dtype=float)]),
         y=np.asarray([c], dtype=float),
-        d_u=len(a),
     )
-    return LogisticObjective([shard], rho=rho, batch_size=batch_size)
+    return LogisticObjective([shard], len(a), rho=rho, batch_size=batch_size)
 
 
 def value(oracle, i, u, v):
@@ -179,20 +178,21 @@ def test_logistic_regularizer_gradient_bounded():
 
 def test_logistic_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
-        LogisticObjective([])
-    empty = ClientShard(X=np.zeros((0, 3)), y=np.zeros(0), d_u=2)
+        LogisticObjective([], 1)
+    empty = ClientShard(X=np.zeros((0, 3)), y=np.zeros(0))
     with pytest.raises(ValueError):
-        LogisticObjective([empty])
-    good = ClientShard(X=np.zeros((1, 3)), y=np.ones(1), d_u=2)
+        LogisticObjective([empty], 2)
+    good = ClientShard(X=np.zeros((1, 3)), y=np.ones(1))
     with pytest.raises(ValueError):
-        LogisticObjective([good], rho=-0.1)
+        LogisticObjective([good], 2, rho=-0.1)
     with pytest.raises(ValueError):
-        LogisticObjective([good], batch_size=0)
-    other = ClientShard(X=np.zeros((1, 4)), y=np.ones(1), d_u=3)
-    with pytest.raises(ValueError):
-        LogisticObjective([good, other])
+        LogisticObjective([good], 2, batch_size=0)
+    # shards of different widths have no one split
+    wider = ClientShard(X=np.zeros((1, 4)), y=np.ones(1))
+    with pytest.raises(ValueError, match="^shard 1 has 4 features, shard 0 has 3$"):
+        LogisticObjective([good, wider], 2)
     with pytest.raises(ValueError, match=r"V has shape \(2, 1\), expected \(1, 1\)"):
-        LogisticObjective([good]).value_and_grads([0], np.zeros(2), np.zeros((2, 1)))
+        LogisticObjective([good], 2).value_and_grads([0], np.zeros(2), np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------- stochastic
@@ -249,7 +249,7 @@ def test_logistic_single_row_batches_average_to_full_gradient():
     per_row_v = []
     for r in range(shard.n_rows):
         single = LogisticObjective(
-            [ClientShard(X=shard.X[r : r + 1], y=shard.y[r : r + 1], d_u=shard.d_u)],
+            [ClientShard(X=shard.X[r : r + 1], y=shard.y[r : r + 1])], obj.d_u,
             rho=0.0,
         )
         gu, gv = grads(single, 0, u, v)
@@ -301,8 +301,8 @@ def test_logistic_local_steps_match_reference_loop_at_huge_margins():
     rng = stream(13, "probe")
     obj = random_logistic(rng, n=1, rows=12, d_u=4, d_v=3, rho=0.05, batch_size=3)
     s = obj.shards[0]
-    scaled = ClientShard(X=500.0 * s.X, y=s.y, d_u=s.d_u)
-    obj = LogisticObjective([scaled], rho=obj.rho, batch_size=obj.batch_size)
+    scaled = ClientShard(X=500.0 * s.X, y=s.y)
+    obj = LogisticObjective([scaled], obj.d_u, rho=obj.rho, batch_size=obj.batch_size)
     u0 = rng.standard_normal(4)
     v0 = rng.standard_normal(3)
     corr = rng.standard_normal(4)
@@ -361,7 +361,7 @@ def float_shards(rng, n, rows, d_u, d_v):
     contiguous (A, B, y) arrays for the float64 reference loop."""
     blocks = [(rng.standard_normal((rows, d_u)), rng.standard_normal((rows, d_v)),
                np.where(rng.random(rows) < 0.5, -1.0, 1.0)) for _ in range(n)]
-    shards = [ClientShard(X=np.hstack([A, B]), y=y, d_u=d_u) for A, B, y in blocks]
+    shards = [ClientShard(X=np.hstack([A, B]), y=y) for A, B, y in blocks]
     return shards, blocks
 
 
@@ -372,7 +372,7 @@ def test_logistic_float_shards_equal_float64_loop_bitwise():
     rng = stream(16, "probe")
     d_u, d_v, rows, batch, K, rho = 40, 30, 300, 50, 6, 0.05
     shards, blocks = float_shards(rng, 3, rows, d_u, d_v)
-    obj = LogisticObjective(shards, rho=rho, batch_size=batch)
+    obj = LogisticObjective(shards, d_u, rho=rho, batch_size=batch)
     ids = [0, 2]
     u0 = rng.standard_normal(d_u)
     V0 = rng.standard_normal((2, d_v))
@@ -409,8 +409,8 @@ def test_full_batch_matches_float64_loop_at_chunk_edges():
     rng = stream(18, "probe")
     d_u, d_v, rho = 7, 4, 0.05
     blocks = [float_shards(rng, 1, rows, d_u, d_v)[1][0] for rows in CHUNK_EDGES]
-    obj = LogisticObjective([ClientShard(X=np.hstack([A, B]), y=y, d_u=d_u)
-                             for A, B, y in blocks], rho=rho)
+    obj = LogisticObjective([ClientShard(X=np.hstack([A, B]), y=y) for A, B, y in blocks],
+                            d_u, rho=rho)
     u = rng.standard_normal(d_u)
     V = rng.standard_normal((obj.n, d_v))
     vals, G_u, G_v = obj.value_and_grads(np.arange(obj.n), u, V)
@@ -436,7 +436,7 @@ def test_logistic_step_kernel_equals_float64_loop_bitwise(batch, d_u, d_v):
     rng = stream(19, "probe")
     rows, K, rho = 2 * CHUNK + 3, 5, 0.05
     shards, blocks = float_shards(rng, 3, rows, d_u, d_v)
-    obj = LogisticObjective(shards, rho=rho, batch_size=batch)
+    obj = LogisticObjective(shards, d_u, rho=rho, batch_size=batch)
     u0 = rng.standard_normal(d_u)
     V0 = rng.standard_normal((3, d_v))
     Corr = rng.standard_normal((3, d_u))
@@ -454,10 +454,10 @@ def pixel_and_float_oracles(n=4, cap=40, rho=0.01, batch_size=20):
     pixels = rng.integers(0, 256, size=(203, 784)).astype(np.uint8)
     labels = rng.integers(0, 10, size=203)
     pixel = dataio.partition_clients(RawDataset(images=pixels, labels=labels), n,
-                                     "by_label", 9, 392, 392, cap=cap)
-    flt = reference.capped_shards(pixels, labels, n, "by_label", 9, 392, 392, cap)
-    return (LogisticObjective(pixel, rho=rho, batch_size=batch_size),
-            LogisticObjective(flt, rho=rho, batch_size=batch_size))
+                                     "by_label", 9, cap=cap)
+    flt = reference.capped_shards(pixels, labels, n, "by_label", 9, cap)
+    return (LogisticObjective(pixel, 392, rho=rho, batch_size=batch_size),
+            LogisticObjective(flt, 392, rho=rho, batch_size=batch_size))
 
 
 def assert_close(got, want):
@@ -531,14 +531,14 @@ def test_one_row_calls_equal_their_rows_of_larger_calls_bitwise(kind):
         # shards of different stored dtypes: each row is its shard's own
         # objective's row
         pixels = ClientShard(X=rng.integers(0, 256, size=(9, 7)).astype(np.uint8),
-                             y=np.where(rng.random(9) < 0.5, -1.0, 1.0), d_u=3, scale=255.0)
-        mixed = LogisticObjective([pixels, obj.shards[0]], rho=0.05, batch_size=3)
+                             y=np.where(rng.random(9) < 0.5, -1.0, 1.0), scale=255.0)
+        mixed = LogisticObjective([pixels, obj.shards[0]], 3, rho=0.05, batch_size=3)
         ids = [1, 0, 0, 1]
         U, V, Corr = (rng.standard_normal((4, d)) for d in (3, 4, 3))
         full = mixed.value_and_grads(ids, U, V)
         steps = mixed.local_steps(ids, U, V, Corr, 4, 0.1, 0.2, rngs(range(4)))
         for j, i in enumerate(ids):
-            alone = LogisticObjective([mixed.shards[i]], rho=0.05, batch_size=3)
+            alone = LogisticObjective([mixed.shards[i]], 3, rho=0.05, batch_size=3)
             one = alone.value_and_grads([0], U[j:j + 1], V[j:j + 1])
             assert all(np.array_equal(x[j], y[0]) for x, y in zip(full, one))
             one = alone.local_steps([0], U[j:j + 1], V[j:j + 1], Corr[j:j + 1], 4, 0.1, 0.2,
@@ -586,6 +586,11 @@ def test_wrong_row_shapes_raise_naming_the_array(kind):
         for bad_ids, dtype in (([1.5, 0], "float64"), ([True, False], "bool"),
                                (np.array([1.0, 0.0]), "float64")):
             with pytest.raises(ValueError, match=rf"^ids must be integers, got dtype {dtype}$"):
+                call(bad_ids, U, V)
+        # unchecked, a scalar id raised TypeError (no len()) and a nested
+        # list numpy's ambiguous truth value, naming neither ids
+        for bad_ids, shape in ((1, r"\(\)"), (np.int64(1), r"\(\)"), ([[0, 1]], r"\(1, 2\)")):
+            with pytest.raises(ValueError, match=rf"^ids must be 1-D, got shape {shape}$"):
                 call(bad_ids, U, V)
     # [] is a float64 array, and a call of no rows returns no rows
     assert [x.shape for x in calls[0]([], U[0], V[:0])] == [(0,), (0, 3), (0, 4)]

@@ -9,9 +9,13 @@ each tree's `src/fedpart` into this one process under its own package
 name. The three copies share one interpreter, one numpy and one BLAS, so
 what differs between them is their code and where it lies in memory.
 
-Four call sites are timed, each on inputs made once from `--seed`:
-- `local_steps`: logistic local steps of 9 rows of 1000-row uint8 shards
-  (d_u = d_v = 392, scale 255), K 25, batch 200
+Four call sites are timed, each on inputs made once from `--seed`. The
+logistic objective is the one `harness.build_oracle` makes of 10 000
+random uint8 images with digit labels (`by_label`, 10 shards of 1000 rows,
+d_u = d_v = 392, batch 200, rho 0.01). A config and a corpus are inputs
+that revisions with different shard or objective constructors all accept,
+so one site code serves both trees.
+- `local_steps`: logistic local steps of 9 rows, K 25
 - `value_and_grads`: the full-batch logistic metrics of all 10 shards
 - `logistic_run`: one `run_training("scaffold_p", ...)` on the 10 shards,
   m 9, K 25, T 2: the control-variate start and two whole rounds
@@ -45,6 +49,9 @@ TOOLS = os.path.dirname(os.path.abspath(__file__))
 SIDES = ("parent", "change", "copy")
 SITES = ("local_steps", "value_and_grads", "logistic_run", "quad_sweep")
 D_U = D_V = 392
+LOGISTIC = dict(objective="logistic_mnist", images_path="-", labels_path="-",
+                partition="by_label", n=10, per_client_cap=1000, d_u=D_U, d_v=D_V,
+                batch_size=200, rho=0.01)
 SWEEP_BASE = dict(algorithm="fedavg_p", objective="quadratic", n=10, m=9, d_u=5, d_v=5,
                   spread=1.0, sigma_u=1.0, sigma_v=1.0, T=100)
 
@@ -68,9 +75,9 @@ class Sites:
     def __init__(self, fedpart, inputs: dict, out_dir: str):
         self.fedpart = fedpart
         self.inputs = inputs
-        shards = [fedpart.ClientShard(X=X, y=y, d_u=D_U, scale=255.0)
-                  for X, y in zip(inputs["X"], inputs["y"])]
-        self.logistic = fedpart.LogisticObjective(shards, rho=0.01, batch_size=200)
+        corpus = fedpart.RawDataset(images=inputs["images"], labels=inputs["labels"])
+        self.logistic = fedpart.harness.build_oracle(
+            fedpart.harness.config_from_mapping(dict(LOGISTIC)), corpus)
         self.hp = fedpart.HyperParams(gamma_u=0.05, gamma_v=0.05, eta_u=1.0, eta_v=1.0,
                                       K=25, T=2, m=9)
         self.spec = fedpart.SweepSpec(base=dict(SWEEP_BASE), axis="K", values=[5, 10, 20, 40],
@@ -119,8 +126,8 @@ def make_inputs(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     return {
         "seed": seed,
-        "X": rng.integers(0, 256, size=(10, 1000, D_U + D_V), dtype=np.uint8),
-        "y": np.where(rng.random((10, 1000)) < 0.5, -1.0, 1.0),
+        "images": rng.integers(0, 256, size=(10_000, D_U + D_V), dtype=np.uint8),
+        "labels": rng.integers(0, 10, size=10_000),
         "ids": np.arange(9),
         "U": rng.standard_normal((9, D_U)) * 0.01,
         "V": rng.standard_normal((9, D_V)) * 0.01,
