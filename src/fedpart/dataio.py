@@ -6,12 +6,16 @@ sizes, then raw unsigned bytes. Parsing is bit-exact and strict: wrong
 magic, short payloads, trailing bytes and labels outside 0-9 each raise
 `DataFormatError` with their own message. Gzipped files are inflated
 transparently when read from disk, and every format or inflate error met
-while loading a file names that file; a count mismatch names both files. Images stay uint8
-pixels: a shard's gathered rows are its one feature matrix X (`ClientShard`)
-with scale 255. Shards know nothing of the shared/personal split: the
-logistic objective owns it (`objectives.LogisticObjective`), and a logistic
-gradient casts only the rows it reads and splits them after u's length
-(`objectives.logistic_grads`).
+while loading a file names that file; a count mismatch names both files.
+
+Images stay uint8 pixels: a shard's gathered rows are its one feature
+matrix X (`ClientShard`) with scale 255. `ClientShard` is a plain class
+that checks X and y once, keeps X as given (one contiguous copy only when
+it is not C-contiguous) and sets its row count; like the objectives, it is
+immutable after construction by convention, not by a guard. Shards know
+nothing of the shared/personal split: the logistic objective owns it
+(`objectives.LogisticObjective`), and a logistic gradient casts only the
+rows it reads and splits them after u's length (`objectives.logistic_grads`).
 """
 
 from __future__ import annotations
@@ -57,35 +61,28 @@ class RawDataset:
         return self.images.shape[0]
 
 
-@dataclass(frozen=True)
 class ClientShard:
     """One client's rows: features X / scale and labels y in {-1,+1}.
 
     X (N_i, W) keeps its dtype and is stored as given when C-contiguous,
     else as one contiguous copy; image shards keep uint8 pixels with scale
-    255. Labels are held as float64. ValueError unless X is 2-D, y has one
-    label a row and scale is finite and > 0.
+    255. Labels are held as float64; n_rows is N_i. ValueError unless X is
+    2-D, y has one label a row and scale is finite and > 0. A shard is
+    immutable after construction by convention, as the objectives are.
     """
 
-    X: np.ndarray  # (N_i, W)
-    y: np.ndarray  # (N_i,)
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
-        X = np.ascontiguousarray(self.X)
-        y = np.asarray(self.y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if y.shape != X.shape[:1]:
-            raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},): one label a row")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n_rows(self) -> int:
-        return self.y.shape[0]
+    def __init__(self, X, y, scale: float = 1.0):
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+        self.X = np.ascontiguousarray(X)  # (N_i, W)
+        self.y = np.asarray(y, dtype=np.float64)  # (N_i,)
+        if self.X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {self.X.shape}")
+        if self.y.shape != self.X.shape[:1]:
+            raise ValueError(f"y has shape {self.y.shape}, expected ({self.X.shape[0]},): "
+                             "one label a row")
+        self.scale = scale
+        self.n_rows = self.y.shape[0]
 
 
 def _parse_idx(data: bytes, magic: int, ndim: int, what: str):
@@ -178,12 +175,6 @@ def binarize_labels(digits: np.ndarray) -> np.ndarray:
     return np.where(digits % 2 == 0, 1, -1).astype(np.int64)
 
 
-def _block_sizes(count: int, n: int) -> list[int]:
-    # remainder rows go one each to the lowest-index shards
-    base, rem = divmod(count, n)
-    return [base + 1 if i < rem else base for i in range(n)]
-
-
 def partition_clients(
     dataset: RawDataset,
     n: int,
@@ -216,13 +207,9 @@ def partition_clients(
         raise ValueError(f"unknown partition scheme {scheme!r}")
 
     y_all = binarize_labels(dataset.labels).astype(np.float64)
-    shards = []
-    start = 0
-    for size in _block_sizes(dataset.count, n):
-        rows = order[start : start + size][:cap]
-        start += size
-        shards.append(ClientShard(X=dataset.images[rows], y=y_all[rows], scale=255.0))
-    return shards
+    # array_split gives the count % n lowest-index blocks one extra row
+    return [ClientShard(X=dataset.images[block[:cap]], y=y_all[block[:cap]], scale=255.0)
+            for block in np.array_split(order, n)]
 
 
 def synth_quadratic(

@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .objectives import ObjectiveOracle, join_replicas
+from .objectives import ObjectiveOracle, _finite_nonneg, _is_int, join_replicas
 from .rng import StreamPool, check_seed, stream_keys
 
 FEDAVG_P = "fedavg_p"
@@ -89,12 +89,10 @@ class HyperParams:
         # zero is allowed (a zero step is the identity); start_rounds
         # demands gamma_u > 0 for the corrected algorithm's control update
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
-            x = getattr(self, name)
-            if not (math.isfinite(x) and x >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+            _finite_nonneg(name, getattr(self, name))
         for name, least in (("K", 1), ("T", 0), ("m", 1)):
             x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            if not _is_int(x):
                 raise ValueError(f"{name} must be an int, got {x!r}")
             if x < least:
                 raise ValueError(f"{name} must be >= {least}")

@@ -26,10 +26,12 @@ one generator per row. Two concrete objectives are provided:
   plus a smooth non-convex regularizer
   rho * (|u|^2/(1+|u|^2) + |v|^2/(1+|v|^2)).
 
-The quadratic local steps run elementwise on one fused (N, d_u + d_v)
-block of (u | v) rows, with per-column step sizes and zero v-columns in
-the correction; x - 0.0 is exact, so its iterates are bitwise those of N
-per-client (u, v) loops.
+The quadratic stores its centers once, as the fused float64 (n, d_u + d_v)
+block of (a_i | b_i) rows; `centers_u` and `centers_v` are column views of
+it. Its local steps run elementwise on one fused (N, d_u + d_v) block of
+(u | v) rows against the gathered center rows, with per-column step sizes
+and zero v-columns in the correction; x - 0.0 is exact, so its iterates
+are bitwise those of N per-client (u, v) loops.
 
 Logistic shards are stored as one matrix X in their own dtype (uint8
 pixels for image data, `dataio.ClientShard`) with features X / scale. The
@@ -60,14 +62,15 @@ call equals its row of a larger call bitwise. `join_replicas` makes the
 oracles of R replica runs one objective over R * n clients, so each method
 serves every replica in one call without knowing that replicas exist.
 
-Oracles are immutable after construction; every stochastic evaluation takes
-its generators as an explicit argument.
+Both objectives are plain classes whose constructors check their arguments
+once. That an oracle is immutable after construction is a convention of
+both, not a guard; every stochastic evaluation takes its generators as an
+explicit argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -135,9 +138,26 @@ def _check_rows(oracle, ids, U, V, rngs=None, Corr=None) -> int:
     return N
 
 
-@dataclass(frozen=True)
+def _finite_nonneg(name: str, x) -> float:
+    """x as a float; ValueError naming it unless finite and >= 0."""
+    if not (math.isfinite(x) and x >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+    return float(x)
+
+
+def _is_int(x) -> bool:
+    """Whether x counts as an integer argument: a Python or numpy integer,
+    not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class QuadraticObjective(ObjectiveOracle):
     """f_i(u, v_i) = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2.
+
+    The centers are stored once, as the float64 (n, d_u + d_v) block of
+    fused (a_i | b_i) rows; centers_u and centers_v are column views of it.
+    ValueError unless both center arrays are 2-D, finite and of one n >= 1,
+    and both noise levels are finite and >= 0.
 
     stoch_grads adds independent zero-mean Gaussian noise with per-coordinate
     std sigma_u/sqrt(d_u) (resp. sigma_v/sqrt(d_v)), so the total noise
@@ -145,39 +165,23 @@ class QuadraticObjective(ObjectiveOracle):
     consumed identically whether sigma is zero or not.
     """
 
-    centers_u: np.ndarray  # (n, d_u) rows a_i
-    centers_v: np.ndarray  # (n, d_v) rows b_i
-    sigma_u: float = 0.0
-    sigma_v: float = 0.0
-
-    def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.centers_u, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.centers_v, dtype=np.float64))
+    def __init__(self, centers_u, centers_v, sigma_u: float = 0.0, sigma_v: float = 0.0):
+        a = np.asarray(centers_u, dtype=np.float64)
+        b = np.asarray(centers_v, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0] or a.shape[0] < 1:
             raise ValueError("centers_u and centers_v must be (n, d) arrays with equal n >= 1")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("centers must be finite")
-        if self.sigma_u < 0 or self.sigma_v < 0:
-            raise ValueError("noise levels must be >= 0")
-        object.__setattr__(self, "centers_u", a)
-        object.__setattr__(self, "centers_v", b)
-        # fused (a_i | b_i) rows and per-column noise std for the (u | v) block
-        object.__setattr__(self, "_centers", np.hstack([a, b]))
-        object.__setattr__(self, "_noise_scale", np.repeat(
-            [self.sigma_u / math.sqrt(a.shape[1]), self.sigma_v / math.sqrt(b.shape[1])],
-            [a.shape[1], b.shape[1]]))
-
-    @property
-    def n(self) -> int:
-        return self.centers_u.shape[0]
-
-    @property
-    def d_u(self) -> int:
-        return self.centers_u.shape[1]
-
-    @property
-    def d_v(self) -> int:
-        return self.centers_v.shape[1]
+        self.sigma_u = _finite_nonneg("sigma_u", sigma_u)
+        self.sigma_v = _finite_nonneg("sigma_v", sigma_v)
+        self.n, self.d_u = a.shape
+        self.d_v = b.shape[1]
+        self._centers = np.hstack([a, b])
+        self.centers_u = self._centers[:, :self.d_u]  # (n, d_u) rows a_i
+        self.centers_v = self._centers[:, self.d_u:]  # (n, d_v) rows b_i
+        # per-column noise std for the (u | v) block
+        self._noise_scale = np.repeat([self.sigma_u / math.sqrt(self.d_u),
+                                       self.sigma_v / math.sqrt(self.d_v)], [self.d_u, self.d_v])
 
     def value_and_grads(self, ids, U, V):
         _check_rows(self, ids, U, V)
@@ -311,7 +315,8 @@ class LogisticObjective(ObjectiveOracle):
 
     with (a_l | b_l) the l-th row of the shard's features X / scale, split
     after its first d_u columns: ValueError unless the shards share one
-    feature count W and 1 <= d_u < W, so d_v = W - d_u. The shards are held
+    feature count W and d_u is an int with 1 <= d_u < W, so d_v = W - d_u,
+    rho is finite and >= 0 and batch_size an int >= 1. The shards are held
     as given, in their stored dtype; each gradient casts only the rows it
     reads to float64. Minibatches are drawn uniformly with replacement,
     batch_size rows per step.
@@ -321,12 +326,11 @@ class LogisticObjective(ObjectiveOracle):
                  batch_size: int = 1):
         if not shards:
             raise ValueError("need at least one shard")
-        if rho < 0:
-            raise ValueError("rho must be >= 0")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        rho = _finite_nonneg("rho", rho)
+        if not (_is_int(batch_size) and batch_size >= 1):
+            raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
         W = shards[0].X.shape[1]
-        if not 1 <= d_u <= W - 1:
+        if not (_is_int(d_u) and 1 <= d_u <= W - 1):
             raise ValueError(f"d_u must be in [1, {W - 1}], got {d_u!r}")
         for i, s in enumerate(shards):
             if s.n_rows == 0:
@@ -334,11 +338,11 @@ class LogisticObjective(ObjectiveOracle):
             if s.X.shape[1] != W:
                 raise ValueError(f"shard {i} has {s.X.shape[1]} features, shard 0 has {W}")
         self.shards = list(shards)
-        self.rho = float(rho)
+        self.rho = rho
         self.batch_size = int(batch_size)
         self.n = len(shards)
-        self.d_u = d_u
-        self.d_v = W - d_u
+        self.d_u = int(d_u)
+        self.d_v = W - self.d_u
 
     def value_and_grads(self, ids, U, V):
         N = _check_rows(self, ids, U, V)

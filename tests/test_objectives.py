@@ -2,9 +2,11 @@
 finite differences, stochastic-gradient moments, and the equivalence of the
 batched local steps with the per-step reference loop."""
 
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -100,10 +102,31 @@ def test_quad_dissimilarity_closed_form():
 def test_quad_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         quad(np.zeros((2, 3)), np.zeros((3, 2)))  # n mismatch
-    with pytest.raises(ValueError):
-        quad(np.zeros((2, 3)), np.zeros((2, 2)), sigma_u=-1.0)
+    for name, bad in (("sigma_u", -1.0), ("sigma_u", math.nan), ("sigma_v", math.inf)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be finite and >= 0, got {bad!r}")):
+            quad(np.zeros((2, 3)), np.zeros((2, 2)), **{name: bad})
     with pytest.raises(ValueError):
         quad(np.array([[np.inf, 0.0]]), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("a,b", [
+    ([[1, 2], [3, 4]], [[5], [6]]),
+    (np.array([[1, 2], [3, 4]], dtype=np.int32), np.array([[5], [6]], dtype=np.uint8)),
+    (np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), np.asfortranarray([[5.0], [6.0]])),
+])
+def test_quad_stores_centers_once_as_fused_rows(a, b):
+    # by position and by keyword; centers_u and centers_v are column views
+    # of one float64 (a_i | b_i) block (disjoint columns share no element,
+    # so np.shares_memory is False: the test checks the common base)
+    for obj in (quad(a, b, 0.5, 0.0), quad(centers_u=a, centers_v=b, sigma_u=0.5, sigma_v=0.0)):
+        assert obj.centers_u.base is obj.centers_v.base
+        assert np.array_equal(obj.centers_u.base, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+        assert obj.centers_u.dtype == obj.centers_v.dtype == np.float64
+        assert np.array_equal(obj.centers_u, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(obj.centers_v, [[5.0], [6.0]])
+        assert [type(x) for x in (obj.n, obj.d_u, obj.d_v)] == [int, int, int]
+        assert (obj.n, obj.d_u, obj.d_v, obj.sigma_u, obj.sigma_v) == (2, 2, 1, 0.5, 0.0)
 
 
 def test_quad_dim_mismatch_raises():
@@ -183,10 +206,20 @@ def test_logistic_constructor_rejects_bad_input():
     with pytest.raises(ValueError):
         LogisticObjective([empty], 2)
     good = ClientShard(X=np.zeros((1, 3)), y=np.ones(1))
-    with pytest.raises(ValueError):
-        LogisticObjective([good], 2, rho=-0.1)
-    with pytest.raises(ValueError):
-        LogisticObjective([good], 2, batch_size=0)
+    for rho in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"rho must be finite and >= 0, got {rho!r}")):
+            LogisticObjective([good], 2, rho=rho)
+    for batch_size in (0, 2.5, True):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"batch_size must be an int >= 1, got {batch_size!r}")):
+            LogisticObjective([good], 2, batch_size=batch_size)
+    for d_u in (1.5, True):
+        with pytest.raises(ValueError, match=re.escape(f"d_u must be in [1, 2], got {d_u!r}")):
+            LogisticObjective([good], d_u)
+    # numpy integers count as ints
+    obj = LogisticObjective([good], np.int64(1), batch_size=np.int64(2))
+    assert (obj.d_u, obj.d_v, obj.batch_size) == (1, 2, 2)
     # shards of different widths have no one split
     wider = ClientShard(X=np.zeros((1, 4)), y=np.ones(1))
     with pytest.raises(ValueError, match="^shard 1 has 4 features, shard 0 has 3$"):
@@ -233,10 +266,25 @@ def test_stoch_grad_unbiased_quadratic():
     _unbiasedness_check(obj, 0, np.array([0.2, 0.1, 0.0]), np.array([1.0, -1.0]), seed=6)
 
 
+class _AllRowPairs:
+    """Stands in for a generator: its one draw is each of the 49 ordered
+    pairs of rows of a 7-row shard once, asked for as 49 batches of 2."""
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 7, (49, 2))
+        return np.array(list(itertools.product(range(7), repeat=2)))
+
+
 def test_stoch_grad_unbiased_logistic():
+    # batches of 2 rows drawn uniformly with replacement: the mean over
+    # every equally likely ordered pair is the expectation itself
     rng = stream(7, "probe")
     obj = random_logistic(rng, n=1, rows=7, batch_size=2)
-    _unbiasedness_check(obj, 0, rng.standard_normal(obj.d_u), rng.standard_normal(obj.d_v), seed=8)
+    u, v = rng.standard_normal(obj.d_u), rng.standard_normal(obj.d_v)
+    (G_u,), (G_v,) = obj.stoch_grads([0], u, v[None], 49, [_AllRowPairs()])
+    g_u, g_v = grads(obj, 0, u, v)
+    assert np.abs(G_u.mean(axis=0) - g_u).max() <= 1e-14
+    assert np.abs(G_v.mean(axis=0) - g_v).max() <= 1e-14
 
 
 def test_logistic_single_row_batches_average_to_full_gradient():
