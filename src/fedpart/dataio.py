@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import QuadraticObjective
+from .objectives import QuadraticObjective, _check_int
 from .rng import check_seed, stream
 
 IMAGES_MAGIC = 0x00000803
@@ -55,10 +55,6 @@ class RawDataset:
             raise DataFormatError(
                 f"{self.images.shape[0]} images but {self.labels.shape[0]} labels"
             )
-
-    @property
-    def count(self) -> int:
-        return self.images.shape[0]
 
 
 class ClientShard:
@@ -190,17 +186,18 @@ def partition_clients(
     its block (all of them when cap is None), so without a cap the shards'
     union is the dataset. Labels are binarized by parity; only the kept
     uint8 rows are gathered, once, and they stay uint8 pixels: the gathered
-    rows are the shard's X, with scale 255. Checks the seed for any scheme.
+    rows are the shard's X, with scale 255. Checks the seed for any scheme,
+    and that n and cap are ints >= 1.
     """
     check_seed(seed)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
-    if dataset.count < n:
-        raise ValueError(f"{dataset.count} examples cannot fill {n} shards")
+    _check_int("n", n, 1)
+    if cap is not None:
+        _check_int("cap", cap, 1)
+    count = dataset.images.shape[0]
+    if count < n:
+        raise ValueError(f"{count} examples cannot fill {n} shards")
     if scheme == "iid":
-        order = stream(seed, "partition").permutation(dataset.count)
+        order = stream(seed, "partition").permutation(count)
     elif scheme == "by_label":
         order = np.argsort(dataset.labels, kind="stable")
     else:
@@ -220,17 +217,19 @@ def synth_quadratic(
     sigma_u: float,
     sigma_v: float,
     seed: int,
-):
+) -> QuadraticObjective:
     """Synthetic heterogeneous quadratic with exactly known dissimilarity.
 
     Client centers a_i = h_i * spread * e with e = ones/sqrt(d_u) and h_i
-    standard normal recentered to mean zero, so the dissimilarity constant
-    b^2 = spread^2 * (1/n) sum h_i^2 is returned exactly alongside the
-    objective. Personal centers b_i are standard normal. Checks the seed.
+    standard normal recentered to mean zero, so the objective's
+    `dissimilarity_b2()` is spread^2 * (1/n) sum h_i^2. Personal centers
+    b_i are standard normal. Checks the seed, and that n is an int >= 1 and
+    d_u, d_v ints; the objective checks d_u, d_v >= 1.
     """
     check_seed(seed)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_int("n", n, 1)
+    _check_int("d_u", d_u, 0)
+    _check_int("d_v", d_v, 0)
     if spread < 0:
         raise ValueError("spread must be >= 0")
     g = stream(seed, "synth")
@@ -239,8 +238,6 @@ def synth_quadratic(
     e = np.ones(d_u) / np.sqrt(d_u)
     centers_u = spread * np.outer(h, e)
     centers_v = g.standard_normal((n, d_v))
-    b2 = spread * spread * float((h * h).mean())
-    obj = QuadraticObjective(
+    return QuadraticObjective(
         centers_u=centers_u, centers_v=centers_v, sigma_u=sigma_u, sigma_v=sigma_v
     )
-    return obj, b2

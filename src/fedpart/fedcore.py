@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .objectives import ObjectiveOracle, _finite_nonneg, _is_int, join_replicas
+from .objectives import ObjectiveOracle, _check_int, _finite_nonneg, join_replicas
 from .rng import StreamPool, check_seed, stream_keys
 
 FEDAVG_P = "fedavg_p"
@@ -91,11 +91,7 @@ class HyperParams:
         for name in ("gamma_u", "gamma_v", "eta_u", "eta_v"):
             _finite_nonneg(name, getattr(self, name))
         for name, least in (("K", 1), ("T", 0), ("m", 1)):
-            x = getattr(self, name)
-            if not _is_int(x):
-                raise ValueError(f"{name} must be an int, got {x!r}")
-            if x < least:
-                raise ValueError(f"{name} must be >= {least}")
+            _check_int(name, getattr(self, name), least)
 
 
 @dataclass
@@ -170,18 +166,17 @@ def sample_clients(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
     Partial Fisher-Yates: m swaps into the prefix, first m entries taken.
     The m swap targets come from one draw, r_j uniform on {j..n-1}, value
-    for value the m scalar draws rng.integers(j, n) in order.
+    for value the m scalar draws rng.integers(j, n) in order. Needs
+    1 <= m <= n, which `start_rounds` checks.
     """
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     idx = list(range(n))
     for j, r in enumerate(rng.integers(np.arange(m), n).tolist()):
         idx[j], idx[r] = idx[r], idx[j]
     return np.array(sorted(idx[:m]))
 
 
-def round_streams(seed: int, n: int, m: int, rounds: range):
-    """Yield (t, ids, rngs) for each round t of `rounds`: the m ascending
+def round_streams(seed: int, n: int, m: int, T: int):
+    """Yield (t, ids, rngs) for each round t < T: the m ascending
     sampled ids drawn from the ("sample", t) stream, and m generators at the
     starts of the ("local", t, i) streams of those ids, in order.
 
@@ -192,10 +187,9 @@ def round_streams(seed: int, n: int, m: int, rounds: range):
     drawn.
     """
     sampler, local = StreamPool(1), StreamPool(m)
-    ts = np.arange(rounds.start, rounds.stop, rounds.step)
     block = max(1, _KEY_BLOCK // m)
-    for start in range(0, len(ts), block):
-        t = ts[start:start + block]
+    for start in range(0, T, block):
+        t = np.arange(start, min(start + block, T))
         sample_keys = stream_keys(seed, "sample", t[:, None]).tolist()
         ids = np.empty((len(t), m), dtype=np.int64)
         for row, key in zip(ids, sample_keys):
@@ -208,8 +202,6 @@ def round_streams(seed: int, n: int, m: int, rounds: range):
 
 def merge_personal(v_old, v_K, eta_v: float):
     """v^{t+1} = (1 - eta_v) v^t + eta_v v_K (eta_v may exceed 1)."""
-    if v_old.shape != v_K.shape:
-        raise ValueError("v_old and v_K must have equal shape")
     return (1.0 - eta_v) * v_old + eta_v * v_K
 
 
@@ -226,13 +218,15 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
     One `stoch_grads` call over all n clients, client i drawing its (K, .)
     block from its own ("cv_init", i) stream; the n stream keys are derived
     in one call. The K gradients are summed left to right for all clients
-    at once.
+    at once. Needs K >= 1, which `HyperParams` checks; ValueError unless
+    the u-block `stoch_grads` returns is (n, K, d_u).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     ids = np.arange(oracle.n)
     rngs = StreamPool(oracle.n).reset(stream_keys(seed, "cv_init", ids[:, None]).tolist())
     G = oracle.stoch_grads(ids, u0, v0_all, K, rngs)[0]
+    if G.shape != (oracle.n, K, oracle.d_u):
+        raise ValueError(f"stoch_grads returned a u-block of shape {G.shape}, expected "
+                         f"({oracle.n}, {K}, {oracle.d_u})")
     acc = np.zeros((oracle.n, oracle.d_u))
     for k in range(K):
         acc = acc + G[:, k]
@@ -272,7 +266,8 @@ def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracl
 
     The control-variate correction applies when the state carries control
     variates (`clients.C`, set by `start_rounds` for scaffold_p). Metrics are
-    computed on the post-round state over all n clients. Raises
+    computed on the post-round state over all n clients. Raises ValueError
+    unless `local_steps` returns (R * m, d_u) and (R * m, d_v) rows, and
     FloatingPointError naming the first non-finite block among u, v, c and
     c_i, or f, and the first replica where it is non-finite, by index and
     seed.
@@ -289,6 +284,9 @@ def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracl
         (ids + n * rows).ravel(), np.repeat(server.u, m, axis=0), V_old.reshape(R * m, -1),
         Corr.reshape(R * m, -1), hp.K, hp.gamma_u, hp.gamma_v, [g for row in rngs for g in row]
     )
+    if (U_K.shape, V_K.shape) != ((R * m, oracle.d_u), (R * m, oracle.d_v)):
+        raise ValueError(f"local_steps returned rows of shapes {U_K.shape} and {V_K.shape}, "
+                         f"expected ({R * m}, {oracle.d_u}) and ({R * m}, {oracle.d_v})")
     U_K, V_K = U_K.reshape(R, m, -1), V_K.reshape(R, m, -1)
     clients.V[rows, ids] = merge_personal(V_old, V_K, hp.eta_v)
     if corrected:
@@ -349,7 +347,7 @@ def start_rounds(algorithm: str, oracles, hp: HyperParams, seeds,
                      for o, seed in zip(oracles, seeds)))
         clients.C, server.c = np.stack(C), np.stack(c)
     # each step zips one (t, ids, rngs) per replica, each from its own streams
-    steps = zip(*(round_streams(seed, oracle.n, hp.m, range(hp.T)) for seed in seeds))
+    steps = zip(*(round_streams(seed, oracle.n, hp.m, hp.T) for seed in seeds))
     rounds = (run_round(server, clients, joined, hp, ts[0], np.array(ids), rngs, seeds)
               for ts, ids, rngs in (zip(*step) for step in steps))
     return server, clients, rounds
@@ -396,18 +394,20 @@ def recommended_step_sizes(variant: str, L: float, K: int, T: int, F0: float,
     - scaffoldp: gamma = 1 / (72LK max(n^(2/3)/m, 1) + sqrt((37LKT/F0) *
       (sigma_u^2/m + m sigma_v^2/n))); eta_u >= sqrt(m), eta_v >= sqrt(n/m).
 
-    Raises ValueError for a non-finite L, F0, sigma_u, sigma_v or b and
-    for any input outside its range.
+    Raises ValueError for a non-finite L, F0, sigma_u, sigma_v or b, for
+    K, T, m or n not an int >= 1 and for any input outside its range.
     """
     named = {"L": L, "F0": F0, "sigma_u": sigma_u, "sigma_v": sigma_v, "b": b}
     bad = [name for name, x in named.items() if not math.isfinite(x)]
     if bad:
         raise ValueError(f"{', '.join(bad)} must be finite")
-    if L <= 0 or K < 1 or T < 1 or F0 <= 0:
-        raise ValueError("L, K, T, F0 must be positive")
+    for name, x in (("K", K), ("T", T), ("m", m), ("n", n)):
+        _check_int(name, x, 1)
+    if L <= 0 or F0 <= 0:
+        raise ValueError("L, F0 must be positive")
     if sigma_u < 0 or sigma_v < 0 or b < 0:
         raise ValueError("sigma_u, sigma_v, b must be >= 0")
-    if not 1 <= m <= n:
+    if m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if variant == "fedavgp_partial":
         rad = (3.0 * L * K * T / F0) * (

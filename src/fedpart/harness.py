@@ -278,11 +278,10 @@ def build_oracle(config: ExperimentConfig, corpus: dataio.RawDataset | None = No
     given, and loads the pair otherwise; ValueError, before any row is
     gathered, unless d_u + d_v is the corpus's feature count."""
     if config.objective == QUADRATIC:
-        obj, _ = dataio.synth_quadratic(
+        return dataio.synth_quadratic(
             config.n, config.d_u, config.d_v,
             config.spread, config.sigma_u, config.sigma_v, config.seed,
         )
-        return obj
     if corpus is None:
         corpus = dataio.load_mnist(config.images_path, config.labels_path)
     W = corpus.images.shape[1]

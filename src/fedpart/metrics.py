@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _row_sq_norms
+from .objectives import _is_int, _row_sq_norms
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,11 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
     displacements delta, and maximizes |grad f_i(x+delta) - grad f_i(x)| /
     |delta| over probes and clients; probe p is one two-row call on client
     p mod n at x and x + delta. The probe step is radius/1000, small
-    enough to read local curvature. Raises ValueError for fewer than 2
-    probe points or a radius that is not finite and > 0.
+    enough to read local curvature. Raises ValueError unless probe_points
+    is an int (`objectives._is_int`) >= 2 and radius is finite and > 0.
     """
+    if not _is_int(probe_points):
+        raise ValueError(f"probe_points must be an int, got {probe_points!r}")
     if probe_points < 2:
         raise ValueError("need at least 2 probe points")
     if not (math.isfinite(radius) and radius > 0):

@@ -151,13 +151,19 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _check_int(name: str, x, least: int) -> None:
+    """ValueError naming x unless it is an int (`_is_int`) >= least."""
+    if not (_is_int(x) and x >= least):
+        raise ValueError(f"{name} must be an int >= {least}, got {x!r}")
+
+
 class QuadraticObjective(ObjectiveOracle):
     """f_i(u, v_i) = 0.5*|u - a_i|^2 + 0.5*|v_i - b_i|^2.
 
     The centers are stored once, as the float64 (n, d_u + d_v) block of
     fused (a_i | b_i) rows; centers_u and centers_v are column views of it.
-    ValueError unless both center arrays are 2-D, finite and of one n >= 1,
-    and both noise levels are finite and >= 0.
+    ValueError unless both center arrays are 2-D, finite, of one n >= 1 and
+    at least one column each, and both noise levels are finite and >= 0.
 
     stoch_grads adds independent zero-mean Gaussian noise with per-coordinate
     std sigma_u/sqrt(d_u) (resp. sigma_v/sqrt(d_v)), so the total noise
@@ -168,8 +174,9 @@ class QuadraticObjective(ObjectiveOracle):
     def __init__(self, centers_u, centers_v, sigma_u: float = 0.0, sigma_v: float = 0.0):
         a = np.asarray(centers_u, dtype=np.float64)
         b = np.asarray(centers_v, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0] or a.shape[0] < 1:
-            raise ValueError("centers_u and centers_v must be (n, d) arrays with equal n >= 1")
+        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0] or min(a.shape + b.shape) < 1:
+            raise ValueError("centers_u and centers_v must be (n, d) arrays with equal n >= 1 "
+                             "and d >= 1")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("centers must be finite")
         self.sigma_u = _finite_nonneg("sigma_u", sigma_u)
@@ -327,8 +334,7 @@ class LogisticObjective(ObjectiveOracle):
         if not shards:
             raise ValueError("need at least one shard")
         rho = _finite_nonneg("rho", rho)
-        if not (_is_int(batch_size) and batch_size >= 1):
-            raise ValueError(f"batch_size must be an int >= 1, got {batch_size!r}")
+        _check_int("batch_size", batch_size, 1)
         W = shards[0].X.shape[1]
         if not (_is_int(d_u) and 1 <= d_u <= W - 1):
             raise ValueError(f"d_u must be in [1, {W - 1}], got {d_u!r}")

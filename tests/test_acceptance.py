@@ -52,9 +52,8 @@ def prescribed_hp(variant, obj, K, T, m):
 
 def hetero_instance():
     # spread tuned so the shared-gradient dissimilarity lands at b^2 ~ 10
-    obj, b2 = dataio.synth_quadratic(10, 5, 5, spread=5.44,
-                                     sigma_u=0.0, sigma_v=0.0, seed=1)
-    assert 8.0 <= b2 <= 12.0
+    obj = dataio.synth_quadratic(10, 5, 5, spread=5.44, sigma_u=0.0, sigma_v=0.0, seed=1)
+    assert 8.0 <= obj.dissimilarity_b2() <= 12.0
     return obj
 
 
@@ -205,8 +204,7 @@ def test_criterion_06_reduction_suite():
 
 
 def test_criterion_07_control_variate_mean_invariant():
-    obj, _ = dataio.synth_quadratic(10, 5, 5, spread=1.0,
-                                    sigma_u=1.0, sigma_v=0.0, seed=7)
+    obj = dataio.synth_quadratic(10, 5, 5, spread=1.0, sigma_u=1.0, sigma_v=0.0, seed=7)
     hp = HyperParams(gamma_u=0.02, gamma_v=0.02, eta_u=1.0, eta_v=1.0,
                      K=5, T=500, m=3)
     server, clients, rounds = start_rounds("scaffold_p", [obj], hp, [0])
@@ -221,8 +219,7 @@ def test_criterion_07_control_variate_mean_invariant():
 
 
 def test_criterion_08_gradient_correctness():
-    quad, _ = dataio.synth_quadratic(6, 4, 3, spread=1.2,
-                                     sigma_u=0.0, sigma_v=0.0, seed=8)
+    quad = dataio.synth_quadratic(6, 4, 3, spread=1.2, sigma_u=0.0, sigma_v=0.0, seed=8)
     rng = stream(72, "probe")
     shards = [dataio.ClientShard(X=np.hstack([rng.standard_normal((12, 4)),
                                               rng.standard_normal((12, 3))]),

@@ -104,7 +104,7 @@ def test_gzip_transparent_inflate(tmp_path):
 
     assert dataio.read_idx_bytes(str(gz_i)) == dataio.read_idx_bytes(str(plain_i))
     ds = dataio.load_mnist(str(gz_i), str(plain_l))
-    assert ds.count == 3
+    assert ds.images.shape[0] == 3
     assert np.array_equal(ds.labels, labels)
 
 
@@ -279,13 +279,24 @@ def test_partition_deterministic():
     assert any(sa.y.tobytes() != sc.y.tobytes() for sa, sc in zip(a, c))
 
 
+@pytest.mark.parametrize("name,bad", [("n", 2.5), ("n", True), ("n", 0), ("cap", 1.5),
+                                      ("cap", False), ("cap", 0)])
+def test_partition_counts_are_ints(name, bad):
+    # 2.5 shards would silently become 2, and n=True one
+    ds = _indexed_dataset([1, 2, 3, 4])
+    args = dict(n=2, cap=None)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= 1, got {bad!r}")):
+        dataio.partition_clients(ds, scheme="iid", seed=0, **{**args, name: bad})
+    assert len(dataio.partition_clients(ds, np.int64(2), "iid", seed=0, cap=np.int64(1))) == 2
+
+
 def test_partition_too_few_examples():
     ds = _indexed_dataset([1, 2, 3])
     with pytest.raises(ValueError, match="^3 examples cannot fill 4 shards$"):
         dataio.partition_clients(ds, 4, "iid", seed=0)
     with pytest.raises(ValueError):
         dataio.partition_clients(ds, 2, "sorted", seed=0)
-    with pytest.raises(ValueError, match="n must be >= 1"):
+    with pytest.raises(ValueError, match="^n must be an int >= 1, got 0$"):
         dataio.partition_clients(ds, 0, "iid", seed=0)
 
 
@@ -299,7 +310,7 @@ def test_instance_builders_reject_seeds_outside_the_run_range(seed):
     with pytest.raises(ValueError, match=match):
         dataio.synth_quadratic(2, 1, 1, spread=1.0, sigma_u=0.0, sigma_v=0.0, seed=seed)
     assert len(dataio.partition_clients(ds, 1, "iid", seed=2**64 - 1)) == 1
-    assert dataio.synth_quadratic(2, 1, 1, 1.0, 0.0, 0.0, seed=2**64 - 1)[0].n == 2
+    assert dataio.synth_quadratic(2, 1, 1, 1.0, 0.0, 0.0, seed=2**64 - 1).n == 2
 
 
 def test_partition_dim_mismatch(monkeypatch):
@@ -420,19 +431,23 @@ def test_build_oracle_peak_memory(mnist_paths):
 
 
 def test_synth_quadratic_spread_zero():
-    obj, b2 = dataio.synth_quadratic(5, 3, 2, spread=0.0, sigma_u=0, sigma_v=0, seed=0)
-    assert b2 == 0.0
+    obj = dataio.synth_quadratic(5, 3, 2, spread=0.0, sigma_u=0, sigma_v=0, seed=0)
+    assert obj.dissimilarity_b2() == 0.0
     assert np.all(obj.centers_u == obj.centers_u[0])
 
 
 def test_synth_quadratic_spread_quadruples_b2():
-    _, b2_1 = dataio.synth_quadratic(6, 3, 2, spread=1.5, sigma_u=0, sigma_v=0, seed=4)
-    _, b2_2 = dataio.synth_quadratic(6, 3, 2, spread=3.0, sigma_u=0, sigma_v=0, seed=4)
+    b2_1, b2_2 = (dataio.synth_quadratic(6, 3, 2, spread=s, sigma_u=0, sigma_v=0, seed=4)
+                  .dissimilarity_b2() for s in (1.5, 3.0))
     assert b2_2 == pytest.approx(4.0 * b2_1, rel=1e-15)
 
 
 def test_synth_quadratic_b2_matches_metrics_estimate():
-    obj, b2 = dataio.synth_quadratic(7, 4, 3, spread=2.0, sigma_u=0, sigma_v=0, seed=9)
+    obj = dataio.synth_quadratic(7, 4, 3, spread=2.0, sigma_u=0, sigma_v=0, seed=9)
+    # the closed form of the docstring: b^2 = spread^2 (1/n) sum h_i^2
+    h = stream(9, "synth").standard_normal(7)
+    h = h - h.mean()
+    b2 = 2.0 * 2.0 * float((h * h).mean())
     rng = stream(26, "probe")
     for _ in range(5):
         u = rng.standard_normal(4)
@@ -447,3 +462,16 @@ def test_synth_quadratic_validation():
         dataio.synth_quadratic(0, 3, 2, spread=1.0, sigma_u=0, sigma_v=0, seed=0)
     with pytest.raises(ValueError):
         dataio.synth_quadratic(2, 3, 2, spread=-1.0, sigma_u=0, sigma_v=0, seed=0)
+    for d_u, d_v in ((0, 2), (2, 0)):  # the objective names its empty block
+        with pytest.raises(ValueError, match="^centers_u and centers_v must be"):
+            dataio.synth_quadratic(3, d_u, d_v, spread=1.0, sigma_u=0, sigma_v=0, seed=0)
+
+
+@pytest.mark.parametrize("name,bad,least", [
+    ("n", 2.5, 1), ("n", True, 1), ("d_u", 1.5, 0), ("d_v", 2.0, 0), ("d_u", -1, 0),
+])
+def test_synth_quadratic_counts_are_ints(name, bad, least):
+    args = dict(n=3, d_u=2, d_v=2, spread=1.0, sigma_u=0.0, sigma_v=0.0, seed=0)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= {least}, got {bad!r}")):
+        dataio.synth_quadratic(**{**args, name: bad})
+    assert dataio.synth_quadratic(**{**args, name: np.int64(2)}).n == (2 if name == "n" else 3)

@@ -2,6 +2,7 @@
 guarantee (metrics never mutate oracle or state)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from reference import random_logistic
 @pytest.mark.parametrize("n,d", [(10, 5), (200, 50)])  # (200, 50): pairwise sums
 def test_round_metrics_of_joined_replicas_equal_single_formulas_bitwise(n, d):
     # a run alone's formulas, written out with its reductions
-    objs = [dataio.synth_quadratic(n, d, d, 1.0, 0.0, 0.0, seed)[0] for seed in (1, 2, 3)]
+    objs = [dataio.synth_quadratic(n, d, d, 1.0, 0.0, 0.0, seed) for seed in (1, 2, 3)]
     joined = join_replicas(objs)
     rng = stream(33, "probe")
     u, V = rng.standard_normal((3, d)), rng.standard_normal((3, n, d))
@@ -147,8 +148,13 @@ def test_smoothness_logistic_below_classical_bound():
 
 def test_smoothness_needs_probes():
     obj = quad(np.zeros((1, 1)), np.zeros((1, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least 2 probe points$"):
         metrics.estimate_smoothness(obj, 1, 1.0, stream(0, "smooth"))
+    for probes in (2.5, 2.0, True):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"probe_points must be an int, got {probes!r}")):
+            metrics.estimate_smoothness(obj, probes, 1.0, stream(0, "smooth"))
+    assert metrics.estimate_smoothness(obj, np.int64(2), 1.0, stream(0, "smooth")) > 0.0
 
 
 @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
@@ -166,7 +172,8 @@ def test_dissimilarity_identical_clients_is_zero():
 
 def test_dissimilarity_quadratic_closed_form_everywhere():
     rng = stream(46, "probe")
-    obj, b2 = dataio.synth_quadratic(6, 3, 2, spread=1.7, sigma_u=0, sigma_v=0, seed=3)
+    obj = dataio.synth_quadratic(6, 3, 2, spread=1.7, sigma_u=0, sigma_v=0, seed=3)
+    b2 = obj.dissimilarity_b2()
     for _ in range(10):
         u = rng.standard_normal(3)
         v_all = [rng.standard_normal(2) for _ in range(6)]
@@ -183,7 +190,8 @@ def test_dissimilarity_never_negative():
 
 
 def test_initial_gap_quadratic_uses_exact_infimum():
-    obj, b2 = dataio.synth_quadratic(4, 2, 2, spread=1.0, sigma_u=0, sigma_v=0, seed=1)
+    obj = dataio.synth_quadratic(4, 2, 2, spread=1.0, sigma_u=0, sigma_v=0, seed=1)
+    b2 = obj.dissimilarity_b2()
     u0 = np.zeros(2)
     v0 = [np.zeros(2) for _ in range(4)]
     f0 = metrics.round_metrics(obj, u0, v0, obj.n)[0]
@@ -257,7 +265,8 @@ def test_estimate_constants_probes_smoothness_once():
 
 
 def test_estimate_constants_bundle():
-    obj, b2 = dataio.synth_quadratic(5, 3, 2, spread=2.0, sigma_u=0, sigma_v=0, seed=5)
+    obj = dataio.synth_quadratic(5, 3, 2, spread=2.0, sigma_u=0, sigma_v=0, seed=5)
+    b2 = obj.dissimilarity_b2()
     u0 = np.zeros(3)
     v0 = [np.zeros(2) for _ in range(5)]
     est = metrics.estimate_constants(obj, u0, v0, stream(49, "probe"), probe_points=120)

@@ -108,6 +108,12 @@ def test_quad_constructor_rejects_bad_input():
             quad(np.zeros((2, 3)), np.zeros((2, 2)), **{name: bad})
     with pytest.raises(ValueError):
         quad(np.array([[np.inf, 0.0]]), np.zeros((1, 1)))
+    # a zero-column block would divide by sqrt(0) for its noise scale
+    for a, b in ((np.zeros((2, 0)), np.zeros((2, 1))), (np.zeros((2, 1)), np.zeros((2, 0))),
+                 (np.zeros((0, 1)), np.zeros((0, 1)))):
+        with pytest.raises(ValueError, match=r"^centers_u and centers_v must be \(n, d\) "
+                                             r"arrays with equal n >= 1 and d >= 1$"):
+            quad(a, b)
 
 
 @pytest.mark.parametrize("a,b", [

@@ -1,6 +1,7 @@
 """The stationary floors of FedAvg-P and Scaffold-P on the synthetic
 quadratic against their exact values (`theory.fedavg_p_floor`,
-`theory.scaffold_p_floor`).
+`theory.scaffold_p_floor`), and their noiseless full-participation traces
+against the exact per-round values (`theory.full_participation_trace`).
 
 Each case runs 40 seeds as one replica run and compares the mean over
 seeds of each seed's tail mean of grad_norm_u + grad_norm_v_hat with the
@@ -15,8 +16,9 @@ import pytest
 
 import theory
 from fedpart import dataio
-from fedpart.fedcore import HyperParams, run_replicas
+from fedpart.fedcore import ALGORITHMS, HyperParams, run_replicas, run_training
 from fedpart.objectives import QuadraticObjective
+from fedpart.rng import stream
 
 SEEDS = list(range(40))
 
@@ -24,7 +26,7 @@ SEEDS = list(range(40))
 def partial_personal_noise():
     # m < n and sigma_v > 0, so grad_norm_v_hat carries its (m/n) noise term,
     # with outer steps other than 1
-    obj, _ = dataio.synth_quadratic(10, 3, 3, spread=1.0, sigma_u=0.5, sigma_v=1.0, seed=6)
+    obj = dataio.synth_quadratic(10, 3, 3, spread=1.0, sigma_u=0.5, sigma_v=1.0, seed=6)
     return obj, HyperParams(gamma_u=0.02, gamma_v=0.03, eta_u=1.5, eta_v=1.2,
                             K=5, T=800, m=4)
 
@@ -77,3 +79,23 @@ def test_scaffold_p_tail_mean_matches_the_exact_floor(m):
     # noise's second moments build up
     assert_tail_mean_matches("scaffold_p", obj, hp, theory.scaffold_p_floor(obj, hp), burn=150,
                              u0=obj.centers_u.mean(axis=0), v0_all=obj.centers_v)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("instance", range(6))
+def test_full_participation_trace_matches_the_exact_trace(algorithm, instance):
+    # a random noiseless instance with m = n; a round whose exact value has
+    # decayed below 1e-8 of its first round's is left out, as rounding
+    # dominates it
+    rng = stream(instance, "probe")
+    n, d_u, d_v, K = (int(x) for x in rng.integers([1, 1, 1, 1], [8, 6, 6, 9]))
+    obj = QuadraticObjective(rng.standard_normal((n, d_u)), rng.standard_normal((n, d_v)))
+    gamma_u, gamma_v, eta_u, eta_v = rng.uniform([0.01, 0.01, 0.5, 0.5], [0.1, 0.1, 1.5, 1.5])
+    hp = HyperParams(gamma_u=gamma_u, gamma_v=gamma_v, eta_u=eta_u, eta_v=eta_v,
+                     K=K, T=60, m=n)
+    traces = run_training(algorithm, obj, hp, seed=instance).traces
+    names = ("f_value", "grad_norm_u", "grad_norm_v", "grad_norm_v_hat")
+    for name, exact in zip(names, theory.full_participation_trace(obj, hp)):
+        got = np.array([getattr(tr, name) for tr in traces])
+        keep = exact >= 1e-8 * exact[0]
+        np.testing.assert_allclose(got[keep], exact[keep], rtol=1e-10, atol=0, err_msg=name)

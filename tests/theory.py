@@ -115,22 +115,46 @@ def scaffold_p_floor(obj, hp):
     return u_term + (m / n) * _personal_floor(obj, hp)
 
 
+def full_participation_trace(obj, hp):
+    """Exact per-round (f, grad_norm_u, grad_norm_v, grad_norm_v_hat) of
+    FedAvg-P and of Scaffold-P on the noiseless `QuadraticObjective` obj
+    with m = n, from the all-zeros start: one (T,) array each.
+
+    K local steps take u_i - a_i = q (u - a_i) with q = (1 - gamma_u)^K, so
+    the server's u - abar contracts by c_u = 1 - eta_u (1 - q) a round:
+    grad_norm_u = |u - abar|^2 is c_u^(2(t+1)) |abar|^2 after round t.
+    Scaffold-P's noiseless start has c_i - c = abar - a_i, which every
+    full-participation round keeps, so each client steps toward abar and
+    the same c_u holds. Every v_i - b_i contracts by c_v alike, so
+    grad_norm_v = grad_norm_v_hat = c_v^(2(t+1)) (1/n) sum_i |b_i|^2, and
+    f = (grad_norm_u + b^2 + grad_norm_v) / 2.
+    """
+    assert hp.m == obj.n and obj.sigma_u == obj.sigma_v == 0.0
+    c_u = 1.0 - hp.eta_u * (1.0 - (1.0 - hp.gamma_u) ** hp.K)
+    c_v = 1.0 - hp.eta_v * (1.0 - (1.0 - hp.gamma_v) ** hp.K)
+    t = np.arange(1, hp.T + 1)
+    abar = obj.centers_u.mean(axis=0)
+    g_u = c_u ** (2 * t) * float(abar @ abar)
+    g_v = c_v ** (2 * t) * float(np.square(obj.centers_v).sum(axis=1).mean())
+    return 0.5 * (g_u + obj.dissimilarity_b2() + g_v), g_u, g_v, g_v
+
+
 def criterion_03(gamma, T):
     """Criterion 3's instance at step size gamma, T rounds."""
-    obj, _ = dataio.synth_quadratic(8, 4, 4, spread=0.5, sigma_u=1.0, sigma_v=0.0, seed=3)
+    obj = dataio.synth_quadratic(8, 4, 4, spread=0.5, sigma_u=1.0, sigma_v=0.0, seed=3)
     return obj, HyperParams(gamma_u=gamma, gamma_v=gamma, eta_u=1.0, eta_v=1.0,
                             K=4, T=T, m=8)
 
 
 def criterion_04(m, T):
     """Criterion 4's instance with m clients a round, T rounds."""
-    obj, _ = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
+    obj = dataio.synth_quadratic(16, 5, 5, spread=2.0, sigma_u=1.0, sigma_v=0.0, seed=4)
     return obj, HyperParams(gamma_u=0.005, gamma_v=0.005, eta_u=1.0, eta_v=1.0,
                             K=10, T=T, m=m)
 
 
 def criterion_05(K, T):
     """Criterion 5's instance with K local steps, T rounds."""
-    obj, _ = dataio.synth_quadratic(10, 5, 5, spread=1.5, sigma_u=0.0, sigma_v=0.0, seed=5)
+    obj = dataio.synth_quadratic(10, 5, 5, spread=1.5, sigma_u=0.0, sigma_v=0.0, seed=5)
     return obj, HyperParams(gamma_u=0.01, gamma_v=0.01, eta_u=1.0, eta_v=1.0,
                             K=K, T=T, m=9)
