@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import QuadraticObjective, _check_int
+from .objectives import QuadraticObjective, _check_int, _finite_nonneg, _finite_pos
 from .rng import check_seed, stream
 
 IMAGES_MAGIC = 0x00000803
@@ -68,8 +68,7 @@ class ClientShard:
     """
 
     def __init__(self, X, y, scale: float = 1.0):
-        if not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+        _finite_pos("scale", scale)
         self.X = np.ascontiguousarray(X)  # (N_i, W)
         self.y = np.asarray(y, dtype=np.float64)  # (N_i,)
         if self.X.ndim != 2:
@@ -223,15 +222,15 @@ def synth_quadratic(
     Client centers a_i = h_i * spread * e with e = ones/sqrt(d_u) and h_i
     standard normal recentered to mean zero, so the objective's
     `dissimilarity_b2()` is spread^2 * (1/n) sum h_i^2. Personal centers
-    b_i are standard normal. Checks the seed, and that n is an int >= 1 and
-    d_u, d_v ints; the objective checks d_u, d_v >= 1.
+    b_i are standard normal. Checks the seed, that n is an int >= 1, d_u
+    and d_v ints and spread finite and >= 0; the objective checks d_u,
+    d_v >= 1.
     """
     check_seed(seed)
     _check_int("n", n, 1)
     _check_int("d_u", d_u, 0)
     _check_int("d_v", d_v, 0)
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    _finite_nonneg("spread", spread)
     g = stream(seed, "synth")
     h = g.standard_normal(n)
     h = h - h.mean()

@@ -64,7 +64,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .objectives import ObjectiveOracle, _check_int, _finite_nonneg, join_replicas
+from .objectives import (ObjectiveOracle, _check_int, _check_out, _finite_nonneg, _finite_pos,
+                         join_replicas)
 from .rng import StreamPool, check_seed, stream_keys
 
 FEDAVG_P = "fedavg_p"
@@ -219,14 +220,12 @@ def init_control_variates(u0, v0_all, oracle, K: int, seed: int):
     block from its own ("cv_init", i) stream; the n stream keys are derived
     in one call. The K gradients are summed left to right for all clients
     at once. Needs K >= 1, which `HyperParams` checks; ValueError unless
-    the u-block `stoch_grads` returns is (n, K, d_u).
+    `stoch_grads` returns (n, K, d_u) and (n, K, d_v) blocks.
     """
     ids = np.arange(oracle.n)
     rngs = StreamPool(oracle.n).reset(stream_keys(seed, "cv_init", ids[:, None]).tolist())
-    G = oracle.stoch_grads(ids, u0, v0_all, K, rngs)[0]
-    if G.shape != (oracle.n, K, oracle.d_u):
-        raise ValueError(f"stoch_grads returned a u-block of shape {G.shape}, expected "
-                         f"({oracle.n}, {K}, {oracle.d_u})")
+    G = _check_out("stoch_grads", oracle.stoch_grads(ids, u0, v0_all, K, rngs),
+                   (oracle.n, K, oracle.d_u), (oracle.n, K, oracle.d_v))[0]
     acc = np.zeros((oracle.n, oracle.d_u))
     for k in range(K):
         acc = acc + G[:, k]
@@ -280,13 +279,10 @@ def run_round(server: ServerState, clients: ClientStates, oracle: ObjectiveOracl
     C_old = clients.C[rows, ids] if corrected else None
     Corr = C_old - server.c[:, None] if corrected else np.zeros((R, m, oracle.d_u))
     # replica r's client i is the joined oracle's client r * n + i
-    U_K, V_K = oracle.local_steps(
+    U_K, V_K = _check_out("local_steps", oracle.local_steps(
         (ids + n * rows).ravel(), np.repeat(server.u, m, axis=0), V_old.reshape(R * m, -1),
         Corr.reshape(R * m, -1), hp.K, hp.gamma_u, hp.gamma_v, [g for row in rngs for g in row]
-    )
-    if (U_K.shape, V_K.shape) != ((R * m, oracle.d_u), (R * m, oracle.d_v)):
-        raise ValueError(f"local_steps returned rows of shapes {U_K.shape} and {V_K.shape}, "
-                         f"expected ({R * m}, {oracle.d_u}) and ({R * m}, {oracle.d_v})")
+    ), (R * m, oracle.d_u), (R * m, oracle.d_v))
     U_K, V_K = U_K.reshape(R, m, -1), V_K.reshape(R, m, -1)
     clients.V[rows, ids] = merge_personal(V_old, V_K, hp.eta_v)
     if corrected:
@@ -394,19 +390,16 @@ def recommended_step_sizes(variant: str, L: float, K: int, T: int, F0: float,
     - scaffoldp: gamma = 1 / (72LK max(n^(2/3)/m, 1) + sqrt((37LKT/F0) *
       (sigma_u^2/m + m sigma_v^2/n))); eta_u >= sqrt(m), eta_v >= sqrt(n/m).
 
-    Raises ValueError for a non-finite L, F0, sigma_u, sigma_v or b, for
-    K, T, m or n not an int >= 1 and for any input outside its range.
+    Raises ValueError unless L and F0 are finite and > 0, sigma_u, sigma_v
+    and b finite and >= 0, K, T, m and n ints >= 1 and m <= n, and for an
+    unknown variant.
     """
-    named = {"L": L, "F0": F0, "sigma_u": sigma_u, "sigma_v": sigma_v, "b": b}
-    bad = [name for name, x in named.items() if not math.isfinite(x)]
-    if bad:
-        raise ValueError(f"{', '.join(bad)} must be finite")
+    for name, x in (("L", L), ("F0", F0)):
+        _finite_pos(name, x)
+    for name, x in (("sigma_u", sigma_u), ("sigma_v", sigma_v), ("b", b)):
+        _finite_nonneg(name, x)
     for name, x in (("K", K), ("T", T), ("m", m), ("n", n)):
         _check_int(name, x, 1)
-    if L <= 0 or F0 <= 0:
-        raise ValueError("L, F0 must be positive")
-    if sigma_u < 0 or sigma_v < 0 or b < 0:
-        raise ValueError("sigma_u, sigma_v, b must be >= 0")
     if m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if variant == "fedavgp_partial":

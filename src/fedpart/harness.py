@@ -299,14 +299,15 @@ def run_experiments(configs: list[ExperimentConfig]):
 
     Each result is bitwise the config run alone, except `wall_ms`: a
     round's time is the shared replica round's. Raises ValueError for no
-    configs.
+    configs, and before any run for configs that differ in anything but
+    seed and output or that name one output twice.
     """
     if not configs:
         raise ValueError("need at least one config")
     first = configs[0]
-    shared = dict(first.to_mapping(), seed=0, output="")
-    if any(dict(c.to_mapping(), seed=0, output="") != shared for c in configs):
-        raise ValueError("replica configs may differ only in seed and output")
+    shared = {tuple(dict(c.to_mapping(), seed=0, output="").items()) for c in configs}
+    if len(shared) > 1 or len({os.path.abspath(c.output) for c in configs}) < len(configs):
+        raise ValueError("replica configs may differ only in seed and output, one output each")
     # the configs name one corpus: parse it once, partition it per seed
     corpus = (dataio.load_mnist(first.images_path, first.labels_path)
               if first.objective == LOGISTIC else None)

@@ -13,16 +13,21 @@ average over seeds where variance matters. Constant estimation recovers the
 smoothness L, the gradient dissimilarity b^2 (pointwise slack, a variance,
 hence nonnegative) and the initial gap F0 feeding the step-size formulas.
 All probe randomness comes from the generator the caller passes.
+
+Every `value_and_grads` result read here, in the round metrics and in each
+estimator, passes `objectives._check_out` first: a custom oracle returning
+arrays of the wrong shapes raises ValueError naming `value_and_grads`
+instead of broadcasting into an estimate. The arguments follow the
+package's argument rules (`objectives._check_int`, `_finite_pos`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import _is_int, _row_sq_norms
+from .objectives import _check_int, _check_out, _finite_pos, _row_sq_norms
 
 
 @dataclass(frozen=True)
@@ -32,8 +37,17 @@ class ConstantEstimates:
     F0: float
 
 
+def _full_pass(oracle, U, V):
+    """`value_and_grads` of every client of the oracle at rows (U, V), its
+    output checked."""
+    n = oracle.n
+    return _check_out("value_and_grads", oracle.value_and_grads(np.arange(n), U, V),
+                      (n,), (n, oracle.d_u), (n, oracle.d_v))
+
+
 def round_metrics(oracle, u, v_all, m: int):
-    """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass.
+    """(f, G_u, G_v, G_v_hat) at (u, v_1..v_n) from one oracle pass over
+    every client of `oracle` (`_full_pass`), so v_all holds one row each.
 
     For R replicas on their joined oracle (`objectives.join_replicas`;
     u (R, d_u), v_all (R, n, d_v)) the pass covers all R * n clients and
@@ -42,9 +56,8 @@ def round_metrics(oracle, u, v_all, m: int):
     """
     V = np.asarray(v_all)
     *lead, n, d_v = V.shape  # lead is (R,) for replicas, () for one run
-    V = V.reshape(-1, d_v)
-    vals, G_u, G_v = oracle.value_and_grads(np.arange(len(V)),
-                                            np.repeat(u, n, axis=0) if lead else u, V)
+    vals, G_u, G_v = _full_pass(oracle, np.repeat(u, n, axis=0) if lead else u,
+                                V.reshape(-1, d_v))
     vals = vals.reshape(*lead, n)
     G_u, G_v = G_u.reshape(*lead, n, oracle.d_u), G_v.reshape(*lead, n, d_v)
     gbar = G_u.sum(axis=-2) / n
@@ -59,7 +72,7 @@ def estimate_dissimilarity(oracle, u, v_all) -> float:
     By the variance identity this is nonnegative (up to roundoff); for the
     synthetic quadratic it equals (1/n) sum_i |a_i - abar|^2 at every point.
     """
-    _, g, _ = oracle.value_and_grads(np.arange(oracle.n), u, v_all)
+    _, g, _ = _full_pass(oracle, u, v_all)
     gbar = g.mean(axis=0)
     return float(np.square(g).sum(axis=1).mean() - gbar @ gbar)
 
@@ -72,14 +85,10 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
     |delta| over probes and clients; probe p is one two-row call on client
     p mod n at x and x + delta. The probe step is radius/1000, small
     enough to read local curvature. Raises ValueError unless probe_points
-    is an int (`objectives._is_int`) >= 2 and radius is finite and > 0.
+    is an int >= 2 and radius is finite and > 0.
     """
-    if not _is_int(probe_points):
-        raise ValueError(f"probe_points must be an int, got {probe_points!r}")
-    if probe_points < 2:
-        raise ValueError("need at least 2 probe points")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    _check_int("probe_points", probe_points, 2)
+    _finite_pos("radius", radius)
     d_u, d_v = oracle.d_u, oracle.d_v
     step = radius * 1e-3
     best = 0.0
@@ -89,7 +98,8 @@ def estimate_smoothness(oracle, probe_points: int, radius: float, rng) -> float:
         delta = rng.standard_normal(d_u + d_v)
         delta *= step / float(np.sqrt(delta @ delta))
         X = np.stack([x, x + delta])
-        _, G_u, G_v = oracle.value_and_grads([i, i], X[:, :d_u], X[:, d_u:])
+        got = oracle.value_and_grads([i, i], X[:, :d_u], X[:, d_u:])
+        _, G_u, G_v = _check_out("value_and_grads", got, (2,), (2, d_u), (2, d_v))
         diff = np.concatenate([G_u[1] - G_u[0], G_v[1] - G_v[0]])
         ratio = float(np.sqrt(diff @ diff)) / step
         if ratio > best:
@@ -107,18 +117,17 @@ def estimate_initial_gap(oracle, u0, v_all0, lr: float, iters: int = 500) -> flo
     passes: the pass that values the new point also gives the next
     u-gradient.
     """
-    ids = np.arange(oracle.n)
     u = np.array(u0, dtype=np.float64)
     V = np.array(v_all0, dtype=np.float64)
-    vals, G_u, _ = oracle.value_and_grads(ids, u, V)
+    vals, G_u, _ = _full_pass(oracle, u, V)
     f0 = float(vals.mean())
     if hasattr(oracle, "infimum"):
         return f0 - float(oracle.infimum())
     best = f0
     for _ in range(iters):
         u = u - lr * G_u.mean(axis=0)
-        V = V - lr * oracle.value_and_grads(ids, u, V)[2]
-        vals, G_u, _ = oracle.value_and_grads(ids, u, V)
+        V = V - lr * _full_pass(oracle, u, V)[2]
+        vals, G_u, _ = _full_pass(oracle, u, V)
         best = min(best, float(vals.mean()))
     return f0 - best
 

@@ -66,6 +66,13 @@ Both objectives are plain classes whose constructors check their arguments
 once. That an oracle is immutable after construction is a convention of
 both, not a guard; every stochastic evaluation takes its generators as an
 explicit argument.
+
+This module owns the rules that check what enters or leaves the numeric
+core, each stated once: `_check_int` for every count argument (seeds use
+its `_is_int`), `_finite_nonneg` and `_finite_pos` for every real
+argument, `_check_rows` for the rows an oracle method takes and
+`_check_out` for the arrays it returns, wherever `fedcore` and `metrics`
+read them.
 """
 
 from __future__ import annotations
@@ -138,10 +145,27 @@ def _check_rows(oracle, ids, U, V, rngs=None, Corr=None) -> int:
     return N
 
 
+def _check_out(method: str, got, *shapes):
+    """got, the arrays an oracle's `method` returned; ValueError naming the
+    method unless their shapes are `shapes`, in order."""
+    if tuple(map(np.shape, got)) != shapes:
+        raise ValueError(f"{method} returned rows of shapes "
+                         f"{' and '.join(map(str, map(np.shape, got)))}, "
+                         f"expected {' and '.join(map(str, shapes))}")
+    return got
+
+
 def _finite_nonneg(name: str, x) -> float:
     """x as a float; ValueError naming it unless finite and >= 0."""
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {x!r}")
+    return float(x)
+
+
+def _finite_pos(name: str, x) -> float:
+    """x as a float; ValueError naming it unless finite and > 0."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
     return float(x)
 
 

@@ -19,6 +19,11 @@ SeedSequence's own arithmetic, written as uint32 array operations over all
 addresses at once (`philox_keys`): the mix is a fixed hash of the entropy
 words whose running multipliers do not depend on the data, and Philox takes
 its 128-bit key from `generate_state(2, uint64)` with the counter at 0.
+
+A run seed is an int in [0, 2^64), by the package's one int rule
+(`objectives._is_int`): `check_seed` rejects any other seed, `1.5`, `True`
+and `np.float64(2.0)` included, with ValueError, and every run and instance
+builder calls it before its first draw.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from operator import index
 from zlib import crc32
 
 import numpy as np
+
+from .objectives import _is_int
 
 SEED_MAX = 2**64 - 1  # the largest run seed; a stream reads any seed mod 2^64
 _WORD_MASK = 0xFFFFFFFF
@@ -42,7 +49,11 @@ _OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
 def check_seed(seed: int) -> None:
-    """ValueError naming the seed unless it is a run seed, in [0, 2^64)."""
+    """ValueError naming the seed unless it is a run seed: an int by the
+    package's int rule (`objectives._is_int`: numpy ints yes, bool no) in
+    [0, 2^64)."""
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed {seed!r} is outside [0, 2^64)")
 

@@ -300,11 +300,13 @@ def test_partition_too_few_examples():
         dataio.partition_clients(ds, 0, "iid", seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.float64(2.0)])
 def test_instance_builders_reject_seeds_outside_the_run_range(seed):
-    # a stream reads its seed mod 2^64: -1 would build the instance of 2^64 - 1
+    # a stream reads its seed mod 2^64: -1 would build the instance of
+    # 2^64 - 1, True that of seed 1; a float seed would fail at its first draw
     ds = _indexed_dataset([1, 2, 3])
-    match = rf"seed {seed} is outside \[0, 2\^64\)"
+    match = (rf"seed {seed} is outside \[0, 2\^64\)" if type(seed) is int
+             else re.escape(f"seed must be an int, got {seed!r}"))
     with pytest.raises(ValueError, match=match):
         dataio.partition_clients(ds, 1, "iid", seed=seed)
     with pytest.raises(ValueError, match=match):
@@ -460,8 +462,11 @@ def test_synth_quadratic_b2_matches_metrics_estimate():
 def test_synth_quadratic_validation():
     with pytest.raises(ValueError):
         dataio.synth_quadratic(0, 3, 2, spread=1.0, sigma_u=0, sigma_v=0, seed=0)
-    with pytest.raises(ValueError):
-        dataio.synth_quadratic(2, 3, 2, spread=-1.0, sigma_u=0, sigma_v=0, seed=0)
+    # a non-finite spread would reach the objective as non-finite centers
+    for spread in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"spread must be finite and >= 0, got {spread!r}")):
+            dataio.synth_quadratic(2, 3, 2, spread=spread, sigma_u=0, sigma_v=0, seed=0)
     for d_u, d_v in ((0, 2), (2, 0)):  # the objective names its empty block
         with pytest.raises(ValueError, match="^centers_u and centers_v must be"):
             dataio.synth_quadratic(3, d_u, d_v, spread=1.0, sigma_u=0, sigma_v=0, seed=0)

@@ -443,6 +443,12 @@ def test_start_rounds_rejects_a_bad_run_before_any_draw(monkeypatch):
     for seeds in ([-1], [2**64], [3, -1]):
         with pytest.raises(ValueError, match=rf"seed {seeds[-1]} is outside \[0, 2\^64\)"):
             run_replicas("scaffold_p", [obj] * len(seeds), hp_of(), seeds)
+    # True would run as seed 1; a float seed would fail at its first draw
+    for seeds in ([1.5], [True], [3, np.float64(2.0)]):
+        for algorithm in fedcore.ALGORITHMS:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"seed must be an int, got {seeds[-1]!r}")):
+                start_rounds(algorithm, [obj] * len(seeds), hp_of(), seeds)
     assert draws == []
     assert len(run_training("scaffold_p", obj, hp_of(T=3), seed=2**64 - 1).traces) == 3
     # a zero u-step is the identity for the uncorrected algorithm
@@ -724,11 +730,17 @@ def test_custom_objective_runs_alone_but_not_as_replicas():
 
 
 class _Narrow(_Delegate):
-    """A custom objective whose `narrow` output keeps only its first column."""
+    """A custom objective whose `narrow` output keeps only its first column:
+    `U_K` or `V_K` of `local_steps`, the u-block `G_u` of `stoch_grads` or
+    the u-gradients `full_G_u` of `value_and_grads`."""
 
     def __init__(self, inner, narrow):
         super().__init__(inner)
         self.narrow = narrow
+
+    def value_and_grads(self, *args):
+        vals, G_u, G_v = self.inner.value_and_grads(*args)
+        return vals, G_u[:, :1] if self.narrow == "full_G_u" else G_u, G_v
 
     def stoch_grads(self, *args):
         G_u, G_v = self.inner.stoch_grads(*args)
@@ -745,16 +757,33 @@ class _Narrow(_Delegate):
                                 r"expected \(4, 3\) and \(4, 2\)"),
     ("V_K", fedcore.ALGORITHMS, r"local_steps returned rows of shapes \(4, 3\) and \(4, 1\), "
                                 r"expected \(4, 3\) and \(4, 2\)"),
-    ("G_u", [fedcore.SCAFFOLD_P], r"stoch_grads returned a u-block of shape \(10, 3, 1\), "
-                                  r"expected \(10, 3, 3\)"),
+    ("G_u", [fedcore.SCAFFOLD_P], r"stoch_grads returned rows of shapes \(10, 3, 1\) and "
+                                  r"\(10, 3, 2\), expected \(10, 3, 3\) and \(10, 3, 2\)"),
+    ("full_G_u", fedcore.ALGORITHMS, r"value_and_grads returned rows of shapes \(10,\) and "
+                                     r"\(10, 1\) and \(10, 2\), expected \(10,\) and "
+                                     r"\(10, 3\) and \(10, 2\)"),
+    ("full_G_u", ["estimate_dissimilarity", "estimate_initial_gap"],
+     r"value_and_grads returned rows of shapes \(10,\) and \(10, 1\) and \(10, 2\)"),
+    ("full_G_u", ["estimate_smoothness"],
+     r"value_and_grads returned rows of shapes \(2,\) and \(2, 1\) and \(2, 2\), "
+     r"expected \(2,\) and \(2, 3\) and \(2, 2\)"),
 ])
 def test_custom_objective_outputs_are_checked(narrow, algorithms, match):
-    # a narrow block would otherwise broadcast into u, V or the control variates
+    # a narrow block would otherwise broadcast into u, V, the control
+    # variates or an estimate; the wrapper has no `infimum`, so the initial
+    # gap takes the descent path
     obj = _Narrow(_small_oracle("quadratic"), narrow)
     hp = hp_of(gamma_u=0.01, gamma_v=0.02, K=3, T=5, m=4)
+    start = np.zeros(obj.d_u), np.zeros((obj.n, obj.d_v))
+    calls = {
+        **{a: lambda a=a: run_training(a, obj, hp, seed=3) for a in fedcore.ALGORITHMS},
+        "estimate_smoothness": lambda: metrics.estimate_smoothness(obj, 2, 1.0, stream(0, "s")),
+        "estimate_dissimilarity": lambda: metrics.estimate_dissimilarity(obj, *start),
+        "estimate_initial_gap": lambda: metrics.estimate_initial_gap(obj, *start, lr=0.5),
+    }
     for algorithm in algorithms:
         with pytest.raises(ValueError, match=match):
-            run_training(algorithm, obj, hp, seed=3)
+            calls[algorithm]()
 
 
 # ------------------------------------------------------------- run_training
@@ -888,7 +917,7 @@ def test_step_sizes_frozen_hand_values():
 
 
 def test_step_sizes_validation():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="^L must be finite and > 0, got 0.0$"):
         recommended_step_sizes("fedavgp_partial", 0.0, 1, 1, 1.0, 0, 0, 0, 1, 1)
     with pytest.raises(ValueError, match="^T must be an int >= 1, got 0$"):
         recommended_step_sizes("fedavgp_partial", 1.0, 1, 0, 1.0, 0, 0, 0, 1, 1)

@@ -424,6 +424,12 @@ def test_run_experiments_rejects_configs_that_differ_beyond_seed(tmp_path):
     with pytest.raises(ValueError, match="only in seed and output"):
         harness.run_experiments([tiny_cfg(tmp_path, "a.csv"), tiny_cfg(tmp_path, "b.csv", K=3)])
     assert not os.path.exists(tmp_path / "a.csv")
+    # seeds sharing an output would leave one trace and one echo, the last seed's
+    for other in ("same.csv", "sub/../same.csv"):
+        with pytest.raises(ValueError, match="only in seed and output, one output each"):
+            harness.run_experiments([tiny_cfg(tmp_path, "same.csv", seed=0),
+                                     tiny_cfg(tmp_path, other, seed=1)])
+    assert not os.path.exists(tmp_path / "same.csv")
 
 
 def test_sweep_deterministic(tmp_path):
@@ -632,7 +638,7 @@ def test_cli_stepsize_rejects_bad_numbers_as_usage_errors(capsys, flag, value):
     ("--radius", "-1", "radius must be finite and > 0"),
     ("--radius", "nan", "radius must be finite and > 0"),
     ("--radius", "0", "radius must be finite and > 0"),
-    ("--probes", "1", "need at least 2 probe points"),
+    ("--probes", "1", "probe_points must be an int >= 2, got 1"),
 ])
 def test_cli_estimate_rejects_bad_probe_settings_as_usage_errors(tmp_path, capsys, flag, value,
                                                                  message):

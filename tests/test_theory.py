@@ -9,6 +9,7 @@ exact value, within 4 standard errors of that mean. The seeds' runs are
 independent, so the standard error is the seeds' spread / sqrt(40).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,16 @@ def partial_personal_noise():
     obj = dataio.synth_quadratic(10, 3, 3, spread=1.0, sigma_u=0.5, sigma_v=1.0, seed=6)
     return obj, HyperParams(gamma_u=0.02, gamma_v=0.03, eta_u=1.5, eta_v=1.2,
                             K=5, T=800, m=4)
+
+
+def personal_instance_a():
+    obj = dataio.synth_quadratic(8, 3, 2, spread=2.0, sigma_u=0.5, sigma_v=0.5, seed=13)
+    return obj, HyperParams(gamma_u=0.1, gamma_v=0.1, eta_u=1.0, eta_v=1.0, K=2, T=100, m=3)
+
+
+def personal_instance_b():
+    obj = dataio.synth_quadratic(8, 3, 4, spread=1.0, sigma_u=1.0, sigma_v=0.7, seed=21)
+    return obj, HyperParams(gamma_u=0.05, gamma_v=0.08, eta_u=1.5, eta_v=2.0, K=4, T=100, m=2)
 
 
 def test_closed_form_gives_the_recorded_criterion_floors():
@@ -99,3 +110,29 @@ def test_full_participation_trace_matches_the_exact_trace(algorithm, instance):
         got = np.array([getattr(tr, name) for tr in traces])
         keep = exact >= 1e-8 * exact[0]
         np.testing.assert_allclose(got[keep], exact[keep], rtol=1e-10, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("instance", [personal_instance_a, personal_instance_b,
+                                      partial_personal_noise],
+                         ids=["a", "b", "partial_personal_noise"])
+def test_personal_block_trace_matches_its_exact_expectation(instance):
+    # partial participation from the zero start, T = 100: over 200 seeds,
+    # each window's mean grad_norm_v lies within 5 standard errors of its
+    # exact mean; the windows read round 0, the transient and the floor
+    obj, hp = instance()
+    hp = dataclasses.replace(hp, T=100)
+
+    def g_v(algorithm, seeds):
+        return np.array([[tr.grad_norm_v for tr in r.traces]
+                         for r in run_replicas(algorithm, [obj] * len(seeds), hp, seeds)])
+
+    seeds = list(range(200))
+    got = g_v("fedavg_p", seeds)
+    # the correction acts on u only: Scaffold-P's seeds give the same traces
+    assert np.array_equal(g_v("scaffold_p", seeds[:20]), got[:20])
+    exact = theory.personal_trace(obj, hp)
+    for window in (slice(0, 1), slice(1, 5), slice(5, 20), slice(20, 100)):
+        means = got[:, window].mean(axis=1)
+        se = means.std(ddof=1) / math.sqrt(len(seeds))
+        assert abs(means.mean() - exact[window].mean()) <= 5.0 * se, (
+            window, means.mean(), se, exact[window].mean())

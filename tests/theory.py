@@ -139,6 +139,30 @@ def full_participation_trace(obj, hp):
     return 0.5 * (g_u + obj.dissimilarity_b2() + g_v), g_u, g_v, g_v
 
 
+def personal_trace(obj, hp):
+    """Exact expected grad_norm_v after each round of FedAvg-P or Scaffold-P
+    on the `QuadraticObjective` obj with `HyperParams` hp, at any m, from
+    the all-zeros start: one (T,) array.
+
+    A round samples client i with probability p = m / n. A sampled client's
+    e_i = v_i - b_i becomes c_v e_i plus eta_v times its local noise, of
+    second moment d_v N_v, with c_v = 1 - eta_v (1 - q_v); an unsampled
+    one's stays. So S_t = E (1/n) sum_i |e_i|^2 follows
+    S_{t+1} = (1 - p (1 - c_v^2)) S_t + p eta_v^2 d_v N_v from
+    S_0 = (1/n) sum_i |b_i|^2, and grad_norm_v after round t is S_{t+1}.
+    The correction acts on u only, so both algorithms share this trace.
+    """
+    p = hp.m / obj.n
+    q_v, N_v = _local(hp.gamma_v, hp.K, obj.sigma_v, obj.d_v)
+    c_v = 1.0 - hp.eta_v * (1.0 - q_v)
+    S = float(np.square(obj.centers_v).sum(axis=1).mean())
+    trace = np.empty(hp.T)
+    for t in range(hp.T):
+        S = (1.0 - p * (1.0 - c_v * c_v)) * S + p * hp.eta_v * hp.eta_v * obj.d_v * N_v
+        trace[t] = S
+    return trace
+
+
 def criterion_03(gamma, T):
     """Criterion 3's instance at step size gamma, T rounds."""
     obj = dataio.synth_quadratic(8, 4, 4, spread=0.5, sigma_u=1.0, sigma_v=0.0, seed=3)
